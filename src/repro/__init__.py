@@ -38,7 +38,6 @@ scope tracing to the call (``True``, a path, or a
 
 from repro.cells.netlist_builder import Parasitics
 from repro.cells.variants import DeviceVariant
-from repro.deprecation import absorb_positional, absorb_renamed
 from repro.engine import (
     Engine,
     ExecutionBackend,
@@ -54,7 +53,6 @@ from repro.errors import EngineRunError
 from repro.flows import FullFlowResult, run_extractions, run_full_flow
 from repro.geometry.process import DEFAULT_PROCESS, ProcessParameters
 from repro.geometry.transistor_layout import ChannelCount
-from repro.kernels import KernelConfig, resolve_kernels
 from repro.observe import (
     NULL_TRACER,
     Tracer,
@@ -68,7 +66,7 @@ from repro.ppa.runner import DEFAULT_DT, PpaRunner
 from repro.resilience import FaultInjector, RetryPolicy
 from repro.tcad.device import Polarity, design_for_variant
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "ChannelCount",
@@ -80,7 +78,6 @@ __all__ = [
     "ExecutionBackend",
     "FaultInjector",
     "FullFlowResult",
-    "KernelConfig",
     "NULL_TRACER",
     "Parasitics",
     "Polarity",
@@ -101,7 +98,6 @@ __all__ = [
     "get_tracer",
     "quick_ppa",
     "resolve_backend",
-    "resolve_kernels",
     "run_extractions",
     "run_full_flow",
     "summary_table",
@@ -109,23 +105,15 @@ __all__ = [
 ]
 
 
-def quick_ppa(*args, cells=None, variants=None, parasitics=None,
-              dt=DEFAULT_DT, engine=None, observe=None,
-              cell_names=None) -> PpaComparison:
+def quick_ppa(*, cells=None, variants=None, parasitics=None,
+              dt=DEFAULT_DT, engine=None, observe=None) -> PpaComparison:
     """Run the full pipeline on a set of cells and return the comparison.
 
     Convenience wrapper over :class:`repro.ppa.runner.PpaRunner` — the
     first call characterises and extracts all device variants (about half
     a minute), later calls reuse the caches.  ``observe`` scopes a tracer
     to the call (see :mod:`repro.observe`).
-
-    .. deprecated:: 1.2
-       Positional arguments and ``cell_names=`` warn; use ``cells=``.
     """
-    cells = absorb_renamed("quick_ppa", "cell_names", cell_names,
-                           "cells", cells)
-    cells = absorb_positional("quick_ppa", args, ("cells",),
-                              {"cells": cells})["cells"]
     runner = PpaRunner(parasitics=parasitics, dt=dt,
                        engine=engine if engine is not None
                        else default_engine(),

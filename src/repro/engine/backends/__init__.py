@@ -5,9 +5,8 @@ Selection (first match wins):
 1. an explicit :class:`ExecutionBackend` instance or spec string passed
    to ``Engine(backend=...)`` / ``--backend``;
 2. the :data:`BACKEND_ENV` (``REPRO_BACKEND``) environment variable;
-3. the deprecated ``max_workers=`` / ``REPRO_MAX_WORKERS`` width, mapped
-   onto ``serial`` (width 1) or ``pool:N``;
-4. a machine-width :class:`~repro.engine.backends.pool.PoolBackend`.
+3. a machine-width :class:`~repro.engine.backends.pool.PoolBackend`
+   (serial on single-core machines).
 
 Spec grammar: ``"serial"`` | ``"pool"`` | ``"pool:N"`` | ``"workqueue"``.
 """
@@ -68,11 +67,10 @@ def parse_backend_spec(spec: str) -> ExecutionBackend:
 
 def backend_for_workers(workers: Optional[int] = None
                         ) -> ExecutionBackend:
-    """Map a worker-count width onto a backend (no deprecation warning).
+    """Map a worker-count width onto a backend.
 
-    Internal call sites that still think in widths (``--workers``,
-    parity cells) use this; width 1 is the serial backend, anything
-    wider a warm pool.
+    Width 1 is the serial backend, anything wider a warm pool; ``None``
+    is the machine width.  The ``--workers`` CLI flags think in widths.
     """
     from repro.engine.executor import resolve_worker_count
     count = resolve_worker_count(workers)

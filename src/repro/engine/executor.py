@@ -21,8 +21,7 @@ Backends execute the same pure stage functions on the same inputs, so
 their artefacts are bit-identical; the only difference a manifest can
 show is wall time and worker ids.  Selection: ``Engine(backend=...)``
 (spec string or instance) > the ``REPRO_BACKEND`` environment variable
-> the deprecated ``max_workers=`` / ``REPRO_MAX_WORKERS`` width > a
-machine-width pool.
+> a machine-width pool.
 
 Failure domain (see :mod:`repro.resilience`): every task gets the
 engine's :class:`~repro.resilience.retry.RetryPolicy` — capped
@@ -58,9 +57,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import require_int
-from repro.deprecation import warn_deprecated
 from repro.engine.backends import (
-    BACKEND_ENV,
     ExecutionBackend,
     SerialBackend,
     backend_for_workers,
@@ -75,10 +72,6 @@ from repro.engine.stages import get_stage
 from repro.errors import EngineRunError, ReproError
 from repro.observe import activate, resolve_tracer
 from repro.resilience.retry import RetryPolicy, resolve_retry_policy
-
-#: Environment variable overriding the auto-detected worker count
-#: (deprecated in favour of ``REPRO_BACKEND=pool:N``).
-MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
 
 #: Characters of formatted traceback kept in a TaskFailure record.
 TRACEBACK_TAIL = 1500
@@ -153,15 +146,10 @@ class EngineRun:
 
 
 def resolve_worker_count(max_workers: Optional[int] = None) -> int:
-    """Worker count: explicit > ``REPRO_MAX_WORKERS`` > cpu count.
+    """Worker count: explicit > cpu count.
 
-    Malformed values fail at startup with a :class:`ConfigError`
-    naming their source (the env var or the parameter).
+    Malformed values fail at startup with a :class:`ConfigError`.
     """
-    if max_workers is None:
-        env = os.environ.get(MAX_WORKERS_ENV)
-        if env:
-            max_workers = require_int(MAX_WORKERS_ENV, env, minimum=1)
     if max_workers is None:
         max_workers = os.cpu_count() or 1
     return require_int("max_workers", max_workers, minimum=1)
@@ -187,11 +175,8 @@ class Engine:
         ``"pool:N"``, ``"workqueue"``) or an
         :class:`~repro.engine.backends.ExecutionBackend` instance to
         share between engines.  ``None`` resolves ``REPRO_BACKEND``,
-        then the deprecated worker-count path, then defaults to a
-        machine-width pool (serial on single-core machines).
-    max_workers:
-        Deprecated — pass ``backend="pool:N"`` (or ``"serial"`` for
-        ``N=1``) instead.  Still honoured through that mapping.
+        then defaults to a machine-width pool (serial on single-core
+        machines).
     cache:
         Share an existing :class:`ArtifactCache`; by default each engine
         owns one resolved from ``cache_dir`` / ``REPRO_CACHE_DIR``.
@@ -217,8 +202,7 @@ class Engine:
         skips dependents and completes every independent subgraph.
     """
 
-    def __init__(self, max_workers: Optional[int] = None,
-                 cache: Optional[ArtifactCache] = None,
+    def __init__(self, *, cache: Optional[ArtifactCache] = None,
                  cache_dir: Optional[os.PathLike] = None,
                  use_disk: bool = True,
                  observe: Any = None,
@@ -229,22 +213,10 @@ class Engine:
         if on_error not in ON_ERROR_MODES:
             raise ReproError(f"on_error must be one of {ON_ERROR_MODES}, "
                              f"got {on_error!r}")
-        if max_workers is not None:
-            warn_deprecated(
-                "Engine(max_workers=N) is deprecated; pass "
-                "backend='pool:N' (or 'serial' for N=1), or an "
-                "ExecutionBackend instance")
         #: True when this engine constructed the backend itself (and
         #: therefore owns its lifetime); False for shared instances.
         self.owns_backend = not isinstance(backend, ExecutionBackend)
-        resolved = resolve_backend(backend)
-        if resolved is None:
-            if max_workers is None and os.environ.get(MAX_WORKERS_ENV):
-                warn_deprecated(
-                    f"{MAX_WORKERS_ENV} is deprecated; set "
-                    f"{BACKEND_ENV}='pool:N' (or 'serial') instead")
-            resolved = backend_for_workers(max_workers)
-        self.backend = resolved
+        self.backend = resolve_backend(backend) or backend_for_workers()
         self.cache = cache or ArtifactCache(cache_dir=cache_dir,
                                             use_disk=use_disk,
                                             remote=remote)

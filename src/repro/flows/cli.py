@@ -88,7 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", default=None,
                        help="cache directory (default REPRO_CACHE_DIR)")
         p.add_argument("--workers", type=int, default=None,
-                       help="engine width (default REPRO_MAX_WORKERS)")
+                       help="engine width: 1 = serial, N > 1 = pool:N "
+                            "(default REPRO_BACKEND, else one worker "
+                            "per CPU)")
         p.add_argument("--backend", default=None,
                        help="execution backend: serial, pool, pool:N or "
                             "workqueue (default REPRO_BACKEND); "

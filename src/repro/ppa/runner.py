@@ -14,8 +14,6 @@ from repro.cells.netlist_builder import (
 from repro.cells.spec import CellSpec
 from repro.cells.variants import DeviceVariant, ModelSet, extracted_model_set
 from repro.cells.vectors import StimulusRun, stimulus_plan_for
-from repro.deprecation import absorb_positional, absorb_renamed, \
-    warn_deprecated
 from repro.observe import get_tracer, maybe_activate
 from repro.spice.elements.vsource import PulseSpec
 from repro.spice.transient import TransientResult, transient
@@ -123,68 +121,40 @@ class PpaRunner:
 
     ``observe`` scopes a tracer to this runner's work (see
     :mod:`repro.observe`); ``None`` inherits the ambient/env default.
-
-    .. deprecated:: 1.2
-       Positional constructor arguments and engine-less ``PpaRunner()``
-       warn and will be removed in 1.3.
     """
 
-    def __init__(self, *args, parasitics: Optional[Parasitics] = None,
-                 dt: float = DEFAULT_DT, process=None, engine=None,
-                 observe=None):
-        kwargs = absorb_positional(
-            "PpaRunner", args, ("parasitics", "dt", "process", "engine"),
-            {"parasitics": parasitics, "dt": dt, "process": process,
-             "engine": engine})
-        if kwargs["engine"] is None:
-            warn_deprecated(
-                "engine-less PpaRunner() is deprecated and will be removed "
-                "in 1.3; pass engine= explicitly (e.g. "
-                "PpaRunner(engine=repro.engine.default_engine()))")
-        self.parasitics = (kwargs["parasitics"]
-                           if kwargs["parasitics"] is not None
+    def __init__(self, *, engine, parasitics: Optional[Parasitics] = None,
+                 dt: float = DEFAULT_DT, process=None, observe=None):
+        self.parasitics = (parasitics if parasitics is not None
                            else Parasitics())
-        self.dt = kwargs["dt"] if kwargs["dt"] is not None else DEFAULT_DT
-        self.process = kwargs["process"]
-        self.engine = kwargs["engine"]
+        self.dt = dt if dt is not None else DEFAULT_DT
+        self.process = process
+        self.engine = engine
         self.observe = observe
-
-    def _engine(self):
-        from repro.engine import default_engine
-        return self.engine or default_engine()
 
     def evaluate(self, cell_name: str, variant: DeviceVariant) -> CellPPA:
         """PPA of one (cell, variant) pair (cached in the engine)."""
         from repro.engine.pipeline import cell_ppa
         with maybe_activate(self.observe):
             return cell_ppa(cell_name, variant, self.parasitics, self.dt,
-                            self.process, engine=self._engine())
+                            self.process, engine=self.engine)
 
-    def sweep(self, *args, cells: Optional[List[str]] = None,
-              variants: Optional[List[DeviceVariant]] = None,
-              cell_names: Optional[List[str]] = None) -> List[CellPPA]:
+    def sweep(self, *, cells: Optional[List[str]] = None,
+              variants: Optional[List[DeviceVariant]] = None
+              ) -> List[CellPPA]:
         """Evaluate a grid of cells and variants.
 
         The whole grid is submitted as one task graph, so with a
         parallel engine the independent (cell, variant) transients fan
         out across workers as their shared model sets complete.
-
-        .. deprecated:: 1.2
-           Positional arguments and ``cell_names=`` warn; use
-           ``cells=`` / ``variants=`` keywords.
         """
         from repro.engine.pipeline import cell_ppa_tasks, merge_tasks
-        cells = absorb_renamed("PpaRunner.sweep", "cell_names",
-                               cell_names, "cells", cells)
-        kwargs = absorb_positional(
-            "PpaRunner.sweep", args, ("cells", "variants"),
-            {"cells": cells, "variants": variants})
-        variants = kwargs["variants"] or list(DeviceVariant)
-        names = kwargs["cells"] or [c.name for c in all_cells()]
+        variants = variants or list(DeviceVariant)
+        names = cells or [c.name for c in all_cells()]
         grid = [cell_ppa_tasks(name, variant, self.parasitics, self.dt,
                                self.process)
                 for name in names for variant in variants]
         with maybe_activate(self.observe):
-            run = self._engine().run(
+            run = self.engine.run(
                 merge_tasks(*[tasks for _, tasks in grid]))
         return [run[task.id] for task, _ in grid]

@@ -38,22 +38,6 @@ class Stamper:
         self.matrix = np.zeros((n_unknowns, n_unknowns))
         self.rhs = np.zeros(n_unknowns)
 
-    @classmethod
-    def from_base(cls, node_index: Dict[str, int],
-                  branch_index: Dict[str, int], matrix: np.ndarray,
-                  rhs: np.ndarray) -> "Stamper":
-        """Stamper over caller-owned system arrays (no fresh allocation).
-
-        The sparse MNA kernel seeds each Newton iteration with a copy
-        of its cached linear base instead of re-stamping from zeros.
-        """
-        stamper = cls.__new__(cls)
-        stamper.node_index = node_index
-        stamper.branch_index = branch_index
-        stamper.matrix = matrix
-        stamper.rhs = rhs
-        return stamper
-
     def row(self, node: str) -> Optional[int]:
         """Matrix row of a node, or None for ground."""
         if node == GROUND:
@@ -126,17 +110,6 @@ class Element:
 
     #: Number of extra (branch-current) unknowns this element adds.
     n_branch = 0
-
-    #: True when :meth:`stamp_static` depends on neither the solution
-    #: estimate nor time — the stamp can be assembled once per circuit
-    #: and reused across Newton iterations and timesteps (the sparse
-    #: MNA kernel's linear/nonlinear partition).
-    static_linear = False
-
-    #: True when :meth:`stamp_dynamic` is a linear charge ``q = C x``
-    #: with a constant capacitance matrix — ``C`` can be cached and the
-    #: charge recovered as a matrix-vector product.
-    dynamic_linear = False
 
     def __init__(self, name: str, nodes: Sequence[str]):
         if not name:

@@ -17,9 +17,6 @@ class Capacitor(Element):
     ``q = C (v1 - v2)`` to the transient system.
     """
 
-    static_linear = True
-    dynamic_linear = True
-
     def __init__(self, name: str, n1: str, n2: str, capacitance: float):
         super().__init__(name, (n1, n2))
         if capacitance <= 0:

@@ -19,7 +19,6 @@ class Vcvs(Element):
     """
 
     n_branch = 1
-    static_linear = True
 
     def __init__(self, name: str, out_p: str, out_n: str,
                  ctrl_p: str, ctrl_n: str, gain: float):
@@ -48,8 +47,6 @@ class Vccs(Element):
 
     Nodes: (out+, out-, ctrl+, ctrl-).  Pure transconductance stamp.
     """
-
-    static_linear = True
 
     def __init__(self, name: str, out_p: str, out_n: str,
                  ctrl_p: str, ctrl_n: str, transconductance: float):

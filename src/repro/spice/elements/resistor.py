@@ -21,8 +21,6 @@ class Resistor(Element):
         Ohms; must be positive.
     """
 
-    static_linear = True
-
     def __init__(self, name: str, n1: str, n2: str, resistance: float):
         super().__init__(name, (n1, n2))
         if resistance <= 0:

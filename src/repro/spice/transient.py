@@ -215,7 +215,7 @@ def _transient_traced(circuit: Circuit, t_stop: float, dt: float,
 
     if tracer.enabled:
         tspan.set(steps=n_steps, unknowns=assembler.n_unknowns,
-                  rejected_steps=rejected_steps, kernel=assembler.kernel)
+                  rejected_steps=rejected_steps)
         tracer.counter("spice.transient.runs").inc()
         tracer.counter("spice.transient.timesteps").inc(n_steps)
         tracer.histogram("spice.transient.steps_per_run",

@@ -27,7 +27,6 @@ from scipy.linalg import solve_banded
 
 from repro.constants import Q, thermal_voltage
 from repro.errors import ConvergenceError, MeshError
-from repro.kernels import dd1d_kernel
 from repro.materials import SILICON
 from repro.observe import get_tracer
 from repro.resilience.faults import draw_fault
@@ -44,30 +43,6 @@ def bernoulli(x: np.ndarray) -> np.ndarray:
                         np.where(safe > 0, 0.0, -safe),
                         safe / np.expm1(np.clip(safe, -500.0, 500.0)))
     return np.where(small, 1.0 - x / 2.0 + x * x / 12.0, full)
-
-
-def _stacked_tridiagonal_solve(lower: np.ndarray, diag: np.ndarray,
-                               upper: np.ndarray,
-                               rhs: np.ndarray) -> np.ndarray:
-    """Solve ``k`` independent tridiagonal systems in one LAPACK call.
-
-    Inputs are ``(k, n)`` blocks: ``diag[s, i]`` is ``A_s[i, i]``,
-    ``upper[s, i]`` is ``A_s[i, i+1]`` (``upper[:, -1]`` unused, must
-    be 0) and ``lower[s, i]`` is ``A_s[i, i-1]`` (``lower[:, 0]``
-    unused, must be 0).  Stacking the systems along the diagonal keeps
-    the compound matrix tridiagonal — the cross-block couplings are the
-    unused zero entries — so one banded factorisation of size ``k*n``
-    does exactly the per-block elimination, with a Python/LAPACK call
-    count independent of ``k``.
-    """
-    k, n = diag.shape
-    up = upper.reshape(k * n)
-    lo = lower.reshape(k * n)
-    ab = np.zeros((3, k * n))
-    ab[0, 1:] = up[:-1]
-    ab[1, :] = diag.reshape(k * n)
-    ab[2, :-1] = lo[1:]
-    return solve_banded((1, 1), ab, rhs.reshape(k * n)).reshape(k, n)
 
 
 @dataclass(frozen=True)
@@ -256,251 +231,14 @@ class DriftDiffusion1D:
                          steps=outcome.steps, splits=outcome.splits)
         return outcome.solution
 
-    def sweep(self, biases: Sequence[float],
-              kernel: Optional[str] = None) -> List[DDSolution]:
-        """Solve a bias sweep.
-
-        ``kernel`` selects the implementation (explicit argument >
-        ``REPRO_SOLVER_KERNEL`` > default ``"batched"``):
-
-        * ``"batched"`` — one stacked Newton/Gummel iteration over all
-          bias points at once (shared tridiagonal solves, per-point
-          active-set dropout); bias points the batch cannot converge
-          fall back to the legacy per-point solve with its
-          continuation rescue, warm-started from the nearest converged
-          neighbour.
-        * ``"loop"`` — the legacy Python loop, warm-starting each
-          point from the previous one; the differential oracle.
-
-        Both kernels land on the same converged system (the Gummel
-        fixed point is unique); they differ only in start strategy and
-        solver arithmetic, bounded by the ``numeric`` tolerance class
-        at finite bias and the solver noise floor (|I| < 1e-15 A) at
-        equilibrium (see ``tests/test_solver_differential.py``).
-        """
-        if dd1d_kernel(kernel) == "loop":
-            return self._sweep_loop(biases)
-        return self._sweep_batched(biases)
-
-    def _sweep_loop(self, biases: Sequence[float]) -> List[DDSolution]:
-        """Legacy sweep: warm-start each point from the last."""
+    def sweep(self, biases: Sequence[float]) -> List[DDSolution]:
+        """Solve a bias sweep, warm-starting each point from the last."""
         solutions: List[DDSolution] = []
         previous: Optional[DDSolution] = None
         for bias in biases:
             previous = self.solve(float(bias), initial=previous)
             solutions.append(previous)
         return solutions
-
-    # ------------------------------------------------------------------
-    # batched kernel
-    # ------------------------------------------------------------------
-    def _sweep_batched(self, biases: Sequence[float]) -> List[DDSolution]:
-        """Batched Newton/Gummel across all bias points of the sweep.
-
-        Every point runs the same per-node arithmetic as a cold-started
-        :meth:`_solve_direct`; the tridiagonal solves of all still-active
-        points are stacked into one block-tridiagonal banded system (the
-        blocks are decoupled — the stacked factorisation does exactly the
-        per-block elimination), so the Python/LAPACK call count per
-        Gummel iteration is independent of the number of bias points.
-        Converged points drop out of the active batch; points the batch
-        cannot converge fall back to :meth:`solve` (and its continuation
-        rescue ladder), warm-started from the nearest converged
-        neighbour.
-        """
-        biases = [float(b) for b in biases]
-        m = len(biases)
-        if m == 0:
-            return []
-        # Fault draws happen per bias point, in sweep order — the same
-        # draw sequence the legacy loop makes — so injected convergence
-        # faults target individual points under either kernel.
-        rules = [draw_fault("convergence", "dd1d") for _ in biases]
-        for bias, rule in zip(biases, rules):
-            if rule is not None and rule.fatal:
-                raise ConvergenceError(
-                    rule.message or f"injected non-convergence at bias "
-                                    f"{bias:g}V (dd1d)",
-                    iterations=0, residual=float("inf"))
-        batched = [i for i in range(m) if rules[i] is None]
-
-        solutions: List[Optional[DDSolution]] = [None] * m
-        iterations = np.zeros(m, dtype=int)
-        fallbacks: List[int] = [i for i in range(m) if rules[i] is not None]
-
-        if batched:
-            b = np.array([biases[i] for i in batched])
-            psi, n, iters, failed = self._gummel_batched(b)
-            for j, i in enumerate(batched):
-                if j in failed:
-                    fallbacks.append(i)
-                else:
-                    solutions[i] = DDSolution(
-                        self.x.copy(), psi[j], n[j],
-                        self._current(psi[j], n[j]), int(iters[j]))
-                    iterations[i] = iters[j]
-
-        for i in sorted(fallbacks):
-            warm = self._nearest_converged(solutions, biases, i)
-            if rules[i] is not None:
-                solutions[i] = self._solve_continuation(biases[i], warm)
-            else:
-                solutions[i] = self.solve(biases[i], initial=warm)
-
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.counter("tcad.dd1d.batch_sweeps").inc()
-            tracer.counter("tcad.dd1d.batch_points").inc(m)
-            tracer.counter("tcad.dd1d.batch_gummel_iterations").inc(
-                int(iterations.max(initial=0)))
-            if fallbacks:
-                tracer.counter("tcad.dd1d.batch_fallbacks").inc(
-                    len(fallbacks))
-            tracer.histogram(
-                "tcad.dd1d.batch_points_per_sweep").observe(m)
-        return solutions  # type: ignore[return-value]
-
-    @staticmethod
-    def _nearest_converged(solutions: List[Optional[DDSolution]],
-                           biases: List[float],
-                           index: int) -> Optional[DDSolution]:
-        """Warm-start donor for a fallback point: closest solved bias."""
-        best: Optional[DDSolution] = None
-        best_distance = float("inf")
-        for j, solution in enumerate(solutions):
-            if solution is None:
-                continue
-            distance = abs(biases[j] - biases[index])
-            if distance < best_distance:
-                best, best_distance = solution, distance
-        return best
-
-    def _gummel_batched(self, biases: np.ndarray):
-        """Cold-started Gummel on a ``(m, n_nodes)`` state block.
-
-        Returns ``(psi, n, iterations, failed)`` where ``failed`` is the
-        set of batch rows that did not converge (Poisson Newton or the
-        outer Gummel loop exhausted) — the caller rescues those
-        per-point.
-        """
-        m = biases.size
-        n_nodes = self.x.size
-        psi_left = self._contact_potential(self.nd[0])
-        psi_right = self._contact_potential(self.nd[-1]) + biases
-        n_left, n_right = self.nd[0], self.nd[-1]
-
-        # Cold start, identical per point to _solve_direct's cold branch.
-        psi = np.linspace(np.full(m, psi_left), psi_right, n_nodes,
-                          axis=-1)
-        phi_n = np.linspace(np.zeros(m), biases, n_nodes, axis=-1)
-
-        psi_out = np.empty((m, n_nodes))
-        n_out = np.empty((m, n_nodes))
-        iters_out = np.zeros(m, dtype=int)
-        failed: set = set()
-        active = np.arange(m)
-
-        for iteration in range(1, self.MAX_GUMMEL + 1):
-            psi_new, poisson_ok = self._solve_poisson_batched(
-                psi[active], phi_n[active], psi_left, psi_right[active])
-            if not np.all(poisson_ok):
-                bad = active[~poisson_ok]
-                failed.update(int(i) for i in bad)
-                active = active[poisson_ok]
-                psi_new = psi_new[poisson_ok]
-                if active.size == 0:
-                    break
-            n_new = self._solve_continuity_batched(psi_new, n_left,
-                                                   n_right)
-            change = np.max(np.abs(psi_new - psi[active]), axis=1)
-            psi[active] = psi_new
-            phi_n[active] = psi_new - self.vt * np.log(n_new / self.ni)
-            # Same rule as the loop kernel: the first pass only
-            # establishes psi/phi_n self-consistency.
-            done = (change < 1e-9) & (iteration > 1)
-            if np.any(done):
-                finished = active[done]
-                psi_out[finished] = psi_new[done]
-                n_out[finished] = n_new[done]
-                iters_out[finished] = iteration
-                active = active[~done]
-            if active.size == 0:
-                break
-        failed.update(int(i) for i in active)
-        return psi_out, n_out, iters_out, failed
-
-    def _solve_poisson_batched(self, psi: np.ndarray, phi_n: np.ndarray,
-                               psi_left: float, psi_right: np.ndarray):
-        """Batched Newton solve of Poisson on a ``(k, n_nodes)`` block.
-
-        Returns ``(psi, converged_mask)``; rows that exhaust
-        ``MAX_NEWTON`` are reported unconverged rather than raising, so
-        the rest of the batch keeps going.
-        """
-        k, n_nodes = psi.shape
-        psi = psi.copy()
-        psi[:, 0] = psi_left
-        psi[:, -1] = psi_right
-        cond = self.eps / self.h
-        volumes = np.zeros(n_nodes)
-        volumes[1:] += self.h / 2.0
-        volumes[:-1] += self.h / 2.0
-
-        converged = np.zeros(k, dtype=bool)
-        active = np.arange(k)
-        for _ in range(self.MAX_NEWTON):
-            p = psi[active]
-            n = self.ni * np.exp(
-                np.clip((p - phi_n[active]) / self.vt, -60, 60))
-            rho = Q * (self.nd - n)
-            drho = -Q * n / self.vt
-
-            f = np.zeros_like(p)
-            flux = cond * (p[:, 1:] - p[:, :-1])
-            f[:, 1:-1] = (flux[:, 1:] - flux[:, :-1] +
-                          rho[:, 1:-1] * volumes[1:-1])
-            diag = np.zeros_like(p)
-            diag[:, 1:-1] = (-(cond[1:] + cond[:-1]) +
-                             drho[:, 1:-1] * volumes[1:-1])
-            diag[:, 0] = diag[:, -1] = 1.0
-
-            upper = np.zeros_like(p)
-            upper[:, 1:-1] = cond[1:]
-            lower = np.zeros_like(p)
-            lower[:, 1:-1] = cond[:-1]
-            delta = _stacked_tridiagonal_solve(lower, diag, upper, -f)
-            psi[active] += np.clip(delta, -0.5, 0.5)
-            done = np.max(np.abs(delta), axis=1) < self.TOL_PSI
-            if np.any(done):
-                converged[active[done]] = True
-                active = active[~done]
-            if active.size == 0:
-                break
-        return psi, converged
-
-    def _solve_continuity_batched(self, psi: np.ndarray, n_left: float,
-                                  n_right: float) -> np.ndarray:
-        """Batched SG electron-continuity solve at fixed psi block."""
-        k, n_nodes = psi.shape
-        d = self.bar.mobility * self.vt
-        dpsi = (psi[:, 1:] - psi[:, :-1]) / self.vt
-        b_plus = bernoulli(dpsi)
-        b_minus = bernoulli(-dpsi)
-        w = d / self.h
-
-        diag = np.zeros_like(psi)
-        diag[:, 1:-1] = -(w[1:] * b_minus[:, 1:] +
-                          w[:-1] * b_plus[:, :-1])
-        diag[:, 0] = diag[:, -1] = 1.0
-        upper = np.zeros_like(psi)
-        upper[:, 1:-1] = w[1:] * b_plus[:, 1:]
-        lower = np.zeros_like(psi)
-        lower[:, 1:-1] = w[:-1] * b_minus[:, :-1]
-        rhs = np.zeros_like(psi)
-        rhs[:, 0] = n_left
-        rhs[:, -1] = n_right
-        n = _stacked_tridiagonal_solve(lower, diag, upper, rhs)
-        return np.maximum(n, 1.0)
 
     def _solve_direct(self, bias: float,
                       initial: Optional[DDSolution]) -> DDSolution:

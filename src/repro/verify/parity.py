@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro import kernels
 from repro.cells.variants import DeviceVariant
 from repro.engine import Engine
 from repro.geometry.transistor_layout import ChannelCount
@@ -49,11 +48,9 @@ class ParityCell:
     ----------
     name:
         Matrix-cell identifier (``parity.<mode>``).
-    max_workers:
-        Engine width (1 = serial path, >1 = process pool).
     backend:
-        Explicit execution-backend spec (``"serial"``, ``"pool:N"``,
-        ``"workqueue"``); overrides :attr:`max_workers` when set.
+        Execution-backend spec (``"serial"``, ``"pool:N"``,
+        ``"workqueue"``).
     warm_from:
         Name of the matrix cell whose disk cache this run reuses
         (None = cold: a fresh cache directory).
@@ -69,14 +66,6 @@ class ParityCell:
         rescue-path deviation).
     tolerance:
         Tolerance class for ``comparison == "tolerance"``.
-    kernels:
-        ``REPRO_SOLVER_KERNEL`` spec installed for the run (None =
-        inherit the session default).
-    sparse_threshold:
-        ``REPRO_SPARSE_THRESHOLD`` override for the run (None =
-        default); ``1`` forces the sparse MNA path onto every circuit
-        of the flow, including the standard cells the default
-        threshold keeps on the dense oracle.
     chaos:
         Durability scenario run through *real subprocesses* (see
         :mod:`repro.resilience.chaos`): ``"kill-resume"`` SIGKILLs a
@@ -102,16 +91,13 @@ class ParityCell:
 
     name: str
     description: str
-    max_workers: int = 1
-    backend: Optional[str] = None
+    backend: str = "serial"
     warm_from: Optional[str] = None
     traced: bool = False
     faults: Optional[str] = None
     retries: int = 0
     comparison: str = "bitwise"
     tolerance: str = "calibrated"
-    kernels: Optional[str] = None
-    sparse_threshold: Optional[int] = None
     chaos: Optional[str] = None
     remote: Optional[str] = None
 
@@ -124,7 +110,7 @@ PARITY_MATRIX: Tuple[ParityCell, ...] = (
         description="reference run: one worker, fresh cache"),
     ParityCell(
         name="parallel-cold",
-        description="process-pool run, fresh cache", max_workers=2),
+        description="process-pool run, fresh cache", backend="pool:2"),
     ParityCell(
         name="serial-warm",
         description="serial replay from the serial-cold disk cache",
@@ -132,7 +118,7 @@ PARITY_MATRIX: Tuple[ParityCell, ...] = (
     ParityCell(
         name="parallel-warm",
         description="pool replay from the parallel-cold disk cache",
-        max_workers=2, warm_from="parallel-cold"),
+        backend="pool:2", warm_from="parallel-cold"),
     ParityCell(
         name="traced-serial-cold",
         description="serial cold run under an active tracer",
@@ -140,7 +126,7 @@ PARITY_MATRIX: Tuple[ParityCell, ...] = (
     ParityCell(
         name="traced-parallel-cold",
         description="pool cold run under an active tracer",
-        max_workers=2, traced=True),
+        backend="pool:2", traced=True),
     ParityCell(
         name="faulted-retry",
         description="injected stage exceptions healed by task retries "
@@ -165,34 +151,11 @@ PARITY_MATRIX: Tuple[ParityCell, ...] = (
                     "entries)",
         chaos="concurrent"),
     ParityCell(
-        name="backend-pool",
-        description="explicit warm-worker pool backend (pool:2), "
-                    "fresh cache",
-        max_workers=2, backend="pool:2"),
-    ParityCell(
-        name="backend-warm",
-        description="pool replay from the backend-pool disk cache "
-                    "(persistent workers, all hits)",
-        max_workers=2, backend="pool:2", warm_from="backend-pool"),
-    ParityCell(
         name="backend-workqueue",
         description="two work-queue CLI invocations cooperatively "
                     "draining one graph through filesystem leases "
                     "(bit-identical, zero quarantined entries)",
         backend="workqueue", chaos="workqueue"),
-    ParityCell(
-        name="kernel-batched",
-        description="batched dd1d kernel with the dense MNA oracle "
-                    "(the flow's circuits stay on legacy arithmetic: "
-                    "must be bit-identical)",
-        kernels="batched,dense"),
-    ParityCell(
-        name="kernel-sparse",
-        description="sparse MNA kernel forced onto every circuit "
-                    "(threshold 1): SuperLU vs LAPACK arithmetic, "
-                    "tolerance-equal",
-        kernels="loop,sparse", sparse_threshold=1,
-        comparison="tolerance", tolerance="numeric"),
     ParityCell(
         name="remote-flaky",
         description="remote cache behind a fault-injecting proxy "
@@ -427,8 +390,6 @@ def _run_mode(cell: ParityCell, cache_dir: Path,
         return _run_chaos_mode(cell, cache_dir, flow_kwargs)
     if cell.remote is not None:
         return _run_remote_mode(cell, cache_dir, flow_kwargs)
-    backend = cell.backend or ("serial" if cell.max_workers == 1
-                               else f"pool:{cell.max_workers}")
     injector = (FaultInjector.parse(cell.faults)
                 if cell.faults else None)
     observe = Tracer() if cell.traced else None
@@ -438,16 +399,11 @@ def _run_mode(cell: ParityCell, cache_dir: Path,
         # exports a remote endpoint.
         REMOTE_CACHE_ENV: "",
     }
-    if cell.kernels is not None:
-        overrides[kernels.KERNEL_ENV] = cell.kernels
-    if cell.sparse_threshold is not None:
-        overrides[kernels.SPARSE_THRESHOLD_ENV] = str(
-            cell.sparse_threshold)
     saved = {key: os.environ.get(key) for key in overrides}
     os.environ.update(overrides)
     try:
         engine = Engine(
-            backend=backend, cache_dir=cache_dir,
+            backend=cell.backend, cache_dir=cache_dir,
             retry_policy=RetryPolicy(retries=cell.retries, backoff=0.0))
         return run_full_flow(engine=engine, observe=observe,
                              **flow_kwargs)

@@ -64,11 +64,7 @@ def dd1d_snapshot() -> Dict[str, Any]:
     """I-V of the paper's S/D-extension bar (Scharfetter-Gummel)."""
     from repro.tcad.dd1d import DriftDiffusion1D, uniform_bar
     solver = DriftDiffusion1D(uniform_bar())
-    # Goldens pin the legacy loop oracle: its "tight" tolerance class
-    # (1e-9, and an equilibrium current at the 1e-19 noise floor) is
-    # below the batched kernel's reordering noise.  Kernel equivalence
-    # is owned by tests/test_solver_differential.py instead.
-    solutions = solver.sweep(list(DD_BIASES), kernel="loop")
+    solutions = solver.sweep(list(DD_BIASES))
     return {
         "currents": np.array([s.current for s in solutions]),
         "resistance": solver.resistance(),

@@ -1,94 +1,19 @@
-"""Every 1.1 call shape keeps working behind a DeprecationWarning.
+"""The 1.1 call shapes are gone; the keyword-only shapes stay silent.
 
-The suite-wide ``filterwarnings = error::DeprecationWarning`` turns any
-*unintentional* use of the old API into a failure; these tests are the
-one place the shims are exercised on purpose, each asserting both the
-warning and unchanged behaviour.  Cheap argument-plumbing paths only —
-nothing here runs a simulation (the fast graph-construction layer is
-deep enough to prove the values landed).
+Positional arguments, ``cell_names=`` and ``max_workers=`` were
+deprecated in 1.2 and are now plain ``TypeError`` s from the keyword-only
+signatures.  The suite-wide ``filterwarnings = error::DeprecationWarning``
+turns any DeprecationWarning into a failure.  Cheap argument-plumbing
+paths only: nothing here runs a simulation.
 """
 
 import pytest
 
 import repro
-from repro.cells.netlist_builder import Parasitics
-from repro.deprecation import absorb_positional, absorb_renamed
 from repro.engine import default_engine
-from repro.ppa.runner import DEFAULT_DT, PpaRunner
+from repro.ppa.runner import PpaRunner
 
 
-# ----------------------------------------------------------------------
-# the shim helpers themselves
-# ----------------------------------------------------------------------
-def test_absorb_positional_maps_legacy_order():
-    with pytest.warns(DeprecationWarning, match="positional arguments"):
-        kwargs = absorb_positional("f", (1, 2), ("a", "b", "c"),
-                                   {"a": None, "b": None, "c": "kept"})
-    assert kwargs == {"a": 1, "b": 2, "c": "kept"}
-
-
-def test_absorb_positional_rejects_overflow():
-    with pytest.raises(TypeError, match="at most 1"):
-        absorb_positional("f", (1, 2), ("a",), {"a": None})
-
-
-def test_absorb_positional_is_silent_without_args():
-    kwargs = absorb_positional("f", (), ("a",), {"a": None})
-    assert kwargs == {"a": None}
-
-
-def test_absorb_renamed_prefers_new_spelling():
-    with pytest.warns(DeprecationWarning, match="old="):
-        assert absorb_renamed("f", "old", 1, "new", 2) == 2
-    with pytest.warns(DeprecationWarning, match="old="):
-        assert absorb_renamed("f", "old", 1, "new", None) == 1
-    assert absorb_renamed("f", "old", None, "new", 3) == 3
-
-
-# ----------------------------------------------------------------------
-# PpaRunner
-# ----------------------------------------------------------------------
-def test_engineless_ppa_runner_warns_but_works():
-    with pytest.warns(DeprecationWarning, match="engine-less"):
-        runner = PpaRunner()
-    assert runner.parasitics == Parasitics()
-    assert runner.dt == DEFAULT_DT
-    assert runner._engine() is default_engine()
-
-
-def test_positional_ppa_runner_warns_and_maps():
-    parasitics = Parasitics(c_load=2e-15)
-    engine = default_engine()
-    with pytest.warns(DeprecationWarning, match="positional arguments"):
-        runner = PpaRunner(parasitics, 1e-11, None, engine)
-    assert runner.parasitics == parasitics
-    assert runner.dt == 1e-11
-    assert runner.engine is engine
-
-
-class _StubEngine:
-    """Records the submitted graph, then aborts before any simulation."""
-
-    def __init__(self):
-        self.tasks = None
-
-    def run(self, tasks):
-        self.tasks = list(tasks)
-        raise RuntimeError("stop before simulating")
-
-
-def test_ppa_runner_sweep_cell_names_warns():
-    stub = _StubEngine()
-    runner = PpaRunner(engine=stub)
-    with pytest.warns(DeprecationWarning, match="cell_names="):
-        with pytest.raises(RuntimeError, match="stop before"):
-            runner.sweep(cell_names=["INV1X1"])
-    assert any("INV1X1" in task.id for task in stub.tasks)
-
-
-# ----------------------------------------------------------------------
-# quick_ppa / flows
-# ----------------------------------------------------------------------
 def _stop_engine_runs(monkeypatch):
     """Abort any engine run before simulation work starts."""
 
@@ -98,59 +23,39 @@ def _stop_engine_runs(monkeypatch):
     monkeypatch.setattr(repro.Engine, "run", fake_run)
 
 
-def test_quick_ppa_positional_warns(monkeypatch):
+ENTRY_POINTS = {
+    "quick_ppa": repro.quick_ppa,
+    "run_full_flow": repro.run_full_flow,
+    "run_extractions": repro.run_extractions,
+    "PpaRunner": lambda *args, **kwargs: PpaRunner(
+        *args, engine=default_engine(), **kwargs),
+    "PpaRunner.sweep": lambda *args, **kwargs: PpaRunner(
+        engine=default_engine()).sweep(*args, **kwargs),
+    "Engine": repro.Engine,
+}
+
+LEGACY_SHAPES = {
+    "positional": ((["INV1X1"],), {}),
+    "cell_names": ((), {"cell_names": ["INV1X1"]}),
+    "max_workers": ((), {"max_workers": 1}),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(LEGACY_SHAPES))
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_legacy_call_shapes_raise_type_error(entry, shape, monkeypatch):
     _stop_engine_runs(monkeypatch)
-    with pytest.warns(DeprecationWarning, match="positional arguments"):
-        with pytest.raises(RuntimeError, match="stop before"):
-            repro.quick_ppa(["INV1X1"])
+    args, kwargs = LEGACY_SHAPES[shape]
+    with pytest.raises(TypeError,
+                       match="positional|unexpected keyword"):
+        ENTRY_POINTS[entry](*args, **kwargs)
 
 
-def test_quick_ppa_cell_names_keyword_warns(monkeypatch):
-    _stop_engine_runs(monkeypatch)
-    with pytest.warns(DeprecationWarning, match="cell_names="):
-        with pytest.raises(RuntimeError, match="stop before"):
-            repro.quick_ppa(cell_names=["INV1X1"])
+def test_ppa_runner_requires_an_engine():
+    with pytest.raises(TypeError, match="engine"):
+        PpaRunner()
 
 
-def test_run_full_flow_positional_warns(monkeypatch):
-    _stop_engine_runs(monkeypatch)
-    with pytest.warns(DeprecationWarning, match="positional arguments"):
-        with pytest.raises(RuntimeError, match="stop before"):
-            repro.run_full_flow(["INV1X1"])
-
-
-def test_run_full_flow_cell_names_keyword_warns(monkeypatch):
-    _stop_engine_runs(monkeypatch)
-    with pytest.warns(DeprecationWarning, match="cell_names="):
-        with pytest.raises(RuntimeError, match="stop before"):
-            repro.run_full_flow(cell_names=["INV1X1"])
-
-
-def test_run_full_flow_max_workers_warns(monkeypatch):
-    _stop_engine_runs(monkeypatch)
-    with pytest.warns(DeprecationWarning, match="max_workers="):
-        with pytest.raises(RuntimeError, match="stop before"):
-            repro.run_full_flow(cells=["INV1X1"], max_workers=1)
-
-
-def test_run_extractions_positional_warns(monkeypatch):
-    _stop_engine_runs(monkeypatch)
-    from repro.geometry.transistor_layout import ChannelCount
-    with pytest.warns(DeprecationWarning, match="positional arguments"):
-        with pytest.raises(RuntimeError, match="stop before"):
-            repro.run_extractions([ChannelCount.TRADITIONAL])
-
-
-def test_run_extractions_max_workers_warns(monkeypatch):
-    _stop_engine_runs(monkeypatch)
-    with pytest.warns(DeprecationWarning, match="max_workers="):
-        with pytest.raises(RuntimeError, match="stop before"):
-            repro.run_extractions(max_workers=1)
-
-
-# ----------------------------------------------------------------------
-# the new shapes stay silent
-# ----------------------------------------------------------------------
 def test_new_keyword_shapes_do_not_warn(monkeypatch, recwarn):
     _stop_engine_runs(monkeypatch)
     with pytest.raises(RuntimeError, match="stop before"):
@@ -166,44 +71,6 @@ def test_new_keyword_shapes_do_not_warn(monkeypatch, recwarn):
                 if issubclass(w.category, DeprecationWarning)]
 
 
-# ----------------------------------------------------------------------
-# Engine(max_workers=) / REPRO_MAX_WORKERS -> backends (1.5)
-# ----------------------------------------------------------------------
-def test_engine_max_workers_warns_but_works():
-    from repro.engine import SerialBackend
-    with pytest.warns(DeprecationWarning, match="backend="):
-        engine = repro.Engine(max_workers=1, use_disk=False)
-    assert isinstance(engine.backend, SerialBackend)
-    assert engine.max_workers == 1
-
-
-def test_engine_max_workers_multi_maps_to_pool():
-    from repro.engine import PoolBackend
-    with pytest.warns(DeprecationWarning, match="backend="):
-        engine = repro.Engine(max_workers=3, use_disk=False)
-    try:
-        assert isinstance(engine.backend, PoolBackend)
-        assert engine.max_workers == 3
-    finally:
-        engine.shutdown()
-
-
-def test_repro_max_workers_env_warns(monkeypatch):
-    from repro.engine import SerialBackend
-    monkeypatch.setenv("REPRO_MAX_WORKERS", "1")
-    with pytest.warns(DeprecationWarning, match="REPRO_BACKEND"):
-        engine = repro.Engine(use_disk=False)
-    assert isinstance(engine.backend, SerialBackend)
-
-
-def test_explicit_backend_silences_max_workers_env(monkeypatch, recwarn):
-    monkeypatch.setenv("REPRO_MAX_WORKERS", "3")
-    engine = repro.Engine(backend="serial", use_disk=False)
-    assert engine.max_workers == 1
-    assert not [w for w in recwarn
-                if issubclass(w.category, DeprecationWarning)]
-
-
 def test_backend_env_selects_backend(monkeypatch, recwarn):
     from repro.engine import SerialBackend
     monkeypatch.setenv("REPRO_BACKEND", "serial")
@@ -214,4 +81,4 @@ def test_backend_env_selects_backend(monkeypatch, recwarn):
 
 
 def test_version_bumped():
-    assert repro.__version__ == "1.8.0"
+    assert repro.__version__ == "1.9.0"

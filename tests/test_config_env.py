@@ -172,16 +172,6 @@ class TestEngineKnobs:
         monkeypatch.setenv(CACHE_MAX_BYTES_ENV, "512M")
         assert resolve_max_bytes() == 512 * 1024**2
 
-    def test_max_workers_rejects_bad_env(self, monkeypatch):
-        from repro.engine.executor import MAX_WORKERS_ENV, \
-            resolve_worker_count
-        for bad in ("0", "-2", "many", "2.5"):
-            monkeypatch.setenv(MAX_WORKERS_ENV, bad)
-            with pytest.raises(ConfigError, match=MAX_WORKERS_ENV):
-                resolve_worker_count()
-        monkeypatch.setenv(MAX_WORKERS_ENV, "3")
-        assert resolve_worker_count() == 3
-
     @pytest.mark.parametrize("env_name,bad", [
         ("REPRO_REMOTE_TIMEOUT", "0"),
         ("REPRO_REMOTE_TIMEOUT", "nan"),

@@ -182,12 +182,13 @@ def test_manifest_roundtrip_and_save(tmp_path):
 
 def test_worker_count_resolution(monkeypatch):
     assert resolve_worker_count(3) == 3
-    monkeypatch.setenv("REPRO_MAX_WORKERS", "5")
+    monkeypatch.setattr("os.cpu_count", lambda: 5)
     assert resolve_worker_count() == 5
-    monkeypatch.delenv("REPRO_MAX_WORKERS")
-    assert resolve_worker_count() >= 1
-    with pytest.raises(ReproError):
-        resolve_worker_count(0)
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert resolve_worker_count() == 1
+    for bad in (0, "-2", "many", "2.5"):
+        with pytest.raises(ReproError, match="max_workers"):
+            resolve_worker_count(bad)
 
 
 def test_default_engine_swap_and_reset():

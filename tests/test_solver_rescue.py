@@ -50,6 +50,14 @@ def test_injected_primary_failure_engages_rescue_bit_identical():
     assert tracer.counter("spice.newton.rescues").value == 1
     assert tracer.counter("spice.newton.rescues.gmin").value == 1
 
+    # Same ladder through the DC operating-point entry point.
+    clean = solve_dc(_divider())
+    install(FaultInjector.parse("convergence:newton:first=1"))
+    tracer = Tracer()
+    with activate(tracer):
+        assert solve_dc(_divider()).voltages == clean.voltages
+    assert tracer.counter("spice.newton.rescues.gmin").value == 1
+
 
 def test_fatal_fault_fails_the_whole_solve():
     assembler = MnaAssembler(_divider())
@@ -81,15 +89,11 @@ def _sabotage(times: int):
     return wrecker
 
 
-@pytest.mark.parametrize("kernel,threshold", [("dense", None),
-                                              ("sparse", 1)])
-def test_singular_damped_rung_falls_through_to_next_rung(kernel,
-                                                         threshold):
+def test_singular_damped_rung_falls_through_to_next_rung():
     """A singular system on the first damped rung is treated like
     non-convergence: the second rung solves the (now healthy) system
     and the result matches the clean solve bitwise."""
-    assembler = MnaAssembler(_divider(), kernel=kernel,
-                             sparse_threshold=threshold)
+    assembler = MnaAssembler(_divider())
     x0 = np.zeros(assembler.n_unknowns)
     reference = newton_solve(assembler, x0, 0.0)
 
@@ -102,13 +106,10 @@ def test_singular_damped_rung_falls_through_to_next_rung(kernel,
     assert tracer.counter("spice.newton.rescues").value == 0
 
 
-@pytest.mark.parametrize("kernel,threshold", [("dense", None),
-                                              ("sparse", 1)])
-def test_singular_damped_rungs_engage_gmin_rescue(kernel, threshold):
+def test_singular_damped_rungs_engage_gmin_rescue():
     """Both damped rungs hit singular systems: the gmin rescue must
     engage (the rescue's own solves see the healthy system again)."""
-    assembler = MnaAssembler(_divider(), kernel=kernel,
-                             sparse_threshold=threshold)
+    assembler = MnaAssembler(_divider())
     x0 = np.zeros(assembler.n_unknowns)
     reference = newton_solve(assembler, x0, 0.0)
 
@@ -121,16 +122,12 @@ def test_singular_damped_rungs_engage_gmin_rescue(kernel, threshold):
     assert tracer.counter("spice.newton.rescues.gmin").value == 1
 
 
-@pytest.mark.parametrize("kernel,threshold", [("dense", None),
-                                              ("sparse", 1)])
-def test_hard_singular_system_raises_the_structural_diagnosis(kernel,
-                                                              threshold):
+def test_hard_singular_system_raises_the_structural_diagnosis():
     """When every rung sees a singular system the solver re-raises
     SingularMatrixError (code spice.singular_matrix), not a generic
     non-convergence."""
     from repro.errors import SingularMatrixError
-    assembler = MnaAssembler(_divider(), kernel=kernel,
-                             sparse_threshold=threshold)
+    assembler = MnaAssembler(_divider())
     with pytest.raises(SingularMatrixError) as err:
         newton_solve(assembler, np.zeros(assembler.n_unknowns), 0.0,
                      extra_system=_sabotage(10 ** 6))
@@ -140,36 +137,43 @@ def test_hard_singular_system_raises_the_structural_diagnosis(kernel,
 # ----------------------------------------------------------------------
 # transient timestep rejection
 # ----------------------------------------------------------------------
-def _rc_pulse():
+def _rc_pulse(stages: int = 1):
+    """Pulse-driven RC low-pass; ``stages > 1`` chains an RC ladder.
+    The last stage's node is always ``out``."""
     from repro.spice.elements.capacitor import Capacitor
     c = Circuit()
     c.add(pulse_source("V1", "in", "0", v1=0.0, v2=1.0, delay=1e-10,
                        rise=2e-11, fall=2e-11, width=4e-10))
-    c.add(Resistor("R1", "in", "out", 1e3))
-    c.add(Capacitor("C1", "out", "0", 1e-13))
+    prev = "in"
+    for i in range(1, stages + 1):
+        node = "out" if i == stages else f"n{i}"
+        c.add(Resistor(f"R{i}", prev, node, 1e3))
+        c.add(Capacitor(f"C{i}", node, "0", 1e-13))
+        prev = node
     return c
 
 
 def test_timestep_rejection_recovers_from_fatal_faults():
-    reference = transient(_rc_pulse(), t_stop=1e-9, dt=5e-11)
+    for stages in (1, 24):
+        reference = transient(_rc_pulse(stages), t_stop=1e-9, dt=5e-11)
 
-    # The first 3 timestep solves fail fatally (site transient.newton
-    # leaves the t=0 DC operating point untouched); halved sub-steps
-    # must carry the waveform through.
-    install(FaultInjector.parse("convergence:transient.newton:first=3"
-                                ",fatal=1"))
-    tracer = Tracer()
-    with activate(tracer):
-        rescued = transient(_rc_pulse(), t_stop=1e-9, dt=5e-11)
-    clear_faults()
+        # The first 3 timestep solves fail fatally (site
+        # transient.newton leaves the t=0 DC operating point
+        # untouched); halved sub-steps must carry the waveform through.
+        install(FaultInjector.parse(
+            "convergence:transient.newton:first=3,fatal=1"))
+        tracer = Tracer()
+        with activate(tracer):
+            rescued = transient(_rc_pulse(stages), t_stop=1e-9, dt=5e-11)
+        clear_faults()
 
-    assert np.array_equal(rescued.times, reference.times)
-    assert tracer.counter("spice.transient.rejected_steps").value >= 1
-    # Sub-stepped integration differs in the last bits but must stay a
-    # faithful waveform.
-    ref = reference.waveform("out").v
-    got = rescued.waveform("out").v
-    assert np.max(np.abs(got - ref)) < 1e-3
+        assert np.array_equal(rescued.times, reference.times)
+        assert tracer.counter("spice.transient.rejected_steps").value >= 1
+        # Sub-stepped integration differs in the last bits but must
+        # stay a faithful waveform.
+        ref = reference.waveform("out").v
+        got = rescued.waveform("out").v
+        assert np.max(np.abs(got - ref)) < 1e-3
 
 
 def test_fault_free_transient_is_deterministic():
@@ -207,9 +211,12 @@ def test_dd1d_rescue_matches_direct_solve():
 
 def test_dd1d_fatal_fault_raises():
     solver = DriftDiffusion1D(uniform_bar())
-    install(FaultInjector.parse("convergence:dd1d:fatal=1"))
-    with pytest.raises(ConvergenceError, match="dd1d"):
-        solver.solve(0.05)
+    for run in (lambda: solver.solve(0.05),
+                lambda: solver.sweep([0.0, 0.05])):
+        install(FaultInjector.parse("convergence:dd1d:fatal=1"))
+        with pytest.raises(ConvergenceError, match="dd1d"):
+            run()
+        clear_faults()
 
 
 def test_dd1d_sweep_warm_starts_and_stays_monotone():

@@ -8,12 +8,6 @@ from repro.spice import Circuit, Resistor, dc_source
 from repro.spice.mna import GMIN, MnaAssembler, scale_sources
 
 
-@pytest.fixture(autouse=True)
-def _default_kernels(monkeypatch):
-    monkeypatch.delenv("REPRO_SOLVER_KERNEL", raising=False)
-    monkeypatch.delenv("REPRO_SPARSE_THRESHOLD", raising=False)
-
-
 def divider():
     c = Circuit()
     c.add(dc_source("V1", "in", "0", 1.0))
@@ -55,10 +49,15 @@ def test_solution_vector_roundtrip():
     assert assembler.branch_current(x, "V1") == pytest.approx(-5e-4)
 
 
-def test_solve_linear_reports_singularity():
+def test_solve_system_reports_singularity():
+    """A singular system raises SingularMatrixError with code
+    ``spice.singular_matrix`` and the structural diagnosis."""
+    assembler = MnaAssembler(divider())
     with pytest.raises(SingularMatrixError) as err:
-        MnaAssembler.solve_linear(np.zeros((2, 2)), np.zeros(2))
+        assembler.solve_system(np.zeros((3, 3)), np.zeros(3))
+    assert err.value.code == "spice.singular_matrix"
     assert "singular" in str(err.value).lower()
+    assert "floating" in str(err.value)
 
 
 def test_scale_sources_context_restores():
@@ -86,61 +85,3 @@ def test_dynamic_assembly_empty_for_resistive_circuit():
         np.zeros(assembler.n_unknowns))
     assert np.all(charge == 0.0)
     assert np.all(cap == 0.0)
-
-
-# ----------------------------------------------------------------------
-# kernel selection and the sparse path
-# ----------------------------------------------------------------------
-def test_small_circuits_stay_on_the_dense_oracle():
-    # 3 unknowns < default threshold: the dense fallback keeps every
-    # standard cell on bit-identical legacy arithmetic.
-    assert MnaAssembler(divider()).kernel == "dense"
-    assert MnaAssembler(divider(), kernel="dense").kernel == "dense"
-
-
-def test_threshold_one_forces_the_sparse_path():
-    assembler = MnaAssembler(divider(), kernel="sparse",
-                             sparse_threshold=1)
-    assert assembler.kernel == "sparse"
-
-
-def test_sparse_assembly_matches_dense_assembly():
-    dense = MnaAssembler(divider(), kernel="dense")
-    sparse = MnaAssembler(divider(), kernel="sparse", sparse_threshold=1)
-    x = np.array([0.3, 0.1, -2e-4])
-    a = dense.assemble_static(x, time=0.0)
-    b = sparse.assemble_static(x, time=0.0)
-    np.testing.assert_allclose(b.matrix, a.matrix, rtol=0, atol=1e-30)
-    np.testing.assert_allclose(b.rhs, a.rhs, rtol=0, atol=1e-30)
-
-
-def test_sparse_solve_system_matches_dense():
-    sparse = MnaAssembler(divider(), kernel="sparse", sparse_threshold=1)
-    x = np.zeros(sparse.n_unknowns)
-    stamper = sparse.assemble_static(x, time=0.0)
-    got = sparse.solve_system(stamper.matrix, stamper.rhs)
-    expected = np.linalg.solve(stamper.matrix, stamper.rhs)
-    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
-
-
-@pytest.mark.parametrize("kernel", ["dense", "sparse"])
-def test_singular_systems_share_one_diagnosis(kernel):
-    """Satellite contract: both kernels raise SingularMatrixError with
-    code ``spice.singular_matrix`` and the same diagnosis text."""
-    assembler = MnaAssembler(divider(), kernel=kernel,
-                             sparse_threshold=1)
-    with pytest.raises(SingularMatrixError) as err:
-        assembler.solve_system(np.zeros((3, 3)), np.zeros(3))
-    assert err.value.code == "spice.singular_matrix"
-    assert "floating" in str(err.value)
-
-
-def test_sparse_recovers_after_a_singular_system():
-    """A singular solve must not poison the factor cache."""
-    assembler = MnaAssembler(divider(), kernel="sparse",
-                             sparse_threshold=1)
-    with pytest.raises(SingularMatrixError):
-        assembler.solve_system(np.zeros((3, 3)), np.zeros(3))
-    matrix = np.diag([2.0, 4.0, 8.0])
-    got = assembler.solve_system(matrix, np.ones(3))
-    np.testing.assert_allclose(got, [0.5, 0.25, 0.125])
