@@ -3,10 +3,10 @@
 Times the three computational kernels every experiment rests on (one
 vertical Poisson solve, one vectorised compact-model evaluation, and one
 inverter transient), plus the execution-engine macro benchmark that
-writes ``BENCH_engine.json``: per-backend wall times (serial, cold and
-warm-worker pool, two-process work queue, warm cache) of the end-to-end
-flow with ``parallel_efficiency`` per row, the perf trajectory later
-PRs compare against.
+writes ``BENCH_engine.json``: per-mode wall times (serial, cold and
+warm-worker pool, two serial invocations sharing one cache, warm cache)
+of the end-to-end flow with ``parallel_efficiency`` per row, the perf
+trajectory later changes compare against.
 """
 
 import json
@@ -73,12 +73,13 @@ def test_engine_flow_wall_times(tmp_path):
         spawn cost;
     ``pool-warm-workers``
         the *same* pool instance on a fresh cache — persistent workers
-        already up, so this isolates dispatch + shared-memory transfer
-        from process start-up (the number the ROADMAP efficiency
-        target tracks);
-    ``workqueue-2proc``
-        two real ``python -m repro.flows --backend workqueue``
-        invocations draining one cache;
+        already up, so this isolates dispatch + pickled transfer from
+        process start-up (the number the ROADMAP efficiency target
+        tracks);
+    ``shared-cache-2proc``
+        two real ``python -m repro.flows run --workers 1`` invocations
+        started together on one cache, splitting the graph through
+        the scheduler's single-flight claims;
     ``warm-cache``
         the serial replay (all cache hits).
 
@@ -89,8 +90,8 @@ def test_engine_flow_wall_times(tmp_path):
     ``workers``, and normalising by the impossible figure would make
     the metric read as a regression on small CI runners.  ``cpu_count``
     is recorded alongside so numbers from different machines stay
-    comparable.  ``transfer_bytes`` counts serialized payload bytes
-    that crossed a process boundary (shared-memory segments included).
+    comparable.  ``transfer_bytes`` counts pickled payload bytes that
+    crossed a process boundary.
     """
     import os
     from repro.engine import Engine, PoolBackend
@@ -131,21 +132,21 @@ def test_engine_flow_wall_times(tmp_path):
     finally:
         pool.shutdown()
 
-    wq_cache = tmp_path / "workqueue"
-    env = chaos.repro_env(wq_cache)
+    shared_cache = tmp_path / "shared"
+    env = chaos.repro_env(shared_cache)
     start = time.perf_counter()
     outcomes = chaos.run_concurrent_flows(
         [chaos.flow_argv(cells=cells, variants=("2D", "1-ch", "2-ch",
                                                 "4-ch"),
                          extraction_variants=("TRADITIONAL", "ONE",
                                               "TWO", "FOUR"),
-                         run_id=f"bench-wq-{i}", backend="workqueue")
+                         run_id=f"bench-shared-{i}", workers=1)
          for i in (1, 2)], env)
-    wq_s = time.perf_counter() - start
+    shared_s = time.perf_counter() - start
     assert all(o.returncode == 0 for o in outcomes), \
         outcomes[0].stderr[-500:]
-    rows["workqueue-2proc"] = {"wall_s": wq_s, "workers": 2,
-                               "result": None}
+    rows["shared-cache-2proc"] = {"wall_s": shared_s, "workers": 2,
+                                  "result": None}
 
     warm = timed(
         "warm-cache",
@@ -156,8 +157,9 @@ def test_engine_flow_wall_times(tmp_path):
     assert warm.manifest.hit_rate() == 1.0
     assert serial_cold.headline() == warm.headline() \
         == pool_cold.headline() == pool_warm.headline()
-    wq_state = load_run(wq_cache, "bench-wq-1")
-    assert wq_state.status == "completed"
+    for i in (1, 2):
+        assert load_run(shared_cache,
+                        f"bench-shared-{i}").status == "completed"
 
     cold_s = rows["serial-cold"]["wall_s"]
     cpus = os.cpu_count() or 1

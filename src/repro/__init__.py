@@ -45,7 +45,6 @@ from repro.engine import (
     RunManifest,
     SerialBackend,
     TaskFailure,
-    WorkQueueBackend,
     default_engine,
     resolve_backend,
 )
@@ -66,7 +65,7 @@ from repro.ppa.runner import DEFAULT_DT, PpaRunner
 from repro.resilience import FaultInjector, RetryPolicy
 from repro.tcad.device import Polarity, design_for_variant
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "ChannelCount",
@@ -90,7 +89,6 @@ __all__ = [
     "SerialBackend",
     "TaskFailure",
     "Tracer",
-    "WorkQueueBackend",
     "configure",
     "configure_logging",
     "default_engine",

@@ -1,11 +1,11 @@
 """Validated environment/parameter resolution.
 
-Every timing knob in the library (lock timeouts, lease TTLs, drain
-windows, service queue bounds) flows through these helpers so that a
-zero, negative, non-numeric, NaN or infinite value is rejected with a
-clear :class:`~repro.errors.ConfigError` *at startup* — before it can
+Every timing knob in the library (lock timeouts, drain windows,
+service queue bounds) flows through these helpers so that a zero,
+negative, non-numeric, NaN or infinite value is rejected with a clear
+:class:`~repro.errors.ConfigError` *at startup* — before it can
 propagate into a ``flock`` wait loop (where ``deadline = now + nan``
-never triggers), a lease heartbeat, or a drain window.
+never triggers) or a drain window.
 
 Explicit arguments are validated exactly like environment values:
 ``FileLock(path, timeout=-1)`` is as wrong as

@@ -17,10 +17,8 @@ tasks it depends on.  The engine
   model);
 * fans independent tasks out over a pluggable execution backend with
   dependency-aware scheduling — deterministic in-process ``serial``
-  order, a persistent warm-worker ``pool`` (shared-memory NumPy
-  transfer), or a multi-process filesystem ``workqueue`` over the
-  shared cache (selected via ``Engine(backend=...)`` or
-  ``REPRO_BACKEND``);
+  order or a persistent warm-worker ``pool`` (selected via
+  ``Engine(backend=...)`` or ``REPRO_BACKEND``);
 * records a :class:`RunManifest` of per-task wall time, cache hit/miss
   and worker id for every run;
 * survives crashes and coexists across processes (see
@@ -42,7 +40,6 @@ from repro.engine.backends import (
     ExecutionBackend,
     PoolBackend,
     SerialBackend,
-    WorkQueueBackend,
     backend_for_workers,
     parse_backend_spec,
     resolve_backend,
@@ -125,7 +122,6 @@ __all__ = [
     "Task",
     "TaskFailure",
     "TaskRecord",
-    "WorkQueueBackend",
     "backend_for_workers",
     "canonicalize",
     "default_engine",

@@ -5,10 +5,15 @@ Selection (first match wins):
 1. an explicit :class:`ExecutionBackend` instance or spec string passed
    to ``Engine(backend=...)`` / ``--backend``;
 2. the :data:`BACKEND_ENV` (``REPRO_BACKEND``) environment variable;
-3. a machine-width :class:`~repro.engine.backends.pool.PoolBackend`
-   (serial on single-core machines).
+3. a :class:`~repro.engine.backends.pool.PoolBackend` as wide as the
+   CPUs the process may run on (serial when that is one core).
 
-Spec grammar: ``"serial"`` | ``"pool"`` | ``"pool:N"`` | ``"workqueue"``.
+Spec grammar: ``"serial"`` | ``"pool"`` | ``"pool:N"``.
+
+Several invocations sharing one cache directory need no special
+backend: the scheduler claims each key's single-flight lock when it
+dispatches the task, so every process computes what no peer has
+claimed and reads the rest from the shared store.
 """
 
 from __future__ import annotations
@@ -21,26 +26,19 @@ from repro.engine.backends.base import (
     RESULT_CRASHED,
     RESULT_DONE,
     RESULT_ERROR,
-    RESULT_PEER,
     TaskExecution,
     TaskResult,
-    TransferStats,
     run_stage_inline,
 )
 from repro.engine.backends.pool import PoolBackend
 from repro.engine.backends.serial import SerialBackend
-from repro.engine.backends.workqueue import (
-    LEASE_TTL_ENV,
-    WorkQueueBackend,
-    resolve_lease_ttl,
-)
 from repro.errors import ReproError
 
 #: Environment variable selecting the execution backend.
 BACKEND_ENV = "REPRO_BACKEND"
 
 #: Spec strings accepted by :func:`parse_backend_spec`.
-BACKEND_SPECS = ("serial", "pool", "pool:N", "workqueue")
+BACKEND_SPECS = ("serial", "pool", "pool:N")
 
 
 def parse_backend_spec(spec: str) -> ExecutionBackend:
@@ -48,8 +46,6 @@ def parse_backend_spec(spec: str) -> ExecutionBackend:
     text = spec.strip().lower()
     if text == "serial":
         return SerialBackend()
-    if text == "workqueue":
-        return WorkQueueBackend()
     if text == "pool":
         return PoolBackend()
     if text.startswith("pool:"):
@@ -70,7 +66,9 @@ def backend_for_workers(workers: Optional[int] = None
     """Map a worker-count width onto a backend.
 
     Width 1 is the serial backend, anything wider a warm pool; ``None``
-    is the machine width.  The ``--workers`` CLI flags think in widths.
+    is the CPU-affinity width (see
+    :func:`~repro.engine.executor.resolve_worker_count`).  The
+    ``--workers`` CLI flags think in widths.
     """
     from repro.engine.executor import resolve_worker_count
     count = resolve_worker_count(workers)
@@ -100,20 +98,15 @@ __all__ = [
     "BACKEND_ENV",
     "BACKEND_SPECS",
     "ExecutionBackend",
-    "LEASE_TTL_ENV",
     "PoolBackend",
     "RESULT_CRASHED",
     "RESULT_DONE",
     "RESULT_ERROR",
-    "RESULT_PEER",
     "SerialBackend",
     "TaskExecution",
     "TaskResult",
-    "TransferStats",
-    "WorkQueueBackend",
     "backend_for_workers",
     "parse_backend_spec",
     "resolve_backend",
-    "resolve_lease_ttl",
     "run_stage_inline",
 ]

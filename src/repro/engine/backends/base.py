@@ -2,13 +2,15 @@
 
 The engine split (1.5): :class:`repro.engine.scheduler.Scheduler` owns
 every *semantic* concern — fingerprinting, cache and single-flight,
-dependency tracking, retries and timeouts, ``on_error`` modes,
-journaling, cancellation — while an :class:`ExecutionBackend` owns
-exactly one *mechanical* concern: given a ready
+dependency tracking, admission, retries and timeouts, ``on_error``
+modes, journaling, cancellation — while an :class:`ExecutionBackend`
+owns exactly one *mechanical* concern: given a ready
 :class:`TaskExecution`, produce a :class:`TaskResult`.  The protocol is
-deliberately narrow (``submit`` / ``poll`` / ``shutdown`` plus a few
+deliberately narrow (``submit`` / ``poll`` / ``shutdown`` plus two
 capability flags), so a new backend cannot accidentally reimplement —
-or skip — scheduler semantics.
+or skip — scheduler semantics.  The scheduler never submits more than
+:attr:`ExecutionBackend.workers` tasks at once, so a backend starts
+every task it accepts and keeps no queue of its own.
 
 Capability flags tell the scheduler which failure-domain features are
 physically possible on a backend:
@@ -21,17 +23,13 @@ physically possible on a backend:
     Tasks run in other processes that can die independently
     (``worker_kill`` faults are drawn, crashes are budgeted and
     surviving work is unaffected).
-``external_coordination``
-    The backend has its own cross-process coordination (the work
-    queue's lease protocol), so the scheduler skips the cache's
-    single-flight claims.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.errors import InjectedFault
@@ -40,7 +38,6 @@ from repro.errors import InjectedFault
 RESULT_DONE = "done"            # artifact computed by this backend
 RESULT_ERROR = "error"          # compute raised (exception attached)
 RESULT_CRASHED = "crashed"      # the worker died; no exception exists
-RESULT_PEER = "peer"            # another process published the artifact
 
 
 @dataclass
@@ -70,9 +67,7 @@ class TaskResult:
     ``wall_time``/``cpu_time`` cover the compute itself (not queueing);
     ``started_at`` is a ``time.perf_counter`` timestamp of compute
     start (monotonic clocks are process-consistent on the platforms the
-    pool runs on).  ``transfer_bytes`` counts serialized payload bytes
-    that crossed a process boundary for this task (0 for in-process
-    backends).
+    pool runs on).
     """
 
     task_id: str
@@ -85,26 +80,10 @@ class TaskResult:
     error: Optional[BaseException] = None
     error_traceback: str = ""
     observed: Optional[Dict[str, Any]] = None
-    transfer_bytes: int = 0
-    cache_layer: str = ""
-
-
-@dataclass
-class TransferStats:
-    """Bytes a backend moved across process boundaries."""
-
-    total_bytes: int = 0
-    shm_bytes: int = 0
-    pickle_bytes: int = 0
-
-    def add(self, pickle_bytes: int, shm_bytes: int) -> None:
-        self.pickle_bytes += pickle_bytes
-        self.shm_bytes += shm_bytes
-        self.total_bytes += pickle_bytes + shm_bytes
 
 
 def run_stage_inline(execution: TaskExecution) -> TaskResult:
-    """Execute one task in the calling process (serial / work queue).
+    """Execute one task in the calling process (the serial backend).
 
     Uses the ambient tracer (spans nest under the engine's run span);
     honours an ``"exc:"`` fault directive.  Exceptions are captured
@@ -156,55 +135,37 @@ class ExecutionBackend:
     supports_preemption: bool = False
     #: Tasks run in processes that can die independently.
     remote_workers: bool = False
-    #: Backend coordinates across processes itself (skip single-flight).
-    external_coordination: bool = False
-    #: Backend needs the shared on-disk store to function.
-    requires_disk_cache: bool = False
-    #: A one-task graph may be inlined serially by the engine.
-    inline_single: bool = True
-
-    #: Cross-boundary payload accounting (zero for in-process backends).
-    transfer: TransferStats
 
     def __init__(self) -> None:
-        self.transfer = TransferStats()
+        #: Pickled payload bytes moved across process boundaries (zero
+        #: for in-process backends).
+        self.transfer_bytes = 0
 
     # -- lifecycle -----------------------------------------------------
     def start(self, cache) -> None:
         """Bind to the engine's cache; idempotent."""
 
     def reset(self) -> None:
-        """Drop per-run state (queued work); keep warm resources."""
+        """Drop per-run state; keep warm resources."""
 
     def shutdown(self) -> None:
         """Release workers/queues; the backend is dead afterwards."""
 
     # -- the work loop -------------------------------------------------
     def submit(self, execution: TaskExecution) -> None:
-        """Accept one ready task (queue it if at capacity)."""
+        """Start one ready task; the scheduler never exceeds ``workers``."""
         raise NotImplementedError
 
     def poll(self, timeout: Optional[float]) -> List[TaskResult]:
         """Return available results, waiting up to ``timeout`` seconds.
 
         May return an empty list on timeout.  Backends that compute in
-        the calling process do the compute inside ``poll``.
+        the calling process compute in :meth:`submit` and report the
+        result here.
         """
-        raise NotImplementedError
-
-    def active(self) -> int:
-        """Number of submitted-but-unreported tasks."""
         raise NotImplementedError
 
     # -- cancellation / preemption ------------------------------------
-    def quiesce(self) -> List[str]:
-        """Stop starting new work; return ids of dropped queued tasks.
-
-        Tasks already running keep running (drain them via ``poll``
-        within the grace window, then :meth:`abort`).
-        """
-        return []
-
     def abort(self) -> None:
         """Forcibly stop whatever is still running (best effort)."""
 
@@ -221,10 +182,3 @@ class ExecutionBackend:
         return f"<{type(self).__name__} name={self.name!r} " \
                f"workers={self.workers}>"
 
-
-@dataclass
-class _QueueEntry:
-    """Internal FIFO entry shared by the simple backends."""
-
-    execution: TaskExecution
-    submitted_at: float = field(default_factory=time.perf_counter)

@@ -3,9 +3,10 @@
 The pre-1.5 engine created a cold :class:`ProcessPoolExecutor` per run
 and pickled every payload through it; this backend keeps long-lived
 worker processes that import the pipeline modules once and then loop
-over a duplex :func:`multiprocessing.Pipe`, with NumPy payloads moved
-through :mod:`repro.engine.backends.shm` segments instead of the
-pickle stream.
+over a duplex :func:`multiprocessing.Pipe`, exchanging pickled
+messages.  The scheduler submits at most :attr:`PoolBackend.workers`
+tasks at a time, so every submitted task goes straight to a free
+worker; the pool keeps no queue.
 
 Design points the scheduler's failure domain relies on:
 
@@ -27,15 +28,13 @@ Design points the scheduler's failure domain relies on:
 from __future__ import annotations
 
 import multiprocessing
-import os
+import pickle
 import time
 import traceback as traceback_module
 import weakref
-from collections import deque
 from multiprocessing import connection as mp_connection
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
-from repro.engine.backends import shm
 from repro.engine.backends.base import (
     ExecutionBackend,
     RESULT_CRASHED,
@@ -43,12 +42,15 @@ from repro.engine.backends.base import (
     RESULT_ERROR,
     TaskExecution,
     TaskResult,
-    _QueueEntry,
 )
-from repro.errors import InjectedFault
+from repro.errors import InjectedFault, ReproError
 
 #: Seconds a worker gets to exit after the stop sentinel.
 STOP_GRACE_S = 0.5
+
+
+def _dumps(message: Any) -> bytes:
+    return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _compute_reply(task_id: str, stage_name: str, payload: Any,
@@ -113,7 +115,7 @@ def _pool_worker_main(conn, parent_conn) -> None:  # pragma: no cover
         except (EOFError, OSError):
             break
         try:
-            message, _ = shm.loads(payload)
+            message = pickle.loads(payload)
         except Exception:
             break
         if message[0] == "stop":
@@ -123,18 +125,15 @@ def _pool_worker_main(conn, parent_conn) -> None:  # pragma: no cover
             kill_current_process()
         reply = _compute_reply(task_id, stage_name, task_payload, deps,
                                observe, fault)
-        segments: List[str] = []
         try:
-            out, segments, _ = shm.dumps(reply)
+            out = _dumps(reply)
         except Exception as exc:
-            fallback = ("error", task_id, None,
-                        f"result serialisation failed: {exc!r}",
-                        0.0, 0.0, -1.0)
-            out, segments, _ = shm.dumps(fallback)
+            out = _dumps(("error", task_id, None,
+                          f"result serialisation failed: {exc!r}",
+                          0.0, 0.0, -1.0))
         try:
             conn.send_bytes(out)
         except (BrokenPipeError, OSError):
-            shm.unlink_segments(segments)
             break
     try:
         conn.close()
@@ -143,9 +142,9 @@ def _pool_worker_main(conn, parent_conn) -> None:  # pragma: no cover
 
 
 class _PoolWorker:
-    """One persistent worker process plus its pipe and assignment."""
+    """One persistent worker process plus its pipe and assigned task."""
 
-    __slots__ = ("process", "conn", "busy", "busy_segments", "pid")
+    __slots__ = ("process", "conn", "busy", "pid")
 
     def __init__(self, context) -> None:
         self.conn, child_conn = context.Pipe(duplex=True)
@@ -155,8 +154,8 @@ class _PoolWorker:
         self.process.start()
         child_conn.close()
         self.pid = self.process.pid
-        self.busy: Optional[_QueueEntry] = None
-        self.busy_segments: List[str] = []
+        #: Id of the task this worker is computing (None = idle).
+        self.busy: Optional[str] = None
 
     def kill(self) -> None:
         try:
@@ -177,8 +176,7 @@ def _shutdown_workers(workers: List[_PoolWorker]) -> None:
             worker.kill()
             continue
         try:
-            payload, segments, _ = shm.dumps(("stop",))
-            worker.conn.send_bytes(payload)
+            worker.conn.send_bytes(_dumps(("stop",)))
         except (BrokenPipeError, OSError, ValueError):
             worker.kill()
             continue
@@ -209,8 +207,6 @@ class PoolBackend(ExecutionBackend):
         except ValueError:  # pragma: no cover - non-POSIX fallback
             self._context = multiprocessing.get_context()
         self._workers: List[_PoolWorker] = []
-        self._queue: Deque[_QueueEntry] = deque()
-        self._frozen = False
         self._finalizer = weakref.finalize(
             self, _shutdown_workers, self._workers)
 
@@ -244,52 +240,36 @@ class PoolBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def _dispatch(self, worker: _PoolWorker, entry: _QueueEntry) -> None:
-        ex = entry.execution
-        message = ("task", ex.task_id, ex.stage, ex.payload, ex.deps,
-                   ex.observe, ex.fault)
-        payload, segments, shm_bytes = shm.dumps(message)
-        self.transfer.add(len(payload), shm_bytes)
+    def submit(self, execution: TaskExecution) -> None:
+        worker = self._free_worker()
+        if worker is None:
+            raise ReproError(
+                f"pool of {self.workers} worker(s) is at capacity; the "
+                f"scheduler admits at most that many tasks")
+        payload = _dumps(("task", execution.task_id, execution.stage,
+                          execution.payload, execution.deps,
+                          execution.observe, execution.fault))
         try:
             worker.conn.send_bytes(payload)
         except (BrokenPipeError, OSError):
-            shm.unlink_segments(segments)
             self._respawn(worker)
             worker = self._workers[-1]
-            payload, segments, shm_bytes = shm.dumps(message)
-            self.transfer.add(len(payload), shm_bytes)
             worker.conn.send_bytes(payload)
-        worker.busy = entry
-        worker.busy_segments = segments
-
-    def _dispatch_queued(self) -> None:
-        if self._frozen:
-            return
-        while self._queue:
-            worker = self._free_worker()
-            if worker is None:
-                return
-            self._dispatch(worker, self._queue.popleft())
-
-    def submit(self, execution: TaskExecution) -> None:
-        self._queue.append(_QueueEntry(execution))
-        self._dispatch_queued()
+        self.transfer_bytes += len(payload)
+        worker.busy = execution.task_id
 
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
     def _reap_crash(self, worker: _PoolWorker) -> TaskResult:
-        entry = worker.busy
+        task_id = worker.busy
         pid = worker.pid
-        shm.unlink_segments(worker.busy_segments)
         worker.busy = None
-        worker.busy_segments = []
         self._respawn(worker)
-        return TaskResult(task_id=entry.execution.task_id,
-                          status=RESULT_CRASHED, worker=str(pid))
+        return TaskResult(task_id=task_id, status=RESULT_CRASHED,
+                          worker=str(pid))
 
     def poll(self, timeout: Optional[float]) -> List[TaskResult]:
-        self._dispatch_queued()
         busy = {w.conn: w for w in self._workers if w.busy is not None}
         if not busy:
             return []
@@ -301,72 +281,46 @@ class PoolBackend(ExecutionBackend):
                 continue
             try:
                 payload = conn.recv_bytes()
-                message, shm_bytes = shm.loads(payload)
+                message = pickle.loads(payload)
             except Exception:
                 results.append(self._reap_crash(worker))
                 continue
-            self.transfer.add(len(payload), shm_bytes)
-            entry = worker.busy
+            self.transfer_bytes += len(payload)
             worker.busy = None
-            worker.busy_segments = []
             if message[0] == "done":
                 _, task_id, artifact, wall, cpu, started, observed = message
                 results.append(TaskResult(
                     task_id=task_id, status=RESULT_DONE, artifact=artifact,
                     worker=str(worker.pid), wall_time=wall, cpu_time=cpu,
-                    started_at=started, observed=observed,
-                    transfer_bytes=len(payload) + shm_bytes))
+                    started_at=started, observed=observed))
             else:
                 _, task_id, exc, tb, wall, cpu, started = message
                 if exc is None:
-                    from repro.errors import ReproError
                     exc = ReproError(tb)
                 results.append(TaskResult(
                     task_id=task_id, status=RESULT_ERROR, error=exc,
                     error_traceback=tb, worker=str(worker.pid),
                     wall_time=wall, cpu_time=cpu, started_at=started))
-            del entry
-        self._dispatch_queued()
         return results
-
-    def active(self) -> int:
-        return len(self._queue) + sum(1 for w in self._workers
-                                      if w.busy is not None)
 
     # ------------------------------------------------------------------
     # cancellation / preemption
     # ------------------------------------------------------------------
-    def quiesce(self) -> List[str]:
-        self._frozen = True
-        dropped = [e.execution.task_id for e in self._queue]
-        self._queue.clear()
-        return dropped
-
     def abort(self) -> None:
         for worker in list(self._workers):
             if worker.busy is not None:
-                shm.unlink_segments(worker.busy_segments)
                 worker.busy = None
-                worker.busy_segments = []
                 self._respawn(worker)
 
     def preempt(self, task_id: str) -> bool:
         for worker in list(self._workers):
-            if (worker.busy is not None
-                    and worker.busy.execution.task_id == task_id):
-                shm.unlink_segments(worker.busy_segments)
+            if worker.busy == task_id:
                 worker.busy = None
-                worker.busy_segments = []
                 self._respawn(worker)
                 return True
         return False
 
-    def reset(self) -> None:
-        self._queue.clear()
-        self._frozen = False
-
     def shutdown(self) -> None:
-        self._queue.clear()
         _shutdown_workers(self._workers)
         self._finalizer.detach()
 

@@ -1,17 +1,17 @@
-"""Deterministic in-process execution, one task per poll.
+"""Deterministic in-process execution, one task at a time.
 
 The reference backend: tasks run in the submitting process, in exact
-submission order (the scheduler submits in topological order, so
-compute order — and therefore deterministic fault-draw order — matches
-the pre-1.5 serial engine).  Computing one task per :meth:`poll` keeps
-cancellation checks and retry bookkeeping at task boundaries.
+submission order (the scheduler admits one task at a time in
+topological order, so compute order — and therefore deterministic
+fault-draw order — matches the pre-1.5 serial engine).  A task runs
+when it is submitted and its result is reported by the next
+:meth:`poll`, so cancellation checks and retry bookkeeping stay at task
+boundaries and a cancellation drain never starts new work.
 """
 
 from __future__ import annotations
 
-import time
-from collections import deque
-from typing import Deque, List, Optional
+from typing import List, Optional
 
 from repro.engine.backends.base import (
     ExecutionBackend,
@@ -22,36 +22,25 @@ from repro.engine.backends.base import (
 
 
 class SerialBackend(ExecutionBackend):
-    """In-process FIFO execution (the ``"serial"`` spec)."""
+    """In-process execution (the ``"serial"`` spec)."""
 
     name = "serial"
     workers = 1
 
     def __init__(self) -> None:
         super().__init__()
-        self._queue: Deque[TaskExecution] = deque()
+        self._done: List[TaskResult] = []
 
     def submit(self, execution: TaskExecution) -> None:
-        self._queue.append(execution)
-
-    def poll(self, timeout: Optional[float]) -> List[TaskResult]:
-        if not self._queue:
-            if timeout:
-                time.sleep(min(timeout, 0.05))
-            return []
-        execution = self._queue.popleft()
         result = run_stage_inline(execution)
         # the pre-1.5 serial path labelled in-process computes "main"
         result.worker = "main"
-        return [result]
+        self._done.append(result)
 
-    def active(self) -> int:
-        return len(self._queue)
-
-    def quiesce(self) -> List[str]:
-        dropped = [e.task_id for e in self._queue]
-        self._queue.clear()
-        return dropped
+    def poll(self, timeout: Optional[float]) -> List[TaskResult]:
+        # every submitted task already ran: nothing to wait for
+        done, self._done = self._done, []
+        return done
 
     def reset(self) -> None:
-        self._queue.clear()
+        self._done.clear()

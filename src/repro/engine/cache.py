@@ -14,11 +14,12 @@ environment variable > ``~/.cache/repro``.  Setting
 Multi-process safety (see :mod:`repro.engine.locks`): entry publishes
 are atomic (``mkstemp`` + ``os.replace``) *and* serialised per key
 bucket by advisory file locks, eviction/maintenance runs under a
-store-wide maintenance lock, and a per-key *single-flight* protocol
-(``begin_flight`` / ``flight_wait`` / ``end_flight``) lets N
-invocations sharing one ``REPRO_CACHE_DIR`` avoid stampeding the same
-fingerprint: whoever holds a key's flight lock computes, everyone else
-waits (bounded by the lock timeout) and then reads the published entry.
+store-wide maintenance lock, and a per-key *single-flight* lock
+(``begin_flight`` / ``end_flight``) lets N invocations sharing one
+``REPRO_CACHE_DIR`` avoid stampeding the same fingerprint: the
+scheduler claims a key's flight when it dispatches the task, so
+whoever holds it computes while everyone else runs other work and
+then reads the published entry (see :mod:`repro.engine.scheduler`).
 
 Bounded storage: ``REPRO_CACHE_MAX_BYTES`` (plain bytes or ``512M`` /
 ``2G`` style) caps the on-disk store.  Eviction is LRU over a
@@ -70,9 +71,6 @@ QUARANTINE_DIRNAME = ".quarantine"
 LOCKS_DIRNAME = ".locks"
 FLIGHT_DIRNAME = ".flight"
 ATIME_FILENAME = ".atime.jsonl"
-
-#: Poll interval of :meth:`ArtifactCache.flight_wait` [s].
-FLIGHT_POLL_S = 0.02
 
 _SIZE_RE = re.compile(r"^\s*(\d+)\s*([kKmMgG]?)[bB]?\s*$")
 _SIZE_FACTORS = {"": 1, "k": 1024, "m": 1024 ** 2, "g": 1024 ** 3}
@@ -154,7 +152,8 @@ class ArtifactCache:
         self.evicted_bytes = 0
         self.quarantine_expired = 0
         self.lock_timeouts = 0
-        self.flight_waits = 0
+        #: Flights a peer held past the lock timeout (the scheduler
+        #: then computes anyway: a bounded stampede).
         self.flight_timeouts = 0
         self._disk_writes_disabled = False
         self._pinned: set = set()
@@ -475,39 +474,6 @@ class ArtifactCache:
         if flight is not None:
             flight.release()
 
-    def flight_wait(self, key: str, stage_name: str,
-                    timeout: Optional[float] = None) -> str:
-        """Wait for another process's in-flight compute of ``key``.
-
-        Returns ``"ready"`` when the entry got published, ``"free"``
-        when the flight lock was dropped without a publish (the peer
-        failed — compute it yourself), or ``"timeout"`` after the lock
-        timeout (stampede fallback: compute anyway; duplicate work is
-        bounded by this window).
-        """
-        if self.cache_dir is None:
-            return "free"
-        self.flight_waits += 1
-        bound = self.lock_timeout if timeout is None else float(timeout)
-        deadline = time.monotonic() + bound
-        path = self.cache_dir / FLIGHT_DIRNAME / f"{key}.flight"
-        probe = FileLock(path, timeout=bound)
-        while True:
-            if self.has_disk_entry(stage_name, key):
-                return "ready"
-            if probe.try_acquire():
-                probe.release()
-                if self.has_disk_entry(stage_name, key):
-                    return "ready"
-                return "free"
-            if time.monotonic() >= deadline:
-                self.flight_timeouts += 1
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.counter("engine.cache.flight_timeout").inc()
-                return "timeout"
-            time.sleep(FLIGHT_POLL_S)
-
     # ------------------------------------------------------------------
     # pins (what eviction must never remove)
     # ------------------------------------------------------------------
@@ -727,7 +693,6 @@ class ArtifactCache:
             "evicted_bytes": self.evicted_bytes,
             "quarantine_expired": self.quarantine_expired,
             "lock_timeouts": self.lock_timeouts,
-            "flight_waits": self.flight_waits,
             "flight_timeouts": self.flight_timeouts,
         }
         if self.remote is not None:

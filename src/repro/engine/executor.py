@@ -10,18 +10,14 @@ addressing composes through the graph), serves whatever it can from the
 ``serial``
     deterministic in-process execution in topological order;
 ``pool`` / ``pool:N``
-    persistent warm worker processes — modules imported once, NumPy
-    payloads moved through ``multiprocessing.shared_memory``;
-``workqueue``
-    a filesystem work queue under the shared cache directory, so N
-    independent ``python -m repro.flows`` invocations cooperatively
-    drain one graph (lease files + heartbeats, work-stealing).
+    persistent warm worker processes — modules imported once, pickled
+    payloads over one pipe per worker.
 
 Backends execute the same pure stage functions on the same inputs, so
 their artefacts are bit-identical; the only difference a manifest can
 show is wall time and worker ids.  Selection: ``Engine(backend=...)``
 (spec string or instance) > the ``REPRO_BACKEND`` environment variable
-> a machine-width pool.
+> a pool as wide as the CPUs the process may run on.
 
 Failure domain (see :mod:`repro.resilience`): every task gets the
 engine's :class:`~repro.resilience.retry.RetryPolicy` — capped
@@ -43,9 +39,9 @@ the run, honours a
 (graceful shutdown: stop scheduling, drain in-flight work within the
 grace window, raise :class:`~repro.errors.RunInterrupted` with the
 partial manifest), and — when several invocations share one cache
-directory — routes cache misses through the cache's cross-process
-single-flight protocol so the same fingerprint is not computed N
-times.
+directory — claims each cache miss's cross-process single-flight lock
+as it dispatches the task, so N invocations split the graph between
+them instead of computing the same fingerprint N times.
 """
 
 from __future__ import annotations
@@ -146,12 +142,17 @@ class EngineRun:
 
 
 def resolve_worker_count(max_workers: Optional[int] = None) -> int:
-    """Worker count: explicit > cpu count.
+    """Worker count: explicit > CPUs this process may run on.
 
-    Malformed values fail at startup with a :class:`ConfigError`.
+    The default honours CPU affinity (``taskset``, cgroup cpusets) where
+    the platform reports it, else ``os.cpu_count()``.  Malformed values
+    fail at startup with a :class:`ConfigError`.
     """
     if max_workers is None:
-        max_workers = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            max_workers = len(os.sched_getaffinity(0))
+        else:
+            max_workers = os.cpu_count() or 1
     return require_int("max_workers", max_workers, minimum=1)
 
 
@@ -172,11 +173,11 @@ class Engine:
     ----------
     backend:
         Execution backend: a spec string (``"serial"``, ``"pool"``,
-        ``"pool:N"``, ``"workqueue"``) or an
+        ``"pool:N"``) or an
         :class:`~repro.engine.backends.ExecutionBackend` instance to
         share between engines.  ``None`` resolves ``REPRO_BACKEND``,
-        then defaults to a machine-width pool (serial on single-core
-        machines).
+        then defaults to a pool as wide as the CPUs this process may
+        run on (serial when that is one core).
     cache:
         Share an existing :class:`ArtifactCache`; by default each engine
         owns one resolved from ``cache_dir`` / ``REPRO_CACHE_DIR``.
@@ -220,11 +221,6 @@ class Engine:
         self.cache = cache or ArtifactCache(cache_dir=cache_dir,
                                             use_disk=use_disk,
                                             remote=remote)
-        if (self.backend.requires_disk_cache
-                and self.cache.cache_dir is None):
-            raise ReproError(
-                f"backend {self.backend.name!r} needs a shared on-disk "
-                f"cache; pass cache_dir=... or set REPRO_CACHE_DIR")
         self.observe = observe
         self.retry_policy = resolve_retry_policy(retry_policy)
         self.on_error = on_error
@@ -372,20 +368,20 @@ class Engine:
             scheduler.check_cancelled(result)
             if pending:
                 backend = self.backend
-                if (len(pending) == 1 and backend.inline_single
+                if (len(pending) == 1
                         and not isinstance(backend, SerialBackend)):
                     # Degenerate graph: one task gains nothing from
                     # worker transport — run it in-process (matches the
                     # pre-1.5 single-task serial inlining).
                     backend = SerialBackend()
                 backend.start(self.cache)
-                transfer_before = backend.transfer.total_bytes
+                transfer_before = backend.transfer_bytes
                 try:
                     scheduler.execute(pending, keys, result, backend,
                                       on_error)
                 finally:
                     result.manifest.transfer_bytes = (
-                        backend.transfer.total_bytes - transfer_before)
+                        backend.transfer_bytes - transfer_before)
         finally:
             self.cache.unpin(pinned)
             result.manifest.total_wall_time = (time.perf_counter()

@@ -4,15 +4,19 @@ This module owns every *semantic* concern of a run — what the engine
 guaranteed before the 1.5 scheduler/backend split, extracted from the
 old ``Engine._run_serial`` / ``Engine._run_parallel`` monolith:
 
-* dependency tracking: a task is submitted the moment its last
+* dependency tracking: a task becomes ready the moment its last
   dependency materialises (no barriers between stages);
+* admission: at most ``backend.workers`` tasks are in flight, and only
+  a task about to run claims its key, draws injected faults and starts
+  its timeout clock;
 * cache bookkeeping: same-key tasks inside one run dedup through the
   content-addressed cache, every outcome becomes a manifest record and
   (when the run is durable) an fsync'd journal line;
-* cross-process single-flight: misses claim their fingerprint so N
-  invocations sharing a cache directory don't stampede the same
-  compute (skipped for backends with ``external_coordination`` — the
-  work queue's lease protocol *is* the flight);
+* cross-process single-flight: a task claims its fingerprint's flight
+  lock when it is dispatched, so N invocations sharing a cache
+  directory split the graph between them instead of computing the same
+  key N times — a process whose ready task is claimed elsewhere parks
+  it and runs other ready work meanwhile;
 * retries with capped exponential backoff, timeout enforcement via
   backend preemption, crash budgets for backends whose workers can die
   independently, ``on_error="continue"`` failure/skip propagation;
@@ -37,7 +41,6 @@ from repro.engine.backends.base import (
     RESULT_CRASHED,
     RESULT_DONE,
     RESULT_ERROR,
-    RESULT_PEER,
     TaskExecution,
     TaskResult,
 )
@@ -143,20 +146,6 @@ class Scheduler:
         if draw_fault("proc_kill", task.stage) is not None:
             kill_current_process()  # pragma: no cover - kills process
 
-    def record_peer(self, task, key: str, res: TaskResult,
-                    result) -> None:
-        """A work-queue peer published this fingerprint mid-run."""
-        result.artifacts[task.id] = res.artifact
-        record = TaskRecord(
-            task_id=task.id, stage=task.stage, key=key,
-            cache=res.cache_layer or "disk", wall_time=res.wall_time,
-            worker="peer")
-        result.manifest.add(record)
-        self._observe_record(record)
-        self._journal_task({"type": "task", "id": task.id, "key": key,
-                            "stage": task.stage, "status": "done",
-                            "cache": record.cache})
-
     def record_failure(self, task, key: str, exc: BaseException,
                        attempts: int, result,
                        traceback_text: str = "") -> TaskFailure:
@@ -232,72 +221,93 @@ class Scheduler:
                 backend: ExecutionBackend, on_error: str) -> None:
         """Drain ``pending`` (cache-missed, topologically ordered) tasks.
 
-        One loop serves every backend; capability flags gate the parts
-        that only make sense for some execution models:
+        One loop serves every backend.  Ready tasks are admitted in the
+        order they became ready, at most ``backend.workers`` at a time;
+        a first dispatch claims the task's key (its single-flight lock
+        for persistent stages) and re-checks the store right after
+        winning the flight, because a peer may have published between
+        our miss and our claim.  The cache is probed when a task becomes
+        ready, when a same-key sibling finishes and on each poll of a
+        task parked behind another process's flight.
 
-        * ``remote_workers`` — draw ``worker_kill`` faults at submit,
+        Capability flags gate the parts that only make sense for some
+        execution models:
+
+        * ``remote_workers`` — draw ``worker_kill`` faults at dispatch,
           budget crash recoveries, measure queue latency;
         * ``supports_preemption`` — enforce ``RetryPolicy.timeout`` by
-          preempting overdue tasks;
-        * ``external_coordination`` — skip the cache's single-flight
-          claims (the backend coordinates across processes itself).
+          preempting overdue tasks.
         """
         tracer = get_tracer()
         observing = tracer.enabled
         policy = self.policy
-        use_flights = not backend.external_coordination
+        cache = self.cache
         draw_kills = backend.remote_workers
         enforce_timeout = (policy.timeout is not None
                            and backend.supports_preemption)
 
-        waiting = {task.id: task for task in pending}   # topo order
+        #: Tasks with unlanded dependencies, in topological order.
+        waiting = {task.id: task for task in pending}
+        #: Tasks whose dependencies landed, in admission order.
+        ready: List[Any] = []
         inflight: Dict[str, Any] = {}
         deadlines: Dict[str, float] = {}
         deferred: List[Tuple[float, Any]] = []          # backoff timers
         attempts: Dict[str, int] = {}
         crashes: Dict[str, int] = {}
         submit_times: Dict[str, float] = {}
+        #: Keys this run is computing (running or backing off).
         inflight_keys = set()
         unresolved: Dict[str, TaskFailure] = {}
         raised: List[BaseException] = []
         #: Cross-process single-flight claims held for in-flight keys.
         flights: Dict[str, Any] = {}
-        #: Tasks parked behind another *process's* flight, with the
-        #: stampede-fallback deadline after which we compute anyway.
-        flight_blocked: Dict[str, float] = {}
+        #: Ready tasks parked behind another *process's* flight, with
+        #: the stampede-fallback deadline after which we compute anyway.
+        parked: Dict[str, float] = {}
 
         def release_flight(key: str) -> None:
             flight = flights.pop(key, None)
             if flight is not None:
-                self.cache.end_flight(flight)
+                cache.end_flight(flight)
 
         def raise_or_continue(exc: BaseException) -> None:
             if on_error == "raise":
                 raised.append(exc)
+
+        def probe(task) -> bool:
+            """Serve a ready task from the cache; True when it landed."""
+            if not self.try_cache(task, keys[task.id], result):
+                return False
+            ready.remove(task)
+            parked.pop(task.id, None)
+            return True
 
         def fail_task(task, exc: BaseException,
                       n_attempts: int, traceback_text: str = "",
                       ) -> BaseException:
             """Record a final failure; fail same-key duplicates too.
 
-            A task parked behind an in-flight duplicate key must fail
+            A task held back behind an in-flight duplicate key must fail
             when that computation fails — identical content implies an
-            identical outcome, and leaving it parked would deadlock
-            the run (the key never materialises).
+            identical outcome, and leaving it held would deadlock the
+            run (the key never materialises).
             """
             key = keys[task.id]
             unresolved[task.id] = self.record_failure(
                 task, key, exc, n_attempts, result, traceback_text)
             inflight_keys.discard(key)
             release_flight(key)
-            for dup_id in [t for t in waiting if keys[t] == key]:
-                dup = waiting.pop(dup_id)
-                flight_blocked.pop(dup_id, None)
-                unresolved[dup_id] = self.record_failure(
+            for dup in [t for t in [*waiting.values(), *ready]
+                        if keys[t.id] == key]:
+                if waiting.pop(dup.id, None) is None:
+                    ready.remove(dup)
+                parked.pop(dup.id, None)
+                unresolved[dup.id] = self.record_failure(
                     dup, key, exc, 0, result)
             return exc
 
-        def submit(task, attempt: int) -> None:
+        def dispatch(task, attempt: int) -> None:
             fault = None
             if draw_kills:
                 rule = draw_fault("worker_kill", task.stage)
@@ -322,75 +332,88 @@ class Scheduler:
             if enforce_timeout:
                 deadlines[task.id] = time.monotonic() + policy.timeout
 
-        def submit_ready() -> None:
-            # loop to quiescence: a cache-served task can unblock its
-            # dependents within the same scheduling round
+        def claim(task) -> Optional[bool]:
+            """Claim a task's key for this process before its first run.
+
+            True = run it now; False = hold it (a sibling or a peer is
+            computing the key); None = it landed from the cache.
+            """
+            key = keys[task.id]
+            if key in inflight_keys:
+                # a same-key task runs here: its success serves this one
+                parked.pop(task.id, None)
+                return False
+            stage = get_stage(task.stage)
+            if stage.persistent:
+                if (task.id in parked
+                        and cache.has_disk_entry(stage.name, key)
+                        and probe(task)):
+                    return None
+                flight = cache.begin_flight(key)
+                if flight is None:
+                    deadline = parked.setdefault(
+                        task.id, time.monotonic() + cache.lock_timeout)
+                    if time.monotonic() < deadline:
+                        return False
+                    # Stampede fallback: the holder is wedged; compute
+                    # anyway (the atomic publish makes duplicates safe).
+                    cache.flight_timeouts += 1
+                    if observing:
+                        tracer.counter("engine.cache.flight_timeout").inc()
+                elif cache.has_disk_entry(stage.name, key) and probe(task):
+                    cache.end_flight(flight)
+                    return None
+                else:
+                    flights[key] = flight
+                parked.pop(task.id, None)
+            inflight_keys.add(key)
+            return True
+
+        def admit() -> None:
+            # loop until nothing changes: a cache-served task can
+            # unblock its dependents within the same scheduling round
             progress = True
             while progress:
                 progress = False
                 now = time.monotonic()
                 for entry in list(deferred):
-                    ready_at, task = entry
-                    if now >= ready_at:
+                    if now >= entry[0]:
                         deferred.remove(entry)
-                        attempts[task.id] += 1
-                        submit(task, attempts[task.id])
-                        progress = True
+                        ready.append(entry[1])  # a retry keeps its claim
                 for task_id in list(waiting):
                     task = waiting[task_id]
-                    key = keys[task_id]
-                    if self.try_cache(task, key, result):
-                        del waiting[task_id]
-                        flight_blocked.pop(task_id, None)
-                        progress = True
-                        continue
                     bad_dep = next((d for d in task.deps
                                     if d in unresolved), None)
                     if bad_dep is not None:
                         del waiting[task_id]
-                        flight_blocked.pop(task_id, None)
                         unresolved[task_id] = self.record_skip(
-                            task, key, bad_dep, result)
+                            task, keys[task_id], bad_dep, result)
                         progress = True
-                        continue
-                    if not all(dep in result.artifacts
-                               for dep in task.deps):
-                        continue
-                    if key in inflight_keys:
-                        # same-key task already computing: it resolves
-                        # here (from cache) on success, or through
-                        # fail_task on failure — never parked forever
-                        continue
-                    if (use_flights and get_stage(task.stage).persistent
-                            and key not in flights):
-                        flight = self.cache.begin_flight(key)
-                        if flight is None:
-                            # Another *process* is computing this key:
-                            # stay parked (each round re-checks the
-                            # cache above) until its publish lands or
-                            # the stampede-fallback deadline passes.
-                            deadline = flight_blocked.setdefault(
-                                task_id, time.monotonic()
-                                + self.cache.lock_timeout)
-                            if time.monotonic() < deadline:
-                                continue
-                        else:
-                            flights[key] = flight
-                    flight_blocked.pop(task_id, None)
-                    del waiting[task_id]
-                    inflight_keys.add(key)
-                    attempts[task_id] = 1
-                    submit(task, 1)
-                    progress = True
+                    elif all(dep in result.artifacts for dep in task.deps):
+                        del waiting[task_id]
+                        ready.append(task)
+                        if probe(task):
+                            progress = True
+                for task in list(ready):
+                    if len(inflight) >= backend.workers:
+                        break
+                    if task.id not in attempts:
+                        claimed = claim(task)
+                        if claimed is None:
+                            progress = True
+                        if not claimed:
+                            continue
+                    ready.remove(task)
+                    attempts[task.id] = attempts.get(task.id, 0) + 1
+                    dispatch(task, attempts[task.id])
 
         def record_success(task, res: TaskResult) -> None:
             key = keys[task.id]
             inflight_keys.discard(key)
             extra = {}
             if observing and draw_kills and task.id in submit_times:
-                # Queue latency: time the finished task spent waiting
-                # for a worker slot plus serialisation, i.e. everything
-                # between submit and compute.
+                # Queue latency: time the finished task spent between
+                # dispatch and compute start (serialisation + transfer).
                 elapsed = time.perf_counter() - submit_times.pop(task.id)
                 queue_s = max(elapsed - res.wall_time, 0.0)
                 extra["queue_s"] = queue_s
@@ -403,6 +426,8 @@ class Scheduler:
                                  **extra)
             # The artefact is published: let waiting peers read it.
             release_flight(key)
+            for sibling in [t for t in ready if keys[t.id] == key]:
+                probe(sibling)
 
         def handle_result(res: TaskResult) -> None:
             task = inflight.pop(res.task_id, None)
@@ -411,12 +436,6 @@ class Scheduler:
             deadlines.pop(res.task_id, None)
             if res.status == RESULT_DONE:
                 record_success(task, res)
-                return
-            if res.status == RESULT_PEER:
-                inflight_keys.discard(keys[task.id])
-                submit_times.pop(task.id, None)
-                self.record_peer(task, keys[task.id], res, result)
-                release_flight(keys[task.id])
                 return
             submit_times.pop(task.id, None)
             if res.status == RESULT_CRASHED:
@@ -433,14 +452,15 @@ class Scheduler:
                         f"computing {task.id}")
                     raise_or_continue(fail_task(task, exc, n))
                 else:
-                    # a crash is not the task's fault: resubmit without
-                    # burning a retry attempt (the crash budget above
-                    # still bounds a task that keeps killing workers)
+                    # a crash is not the task's fault: rerun it in the
+                    # freed slot without burning a retry attempt (the
+                    # crash budget above still bounds a task that keeps
+                    # killing workers)
                     if observing:
                         tracer.event("engine.task.resubmit",
                                      task=task.id, stage=task.stage,
                                      reason="crash")
-                    submit(task, n)
+                    dispatch(task, n)
                 return
             # RESULT_ERROR: the compute raised
             exc = res.error
@@ -487,18 +507,14 @@ class Scheduler:
         def drain_and_interrupt() -> None:
             """Graceful shutdown: drain in-flight work, then stop.
 
-            No new submissions happen after this point; pending backoff
-            retries are dropped; queued-but-unstarted tasks are
-            abandoned; running tasks get the grace window to land
-            (their results are recorded and journalled), then the
-            backend aborts the rest.
+            No new dispatches happen after this point: pending backoff
+            retries and ready-but-unstarted tasks are dropped; running
+            tasks get the grace window to land (their results are
+            recorded and journalled), then the backend aborts the rest.
             """
             deferred.clear()
-            for task_id in backend.quiesce():
-                task = inflight.pop(task_id, None)
-                if task is not None:
-                    inflight_keys.discard(keys[task_id])
-                    release_flight(keys[task_id])
+            ready.clear()
+            parked.clear()
             grace = (self.cancellation.grace
                      if self.cancellation is not None else 0.0)
             if (self.cancellation is not None
@@ -513,7 +529,7 @@ class Scheduler:
                                     deadline - time.monotonic()))
                 results = backend.poll(step)
                 for res in sorted(results, key=lambda r: r.task_id):
-                    if res.status in (RESULT_DONE, RESULT_PEER):
+                    if res.status == RESULT_DONE:
                         handle_result(res)
                     else:
                         # failures don't matter anymore: the run is
@@ -521,11 +537,12 @@ class Scheduler:
                         inflight.pop(res.task_id, None)
             if inflight:
                 backend.abort()
+                inflight.clear()
             self.interrupt(result)
 
         try:
-            submit_ready()
-            while (inflight or deferred or flight_blocked) and not raised:
+            admit()
+            while (inflight or deferred or parked) and not raised:
                 if self._cancelled():
                     drain_and_interrupt()
                 if not inflight:
@@ -534,9 +551,9 @@ class Scheduler:
                     now = time.monotonic()
                     sleep_for = 0.0
                     if deferred:
-                        earliest = min(ready for ready, _ in deferred)
+                        earliest = min(ready_at for ready_at, _ in deferred)
                         sleep_for = max(sleep_for, earliest - now)
-                    if flight_blocked:
+                    if parked:
                         sleep_for = (min(sleep_for, FLIGHT_BLOCK_POLL_S)
                                      if sleep_for
                                      else FLIGHT_BLOCK_POLL_S)
@@ -546,7 +563,7 @@ class Scheduler:
                             sleep_for = min(sleep_for, remaining)
                     if sleep_for > 0:
                         time.sleep(sleep_for)
-                    submit_ready()
+                    admit()
                     continue
                 timeout = None
                 now = time.monotonic()
@@ -556,7 +573,7 @@ class Scheduler:
                     wake = max(0.0, min(r for r, _ in deferred) - now)
                     timeout = (wake if timeout is None
                                else min(timeout, wake))
-                if flight_blocked:
+                if parked:
                     timeout = (FLIGHT_BLOCK_POLL_S if timeout is None
                                else min(timeout, FLIGHT_BLOCK_POLL_S))
                 if self.cancellation is not None:
@@ -571,16 +588,21 @@ class Scheduler:
                     continue
                 if enforce_timeout and deadlines:
                     enforce_deadlines()
-                submit_ready()
+                admit()
             if raised:
                 raise raised[0]
-            if waiting:
-                # Structural safety net: any task still parked here is a
+            if waiting or ready:
+                # Structural safety net: any task still held here is a
                 # scheduler bug — fail loudly rather than deadlock.
+                stalled = sorted([*waiting, *(t.id for t in ready)])
                 raise ReproError(
-                    f"scheduler stalled with {len(waiting)} unresolved "
-                    f"task(s): {sorted(waiting)}")
+                    f"scheduler stalled with {len(stalled)} unresolved "
+                    f"task(s): {stalled}")
         finally:
             for key in list(flights):
                 release_flight(key)
+            if inflight:
+                # a raised run leaves tasks running: stop them, or their
+                # workers stay busy into the next run on this backend
+                backend.abort()
             backend.reset()

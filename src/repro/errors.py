@@ -86,7 +86,7 @@ class ConfigError(ReproError):
     """An environment variable or explicit setting is unusable.
 
     Raised at resolution time (startup), before the bad value can
-    propagate into a lock wait loop, lease heartbeat, or drain window.
+    propagate into a lock wait loop or a drain window.
     """
 
     code = "config.invalid"

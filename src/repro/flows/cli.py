@@ -92,10 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default REPRO_BACKEND, else one worker "
                             "per CPU)")
         p.add_argument("--backend", default=None,
-                       help="execution backend: serial, pool, pool:N or "
-                            "workqueue (default REPRO_BACKEND); "
-                            "'workqueue' lets several invocations "
-                            "sharing one cache drain the same run")
+                       help="execution backend: serial, pool or pool:N "
+                            "(default REPRO_BACKEND); several "
+                            "invocations sharing one cache split the "
+                            "same run's work on any backend")
         p.add_argument("--grace", type=float, default=None,
                        help="shutdown drain window in seconds "
                             "(default REPRO_SHUTDOWN_GRACE)")

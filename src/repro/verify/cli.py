@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backend", default=None,
         help="execution backend for pipeline measurements: serial, "
-             "pool, pool:N or workqueue (default REPRO_BACKEND)")
+             "pool or pool:N (default REPRO_BACKEND)")
     parser.add_argument(
         "--parity-modes", metavar="MODES", default=None,
         help="comma-separated parity matrix modes to run (only "

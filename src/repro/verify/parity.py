@@ -49,8 +49,7 @@ class ParityCell:
     name:
         Matrix-cell identifier (``parity.<mode>``).
     backend:
-        Execution-backend spec (``"serial"``, ``"pool:N"``,
-        ``"workqueue"``).
+        Execution-backend spec (``"serial"``, ``"pool:N"``).
     warm_from:
         Name of the matrix cell whose disk cache this run reuses
         (None = cold: a fresh cache directory).
@@ -71,10 +70,7 @@ class ParityCell:
         :mod:`repro.resilience.chaos`): ``"kill-resume"`` SIGKILLs a
         journalled CLI run at a task boundary and resumes it;
         ``"concurrent"`` runs two invocations against one shared cache
-        (and additionally requires zero quarantined entries);
-        ``"workqueue"`` runs two ``--backend workqueue`` invocations
-        that cooperatively drain one task graph through filesystem
-        leases (also requires zero quarantined entries).
+        (and additionally requires zero quarantined entries).
         ``None`` = plain in-process mode.
     remote:
         Remote-cache-tier scenario: ``"flaky"`` runs a live
@@ -150,12 +146,6 @@ PARITY_MATRIX: Tuple[ParityCell, ...] = (
                     "directory (bit-identical, zero quarantined "
                     "entries)",
         chaos="concurrent"),
-    ParityCell(
-        name="backend-workqueue",
-        description="two work-queue CLI invocations cooperatively "
-                    "draining one graph through filesystem leases "
-                    "(bit-identical, zero quarantined entries)",
-        backend="workqueue", chaos="workqueue"),
     ParityCell(
         name="remote-flaky",
         description="remote cache behind a fault-injecting proxy "
@@ -255,26 +245,6 @@ def _run_chaos_mode(cell: ParityCell, cache_dir: Path,
         return resume_run(
             run_id,
             engine=Engine(backend="serial", cache_dir=cache_dir)).result
-    if cell.chaos == "workqueue":
-        env = chaos.repro_env(cache_dir)
-        argvs = [chaos.flow_argv(run_id=f"parity-wq-{i}",
-                                 backend="workqueue", **argv_kwargs)
-                 for i in (1, 2)]
-        outcomes = chaos.run_concurrent_flows(argvs, env)
-        bad = [o for o in outcomes if o.returncode != 0]
-        if bad:
-            raise ReproError(
-                f"{len(bad)} work-queue invocation(s) failed "
-                f"(exit {bad[0].returncode}): {bad[0].stderr[-300:]}")
-        quarantined = ArtifactCache(cache_dir=cache_dir).quarantined()
-        if quarantined:
-            raise ReproError(
-                f"shared cache has {len(quarantined)} quarantined "
-                f"entries after work-queue runs: {quarantined[:3]}")
-        # Warm in-process replay from the cooperatively built cache.
-        return run_full_flow(
-            engine=Engine(backend="serial", cache_dir=cache_dir),
-            **flow_kwargs)
     if cell.chaos == "concurrent":
         env = chaos.repro_env(cache_dir)
         argvs = [chaos.flow_argv(run_id=f"parity-conc-{i}", workers=1,

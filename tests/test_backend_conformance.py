@@ -1,11 +1,13 @@
 """Shared conformance suite every execution backend must pass.
 
-One parametrized battery over ``serial``, ``pool:2`` and ``workqueue``:
-dependency ordering, cache behaviour, bit-identical artifacts, retries,
+One parametrized battery over ``serial`` and ``pool:2``: dependency
+ordering, cache behaviour, bit-identical artifacts, retries,
 ``on_error="continue"``, cancellation and content-addressed resume run
 everywhere; preemption (timeouts) and worker-crash recovery are gated
 on the backend's capability flags rather than its name, so a future
-backend is judged by what it claims, not by what it is called.
+backend is judged by what it claims, not by what it is called.  The
+scheduler's admission rules (timeout clocks start at dispatch, bounded
+cache probing) are pinned at the end.
 """
 
 import pytest
@@ -15,12 +17,12 @@ from repro.engine import (
     PoolBackend,
     SerialBackend,
     Task,
-    WorkQueueBackend,
     parse_backend_spec,
     register_stage,
     resolve_backend,
     unregister_stage,
 )
+from repro.engine.cache import ArtifactCache
 from repro.engine.durability import CancellationToken
 from repro.errors import ReproError, RunInterrupted
 from repro.resilience import FaultInjector, RetryPolicy, clear_faults, install
@@ -28,7 +30,7 @@ from repro.resilience import FaultInjector, RetryPolicy, clear_faults, install
 pytestmark = pytest.mark.engine
 
 #: Every shipped backend spec, exercised by the whole battery.
-BACKENDS = ("serial", "pool:2", "workqueue")
+BACKENDS = ("serial", "pool:2")
 
 
 def _add(payload, deps):
@@ -82,7 +84,6 @@ def _graph():
 # ----------------------------------------------------------------------
 def test_parse_backend_spec_variants():
     assert isinstance(parse_backend_spec("serial"), SerialBackend)
-    assert isinstance(parse_backend_spec("workqueue"), WorkQueueBackend)
     pool = parse_backend_spec("pool:3")
     assert isinstance(pool, PoolBackend)
     assert pool.workers == 3
@@ -101,11 +102,6 @@ def test_resolve_backend_passthrough_and_env(monkeypatch):
     assert resolve_backend(None) is None
     with pytest.raises(ReproError, match="backend"):
         resolve_backend(42)
-
-
-def test_workqueue_requires_disk_cache():
-    with pytest.raises(ReproError, match="disk cache"):
-        Engine(backend="workqueue", use_disk=False)
 
 
 # ----------------------------------------------------------------------
@@ -219,3 +215,59 @@ def test_worker_crash_recovers_when_remote(tmp_path, backend):
     assert run.manifest.pool_rebuilds >= 1
     reference = _engine("serial", tmp_path / "ref").run(_graph())
     assert run.artifacts == reference.artifacts
+
+
+# ----------------------------------------------------------------------
+# admission
+# ----------------------------------------------------------------------
+def test_timeout_clock_starts_at_dispatch(tmp_path):
+    """Tasks waiting for a worker slot must not burn their budget: three
+    0.6 s tasks on one worker all fit a 1.0 s per-task timeout."""
+    engine = _engine("pool:1", tmp_path, on_error="continue",
+                     retry_policy=RetryPolicy(retries=0, timeout=1.0))
+    try:
+        run = engine.run([
+            Task(id=f"nap{i}", stage="conf_nap",
+                 payload={"seconds": 0.6, "i": i})
+            for i in range(3)])
+    finally:
+        engine.shutdown()
+    assert run.ok, run.failed
+    assert run.manifest.pool_rebuilds == 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_cold_run_probes_each_key_at_most_twice(tmp_path, backend):
+    cache = ArtifactCache(cache_dir=tmp_path)
+    engine = Engine(backend=backend, cache=cache)
+    try:
+        run = engine.run(_graph())
+    finally:
+        engine.shutdown()
+    stats = cache.stats()
+    probes = (stats["hits_memory"] + stats["hits_disk"]
+              + stats["hits_remote"] + stats["misses"])
+    assert run.ok
+    assert probes <= 2 * len(_graph())
+
+
+def test_raised_run_leaves_pool_free_for_the_next_run(tmp_path):
+    """A run that raises while another task still runs on a worker must
+    not leave that worker busy: the next run on the same engine needs
+    every slot."""
+    engine = _engine("pool:2", tmp_path,
+                     retry_policy=RetryPolicy(retries=0))
+    try:
+        with pytest.raises(RuntimeError, match="boom"):
+            engine.run([
+                Task(id="nap", stage="conf_nap", payload={"seconds": 5.0}),
+                Task(id="bad", stage="conf_fail", payload=None),
+            ])
+        run = engine.run([
+            Task(id="x", stage="conf_add", payload={"value": 2}),
+            Task(id="y", stage="conf_add", payload={"value": 3}),
+        ])
+    finally:
+        engine.shutdown()
+    assert run["x"] == 2
+    assert run["y"] == 3

@@ -206,23 +206,6 @@ def test_single_flight_claim_and_release(tmp_path):
 
 
 @pytest.mark.skipif(not HAVE_LOCKS, reason="needs advisory locks")
-def test_flight_wait_ready_free_timeout(tmp_path):
-    stage = _stage()
-    cache = ArtifactCache(cache_dir=tmp_path, lock_timeout=0.2)
-    peer = ArtifactCache(cache_dir=tmp_path, lock_timeout=0.2)
-    # "free": nobody holds the flight
-    assert peer.flight_wait("k1", stage.name) == "free"
-    # "timeout": holder never publishes
-    flight = cache.begin_flight("k1")
-    assert peer.flight_wait("k1", stage.name) == "timeout"
-    assert peer.stats()["flight_timeouts"] == 1
-    # "ready": entry published (holder still holding is irrelevant)
-    cache.put("k1", stage, {"value": 1.0})
-    assert peer.flight_wait("k1", stage.name) == "ready"
-    cache.end_flight(flight)
-
-
-@pytest.mark.skipif(not HAVE_LOCKS, reason="needs advisory locks")
 def test_put_skips_disk_when_bucket_lock_is_wedged(tmp_path):
     stage = _stage()
     cache = ArtifactCache(cache_dir=tmp_path, lock_timeout=0.15)

@@ -19,11 +19,6 @@ from repro.config import (
     resolve_float,
     resolve_int,
 )
-from repro.engine.backends.workqueue import (
-    DEFAULT_LEASE_TTL,
-    LEASE_TTL_ENV,
-    resolve_lease_ttl,
-)
 from repro.engine.durability import (
     DEFAULT_SHUTDOWN_GRACE,
     SHUTDOWN_GRACE_ENV,
@@ -119,7 +114,6 @@ class TestTimingKnobs:
 
     @pytest.mark.parametrize("resolver,env,default", [
         (resolve_lock_timeout, LOCK_TIMEOUT_ENV, DEFAULT_LOCK_TIMEOUT),
-        (resolve_lease_ttl, LEASE_TTL_ENV, DEFAULT_LEASE_TTL),
     ])
     @pytest.mark.parametrize("bad", ["0", "-3", "nan", "inf", "soon"])
     def test_positive_knobs_reject_bad_env(self, monkeypatch, resolver,
@@ -130,7 +124,6 @@ class TestTimingKnobs:
 
     @pytest.mark.parametrize("resolver,env,default", [
         (resolve_lock_timeout, LOCK_TIMEOUT_ENV, DEFAULT_LOCK_TIMEOUT),
-        (resolve_lease_ttl, LEASE_TTL_ENV, DEFAULT_LEASE_TTL),
         (resolve_shutdown_grace, SHUTDOWN_GRACE_ENV,
          DEFAULT_SHUTDOWN_GRACE),
     ])
@@ -145,7 +138,7 @@ class TestTimingKnobs:
         with pytest.raises(ReproError):
             resolve_lock_timeout(float("nan"))
         with pytest.raises(ReproError):
-            resolve_lease_ttl(-1)
+            resolve_lock_timeout(-1)
 
     def test_shutdown_grace_allows_zero_but_not_negative(self,
                                                          monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import (
     Engine,
+    SerialBackend,
     Task,
     default_engine,
     register_stage,
@@ -182,7 +183,16 @@ def test_manifest_roundtrip_and_save(tmp_path):
 
 def test_worker_count_resolution(monkeypatch):
     assert resolve_worker_count(3) == 3
+    # Pinned to one core (``taskset -c 0``) on a wider machine: the
+    # default width follows the affinity mask, so Engine() is serial.
     monkeypatch.setattr("os.cpu_count", lambda: 5)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    assert resolve_worker_count() == 1
+    assert isinstance(Engine(use_disk=False).backend, SerialBackend)
+    # Platforms without affinity masks fall back to the CPU count.
+    monkeypatch.delattr("os.sched_getaffinity")
     assert resolve_worker_count() == 5
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert resolve_worker_count() == 1

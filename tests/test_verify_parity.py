@@ -36,14 +36,13 @@ def test_matrix_covers_every_mechanism():
             assert cell.warm_from in names
     assert set(FAST_MODES) <= set(names)
     # Every shipped execution backend appears as an explicit cell: a
-    # warm-worker pool pair (cold + replay) and the two-process
-    # work-queue chaos drain.
+    # warm-worker pool pair (cold + replay) next to the serial cells,
+    # and two invocations sharing one cache run as a chaos cell.
     pool_cells = [c for c in PARITY_MATRIX
                   if c.backend and c.backend.startswith("pool")]
     assert any(not c.warm_from for c in pool_cells)
     assert any(c.warm_from for c in pool_cells)
-    assert any(c.backend == "workqueue" and c.chaos == "workqueue"
-               for c in PARITY_MATRIX)
+    assert any(c.chaos == "concurrent" for c in PARITY_MATRIX)
 
 
 def test_unknown_mode_rejected():
