@@ -26,9 +26,9 @@ tasks it depends on.  The engine
   to an append-only fsync'd :class:`RunJournal` and be resumed after a
   ``kill -9``, disk-cache access is serialised with advisory file
   locks, concurrent invocations sharing one cache directory
-  single-flight their misses, the store is bounded by an LRU budget
-  (``REPRO_CACHE_MAX_BYTES``), and SIGINT/SIGTERM drain gracefully
-  within ``REPRO_SHUTDOWN_GRACE`` seconds.
+  single-flight their misses, and SIGINT/SIGTERM drain gracefully
+  within ``REPRO_SHUTDOWN_GRACE`` seconds.  The disk store is
+  unbounded: published entries are never deleted.
 
 See ``repro.engine.pipeline`` for the paper pipeline's stage
 definitions and task builders, and ``repro.flows.durable`` for the
@@ -44,7 +44,7 @@ from repro.engine.backends import (
     parse_backend_spec,
     resolve_backend,
 )
-from repro.engine.cache import ArtifactCache, parse_size, resolve_cache_dir
+from repro.engine.cache import ArtifactCache, resolve_cache_dir
 from repro.engine.remote import (
     REMOTE_CACHE_ENV,
     REMOTE_TIMEOUT_ENV,
@@ -131,7 +131,6 @@ __all__ = [
     "load_run",
     "new_run_id",
     "parse_backend_spec",
-    "parse_size",
     "register_stage",
     "registered_stages",
     "replay_journal",

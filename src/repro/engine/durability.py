@@ -1,4 +1,4 @@
-"""Crash-safe run durability: journals, pins, graceful shutdown.
+"""Crash-safe run durability: journals and graceful shutdown.
 
 A *durable* run writes an append-only, fsync'd journal under the cache
 directory (``<cache_dir>/runs/<run_id>/journal.jsonl``): one ``begin``
@@ -12,10 +12,6 @@ a resumed run simply re-executes the same graph: completed entries are
 says what finished; the cache's fingerprint/format/version validation
 says whether the bytes are still good), everything else is recomputed.
 At most the in-flight tasks of the killed process are lost.
-
-The same directory holds the run's ``ACTIVE`` marker and ``pins.json``
-(the graph's artefact keys): LRU eviction never removes an entry pinned
-by a live — or recently interrupted, hence resumable — run.
 
 Graceful shutdown: :class:`GracefulShutdown` converts SIGINT/SIGTERM
 into a :class:`CancellationToken` the engine polls at task boundaries.
@@ -51,14 +47,6 @@ RUNS_DIRNAME = "runs"
 
 #: Journal schema version (bump on incompatible record changes).
 JOURNAL_FORMAT = 1
-
-#: Age past which an ``ACTIVE`` marker no longer pins cache entries.
-#: Bounds the eviction-pin leak of a run that was ``kill -9``'d and
-#: never resumed (a resume refreshes the marker).
-PIN_TTL_S = 24 * 3600.0
-
-#: Journal directories older than this are removed by maintenance.
-RUN_EXPIRY_S = 14 * 24 * 3600.0
 
 #: Process exit codes of the resume-aware CLIs.
 EXIT_OK = 0
@@ -100,16 +88,14 @@ class RunJournal:
 
     FILENAME = "journal.jsonl"
 
-    def __init__(self, path: os.PathLike, fsync: bool = True):
+    def __init__(self, path: os.PathLike):
         self.path = Path(path)
-        self.fsync = fsync
         self._handle: Optional[IO[str]] = None
 
     @classmethod
-    def for_run(cls, cache_dir: os.PathLike, run_id: str,
-                fsync: bool = True) -> "RunJournal":
+    def for_run(cls, cache_dir: os.PathLike, run_id: str) -> "RunJournal":
         """The journal of one run under one cache directory."""
-        return cls(run_dir(cache_dir, run_id) / cls.FILENAME, fsync=fsync)
+        return cls(run_dir(cache_dir, run_id) / cls.FILENAME)
 
     @property
     def exists(self) -> bool:
@@ -123,8 +109,7 @@ class RunJournal:
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         self._handle.write(line + "\n")
         self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
+        os.fsync(self._handle.fileno())
 
     def close(self) -> None:
         if self._handle is not None:
@@ -253,95 +238,11 @@ def list_runs(cache_dir: os.PathLike) -> List[Dict[str, Any]]:
             "tasks_done": done,
             "tasks_failed": len(state.tasks) - done,
             "resumes": state.resumes,
-            "active": (entry / "ACTIVE").is_file(),
+            # Not completed = interrupted, failed or still running:
+            # resumable either way.
+            "active": state.status != "completed",
         })
     return out
-
-
-# ----------------------------------------------------------------------
-# pins: what eviction must not touch
-# ----------------------------------------------------------------------
-def mark_active(directory: os.PathLike) -> None:
-    """Create/refresh the run's ``ACTIVE`` marker (mtime = heartbeat)."""
-    path = Path(directory) / "ACTIVE"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.touch()
-
-
-def clear_active(directory: os.PathLike) -> None:
-    """Remove the ``ACTIVE`` marker (run finished; pins lapse)."""
-    try:
-        os.unlink(Path(directory) / "ACTIVE")
-    except OSError:
-        pass
-
-
-def write_pins(directory: os.PathLike, keys) -> None:
-    """Persist the artefact keys a run depends on (atomic publish)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    tmp = directory / "pins.json.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(sorted(keys), handle)
-    os.replace(tmp, directory / "pins.json")
-
-
-def active_pins(cache_dir: os.PathLike,
-                ttl: float = PIN_TTL_S) -> Set[str]:
-    """Keys pinned by runs whose ``ACTIVE`` marker is fresher than ttl.
-
-    Covers both live runs in other processes and interrupted-but-
-    resumable runs; a marker the holder never cleared (``kill -9``,
-    never resumed) stops pinning after ``ttl`` seconds.
-    """
-    pins: Set[str] = set()
-    root = runs_root(cache_dir)
-    if not root.is_dir():
-        return pins
-    now = time.time()
-    for entry in root.iterdir():
-        marker = entry / "ACTIVE"
-        try:
-            if now - marker.stat().st_mtime > ttl:
-                continue
-        except OSError:
-            continue
-        try:
-            with open(entry / "pins.json", "r", encoding="utf-8") as fh:
-                pins.update(str(k) for k in json.load(fh))
-        except (OSError, ValueError):
-            continue
-    return pins
-
-
-def expire_runs(cache_dir: os.PathLike,
-                max_age: float = RUN_EXPIRY_S) -> int:
-    """Delete inactive journal directories older than ``max_age``."""
-    root = runs_root(cache_dir)
-    if not root.is_dir():
-        return 0
-    removed = 0
-    now = time.time()
-    for entry in list(root.iterdir()):
-        if (entry / "ACTIVE").is_file():
-            continue
-        try:
-            age = now - entry.stat().st_mtime
-        except OSError:
-            continue
-        if age <= max_age:
-            continue
-        for child in list(entry.iterdir()):
-            try:
-                os.unlink(child)
-            except OSError:
-                pass
-        try:
-            entry.rmdir()
-            removed += 1
-        except OSError:
-            pass
-    return removed
 
 
 # ----------------------------------------------------------------------

@@ -32,16 +32,14 @@ task that exhausts its attempts is recorded as a
 
 Durability (see :mod:`repro.engine.durability`): ``run`` optionally
 journals every task outcome to an append-only fsync'd
-:class:`~repro.engine.durability.RunJournal` (crash-safe resume), pins
-the graph's artefact keys against cache eviction for the duration of
-the run, honours a
-:class:`~repro.engine.durability.CancellationToken` at task boundaries
-(graceful shutdown: stop scheduling, drain in-flight work within the
-grace window, raise :class:`~repro.errors.RunInterrupted` with the
-partial manifest), and — when several invocations share one cache
-directory — claims each cache miss's cross-process single-flight lock
-as it dispatches the task, so N invocations split the graph between
-them instead of computing the same fingerprint N times.
+:class:`~repro.engine.durability.RunJournal` (crash-safe resume),
+honours a :class:`~repro.engine.durability.CancellationToken` at task
+boundaries (graceful shutdown: stop scheduling, drain in-flight work
+within the grace window, raise :class:`~repro.errors.RunInterrupted`
+with the partial manifest), and — when several invocations share one
+cache directory — claims each cache miss's cross-process single-flight
+lock as it dispatches the task, so N invocations split the graph
+between them instead of computing the same fingerprint N times.
 """
 
 from __future__ import annotations
@@ -358,9 +356,6 @@ class Engine:
         scheduler = Scheduler(self.cache, self.retry_policy,
                               journal=journal, cancellation=cancellation,
                               run_start=run_start)
-        pinned = set(keys.values())
-        self.cache.pin(pinned)
-
         try:
             pending = [task for task in order
                        if not scheduler.try_cache(task, keys[task.id],
@@ -383,7 +378,6 @@ class Engine:
                     result.manifest.transfer_bytes = (
                         backend.transfer_bytes - transfer_before)
         finally:
-            self.cache.unpin(pinned)
             result.manifest.total_wall_time = (time.perf_counter()
                                                - run_start)
         return result

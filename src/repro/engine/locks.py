@@ -1,9 +1,8 @@
 """Advisory cross-process file locks for the shared disk cache.
 
 N concurrent CLI invocations may share one ``REPRO_CACHE_DIR``; the
-cache guards its mutating paths (entry publish, eviction, quarantine
-maintenance) and its single-flight protocol with advisory locks on
-small sentinel files.  POSIX uses ``fcntl.flock`` (released by the
+cache guards its entry publishes and its single-flight protocol with
+advisory locks on small sentinel files.  POSIX uses ``fcntl.flock`` (released by the
 kernel when the holder dies, so a ``kill -9`` never wedges the cache),
 Windows uses ``msvcrt.locking``; platforms with neither degrade to
 no-op locks — single-process behaviour is unchanged, only the

@@ -27,10 +27,10 @@ STATUS_INTERRUPTED = "interrupted"
 class TaskRecord:
     """Outcome of one task in one run.
 
-    ``cache`` is ``"memory"``, ``"disk"`` or ``"miss"`` (computed);
-    ``worker`` is ``"cache"`` for hits, ``"main"`` for in-process serial
-    execution, ``"peer"`` for artefacts published by another work-queue
-    invocation, or the pool worker's pid rendered as a string.
+    ``cache`` is ``"memory"``, ``"disk"``, ``"remote"`` or ``"miss"``
+    (computed); ``worker`` is ``"cache"`` for hits, ``"main"`` for
+    in-process serial execution, or the pool worker's pid rendered as
+    a string.
     ``attempts`` counts compute attempts (> 1 after retries).
 
     Time semantics: ``wall_time`` is the task's own elapsed compute

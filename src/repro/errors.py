@@ -105,8 +105,8 @@ class CacheLockTimeout(ReproError):
 
     Raised by :class:`repro.engine.locks.FileLock` when another process
     holds the lock past ``REPRO_LOCK_TIMEOUT`` seconds — the caller can
-    degrade (compute without the lock, skip maintenance) instead of
-    blocking a run forever on a wedged peer.
+    degrade (compute without the lock, skip the disk publish) instead
+    of blocking a run forever on a wedged peer.
     """
 
     code = "cache.lock_timeout"

@@ -1,9 +1,9 @@
 """End-to-end pipelines.
 
 :func:`run_full_flow` is the in-process entry point;
-:func:`run_durable_flow` / :func:`resume_run` add crash-safe journals,
-eviction pins and graceful shutdown (``python -m repro.flows`` drives
-them from the shell — see :mod:`repro.flows.cli`).
+:func:`run_durable_flow` / :func:`resume_run` add crash-safe journals
+and graceful shutdown (``python -m repro.flows`` drives them from the
+shell — see :mod:`repro.flows.cli`).
 """
 
 from repro.flows.durable import (

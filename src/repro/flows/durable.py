@@ -5,8 +5,6 @@ the durability machinery of :mod:`repro.engine.durability`:
 
 * the flow parameters and every task outcome are appended (fsync'd) to
   ``<cache_dir>/runs/<run_id>/journal.jsonl`` as they happen;
-* the graph's artefact keys are pinned against LRU eviction for the
-  run's lifetime (``pins.json`` + ``ACTIVE`` marker);
 * SIGINT/SIGTERM drain gracefully within ``REPRO_SHUTDOWN_GRACE``
   seconds, then raise :class:`~repro.errors.RunInterrupted` — the
   journal and a partial ``manifest.json`` (status ``interrupted``) are
@@ -35,12 +33,9 @@ from repro.engine.durability import (
     CancellationToken,
     GracefulShutdown,
     RunJournal,
-    clear_active,
     load_run,
-    mark_active,
     new_run_id,
     run_dir,
-    write_pins,
 )
 from repro.engine.fingerprint import fingerprint
 from repro.errors import ReproError, RunInterrupted
@@ -64,7 +59,7 @@ class DurableFlowRun:
 
     ``resumed`` counts the ``resume`` records in the journal (0 for a
     run that finished in one invocation); ``run_dir`` holds the
-    journal, pins and the saved ``manifest.json``.
+    journal and the saved ``manifest.json``.
     """
 
     run_id: str
@@ -209,8 +204,6 @@ def run_durable_flow(*,
 
     graph, extraction_pairs, ppa_pairs = build_flow_graph(
         cells, cell_variants, channel_variants, process, parasitics, dt)
-    mark_active(directory)
-    write_pins(directory, engine.task_keys(graph).values())
 
     try:
         if cancellation is not None:
@@ -234,8 +227,6 @@ def run_durable_flow(*,
         journal.append({"type": "end", "status": "interrupted",
                         "run_id": run_id})
         journal.close()
-        # ACTIVE stays: the run is resumable and its artefacts stay
-        # pinned (until PIN_TTL_S lapses for an abandoned run).
         raise
     except BaseException:
         journal.close()
@@ -246,7 +237,6 @@ def run_durable_flow(*,
                     "run_id": run_id})
     journal.close()
     run.manifest.save(directory / MANIFEST_FILENAME)
-    clear_active(directory)
     result = assemble_flow_result(run, extraction_pairs, ppa_pairs)
     return DurableFlowRun(run_id=run_id, result=result,
                           run_dir=directory, resumed=resumed)
@@ -266,7 +256,7 @@ def resume_run(run_id: str, *,
     Replays ``<cache_dir>/runs/<run_id>/journal.jsonl``, rebuilds the
     journalled task graph and re-executes it.  Completed work is
     trusted only through the content-addressed disk cache (corrupt or
-    evicted entries are simply recomputed); at most the killed
+    missing entries are simply recomputed); at most the killed
     invocation's in-flight tasks are repeated.
     """
     engine = _resolve_durable_engine(engine, cache_dir, max_workers,

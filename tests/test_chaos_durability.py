@@ -71,7 +71,7 @@ def test_kill_mid_write_leaves_no_torn_entries(tmp_path):
     assert outcome.killed, (outcome.returncode, outcome.stderr)
 
     cache = ArtifactCache(cache_dir=tmp_path)
-    for path, _, _ in cache._disk_entries():
+    for path in tmp_path.glob("*/*.json"):  # <stage>/<key>.json
         record = json.loads(path.read_text(encoding="utf-8"))
         assert "artifact" in record, f"torn entry {path}"
     assert cache.quarantined() == []

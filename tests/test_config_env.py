@@ -156,15 +156,6 @@ class TestEngineKnobs:
     malformed value fails at startup with a ConfigError naming the
     variable, never half-works."""
 
-    def test_cache_max_bytes_rejects_garbage(self, monkeypatch):
-        from repro.engine.cache import CACHE_MAX_BYTES_ENV, \
-            resolve_max_bytes
-        monkeypatch.setenv(CACHE_MAX_BYTES_ENV, "lots")
-        with pytest.raises(ConfigError, match=CACHE_MAX_BYTES_ENV):
-            resolve_max_bytes()
-        monkeypatch.setenv(CACHE_MAX_BYTES_ENV, "512M")
-        assert resolve_max_bytes() == 512 * 1024**2
-
     @pytest.mark.parametrize("env_name,bad", [
         ("REPRO_REMOTE_TIMEOUT", "0"),
         ("REPRO_REMOTE_TIMEOUT", "nan"),

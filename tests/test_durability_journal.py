@@ -1,8 +1,7 @@
 """Run journals: durable appends, torn-tail recovery, state replay,
-pins, active markers and the graceful-shutdown primitives."""
+run listing and the graceful-shutdown primitives."""
 
 import json
-import os
 import signal
 
 import pytest
@@ -15,17 +14,12 @@ from repro.engine.durability import (
     JournalState,
     RunJournal,
     SHUTDOWN_GRACE_ENV,
-    active_pins,
-    clear_active,
-    expire_runs,
     list_runs,
     load_run,
-    mark_active,
     new_run_id,
     replay_journal,
     resolve_shutdown_grace,
     run_dir,
-    write_pins,
 )
 from repro.errors import ReproError
 
@@ -118,45 +112,12 @@ def test_list_runs_summarises_journals(tmp_path):
                         "key": "k"})
         journal.append({"type": "end", "status": status})
         journal.close()
-    mark_active(run_dir(tmp_path, "r2"))
     runs = {r["run_id"]: r for r in list_runs(tmp_path)}
     assert runs["r1"]["status"] == "completed"
     assert not runs["r1"]["active"]
     assert runs["r2"]["status"] == "interrupted"
     assert runs["r2"]["active"]
     assert runs["r1"]["tasks_done"] == 1
-
-
-def test_active_pins_honour_ttl(tmp_path):
-    directory = run_dir(tmp_path, "r1")
-    mark_active(directory)
-    write_pins(directory, {"k1", "k2"})
-    assert active_pins(tmp_path) == {"k1", "k2"}
-    # an ancient marker stops pinning
-    old = directory / "ACTIVE"
-    os.utime(old, (1.0, 1.0))
-    assert active_pins(tmp_path) == set()
-    # clearing drops the pins immediately
-    mark_active(directory)
-    clear_active(directory)
-    assert active_pins(tmp_path) == set()
-
-
-def test_expire_runs_keeps_active_and_recent(tmp_path):
-    stale = run_dir(tmp_path, "stale")
-    live = run_dir(tmp_path, "live")
-    for directory in (stale, live):
-        journal = RunJournal(directory / RunJournal.FILENAME)
-        journal.append({"type": "begin", "run_id": directory.name})
-        journal.close()
-    os.utime(stale, (1.0, 1.0))
-    assert expire_runs(tmp_path) == 1
-    assert not stale.exists()
-    assert live.exists()
-    # an ACTIVE marker protects even an ancient run
-    mark_active(live)
-    os.utime(live, (1.0, 1.0))
-    assert expire_runs(tmp_path) == 0
 
 
 def test_resolve_shutdown_grace(monkeypatch):

@@ -178,7 +178,6 @@ def test_stats_counters(tmp_path):
     assert core == {"hits_memory": 1, "hits_disk": 0, "misses": 1,
                     "corrupt": 0, "write_errors": 0}
     # durability counters all start at zero
-    assert stats["evicted"] == 0
     assert stats["quarantine_expired"] == 0
     assert stats["lock_timeouts"] == 0
     assert stats["flight_timeouts"] == 0

@@ -9,6 +9,7 @@ from repro.engine.durability import (
     EXIT_OK,
     EXIT_USAGE,
 )
+from repro.engine.stages import registered_stages
 from repro.flows.cli import (
     _parse_cells,
     _parse_channels,
@@ -104,6 +105,14 @@ def test_run_resume_alias_and_list_roundtrip(tmp_path, capsys):
     assert code == EXIT_OK
     assert "cli-test" in out
     assert "resumed x1" in out
+
+    # the store holds artefacts, locks, flights and run journals only;
+    # nothing else accumulates across runs
+    internal = {".flight", ".locks", "runs"}
+    names = {p.name for p in tmp_path.iterdir()}
+    assert names - internal <= set(registered_stages())
+    assert {p.name for p in (tmp_path / "runs" / "cli-test").iterdir()} \
+        == {"journal.jsonl", "manifest.json"}
 
 
 def test_resume_alias_rewrite_keeps_options():
