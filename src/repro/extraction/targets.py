@@ -63,12 +63,13 @@ def characterize_device(device: DeviceDesign,
                         spec: Optional[SweepSpec] = None) -> DeviceTargets:
     """Run the full TCAD sweep plan on a device and bundle the targets."""
     simulator = TcadSimulator(device, spec)
+    idvg_lin, idvg_sat, idvd = simulator.iv_sweeps()
     return DeviceTargets(
         variant=device.variant,
         polarity=device.polarity,
-        idvg_lin=simulator.id_vg_linear(),
-        idvg_sat=simulator.id_vg_saturation(),
-        idvd=simulator.id_vd(),
+        idvg_lin=idvg_lin,
+        idvg_sat=idvg_sat,
+        idvd=idvd,
         cv=simulator.cv(),
         label=device.label,
     )
@@ -82,7 +83,7 @@ def cached_targets(variant: ChannelCount, polarity: Polarity,
     Thin shim over the execution engine: the artefact is content-
     addressed on the *full* process record and sweep plan (not object
     identity), cached in memory for the life of the process and in the
-    on-disk store across processes.  The TCAD sweeps take ~1 s per
+    on-disk store across processes.  The TCAD sweeps take ~0.1 s per
     device; the extraction flow, the PPA harness and many tests all
     need the same eight devices.
     """

@@ -12,6 +12,14 @@ without special casing.  Velocity saturation is applied through a smooth
 ``V_DSeff`` clamp and a triode degradation factor, and channel-length
 modulation as a linear post-factor — the same structure BSIM-class models
 use, which keeps the later compact-model fit honest but not trivial.
+
+:meth:`ChargeSheetModel.drain_currents` evaluates a whole set of bias
+points (a device's sweep plan) with 13 stacked Poisson solves: one
+cold-start solve of every point's source-end charge, then one per
+Gauss-Legendre step, each point warm-starting from its own previous step.
+The per-point V_DSsat, V_DSeff, mobility and integral bookkeeping stays in
+scalar floats in a fixed order, so every current is bit-identical to a
+one-point :meth:`ChargeSheetModel.drain_current`.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.errors import SimulationError
 from repro.tcad.poisson1d import Poisson1D
@@ -83,50 +92,77 @@ class ChargeSheetModel:
         rolloff = self.short_channel.vth_rolloff(self.l_eff)
         return vgs + sigma * vds + rolloff
 
-    def _vdsat(self, vg_eff: float) -> float:
-        """Smooth saturation voltage from velocity-saturation theory."""
-        q0 = self.poisson.inversion_charge(vg_eff, 0.0)
+    def _vdsat(self, q0: float) -> float:
+        """Smooth saturation voltage from velocity-saturation theory,
+        given the source-end inversion charge ``q0``."""
         cox = self.poisson.oxide_capacitance()
         v_ov = q0 / cox
         esat_l = self.mobility.saturation_field(q0) * self.l_eff
         return 3.0 * self._vt + esat_l * v_ov / (esat_l + v_ov + 1e-12)
 
     def drain_current(self, vgs: float, vds: float) -> float:
-        """Drain current [A] for non-negative ``vds`` (source-referenced).
+        """Drain current [A] for one bias point (a one-point
+        :meth:`drain_currents`)."""
+        return self.drain_currents([vgs], [vds])[0]
+
+    def drain_currents(self, vgs: ArrayLike, vds: ArrayLike) -> np.ndarray:
+        """Drain currents [A] of a set of (source-referenced) bias points.
 
         Negative ``vds`` is handled by source/drain exchange symmetry.
+        All points share stacked :meth:`Poisson1D.solve` calls: one
+        cold-start solve of the source-end charge at V = 0, then one per
+        quadrature step, where each point's step k warm-starts from its
+        own step k-1.  Each point's result is bit-identical to solving it
+        alone.
         """
-        if vds < 0:
-            return -self.drain_current(vgs - vds, -vds)
-        if vds == 0:
-            return 0.0
+        vgs = np.asarray(vgs, dtype=float)
+        vds = np.asarray(vds, dtype=float)
+        if vgs.shape != vds.shape or vgs.ndim != 1:
+            raise SimulationError("vgs and vds must be equal-length 1-D")
+        reverse = vds < 0
+        vgs = np.where(reverse, vgs - vds, vgs)
+        vds = np.abs(vds)
+        currents = np.zeros(vds.size)
+        live = np.flatnonzero(vds > 0)
+        if not live.size:
+            return currents
+        points = [(float(vgs[i]), float(vds[i])) for i in live]
+        vg_eff = np.array([self._effective_gate_voltage(vg, vd)
+                           for vg, vd in points])
 
-        vg_eff = self._effective_gate_voltage(vgs, vds)
-        vdsat = self._vdsat(vg_eff)
+        # Python floats from here on: the power laws below must round
+        # exactly as they do for a single point.
+        q0 = self.poisson.solve(vg_eff, 0.0).q_inv.tolist()
         # Smooth clamp of the integration limit (velocity saturation).
-        vdseff = vds / (1.0 + (vds / vdsat) ** 4) ** 0.25
+        vdseff = [vd / (1.0 + (vd / self._vdsat(q)) ** 4) ** 0.25
+                  for (_, vd), q in zip(points, q0)]
 
         # Gauss-Legendre integral of Q over [0, vdseff], with the mobility
         # evaluated at the source-end charge (standard charge-sheet
         # simplification: one mu_eff per bias point, not per channel slice).
-        half = vdseff / 2.0
-        v_points = half * (self._gl_nodes + 1.0)
-        integral = 0.0
+        half = np.array(vdseff) / 2.0
+        v_points = half[:, None] * (self._gl_nodes + 1.0)
+        charges = np.empty_like(v_points)
         psi0 = None
-        for v, w in zip(v_points, self._gl_weights):
-            solution = self.poisson.solve(vg_eff, float(v), psi0=psi0)
+        for k in range(self.quadrature_points):
+            solution = self.poisson.solve(vg_eff, v_points[:, k], psi0=psi0)
             psi0 = solution.psi
-            integral += w * solution.q_inv
-        integral *= half
+            charges[:, k] = solution.q_inv
 
-        q0 = self.poisson.inversion_charge(vg_eff, 0.0)
-        integral *= self.mobility.effective_mobility(q0)
-        esat_l = self.mobility.saturation_field(q0) * self.l_eff
-        triode_factor = 1.0 / (1.0 + vdseff / esat_l)
-        clm = 1.0 + self.clm_coefficient * max(vds - vdseff, 0.0)
-
-        current = (self.width / self.l_eff) * integral * triode_factor * clm
-        return current + self._leakage_floor(vds)
+        for row, i in enumerate(live):
+            vds_i = points[row][1]
+            integral = 0.0
+            for w, q in zip(self._gl_weights, charges[row]):
+                integral += w * q
+            integral *= half[row]
+            integral *= self.mobility.effective_mobility(q0[row])
+            esat_l = self.mobility.saturation_field(q0[row]) * self.l_eff
+            triode_factor = 1.0 / (1.0 + vdseff[row] / esat_l)
+            clm = 1.0 + self.clm_coefficient * max(vds_i - vdseff[row], 0.0)
+            current = (self.width / self.l_eff) * integral * \
+                triode_factor * clm
+            currents[i] = current + self._leakage_floor(vds_i)
+        return np.where(reverse, -currents, currents)
 
     def _leakage_floor(self, vds: float) -> float:
         """SRH generation leakage from the drain-side depleted film [A]."""
@@ -135,34 +171,30 @@ class ChargeSheetModel:
         # Generation scales with the depletion bias; keep a soft V_DS factor.
         return floor * (vds / (vds + self._vt))
 
-    def gate_charge_per_area(self, vgs: float) -> float:
-        """Gate charge density [C/m^2] at V_DS = 0 (for C-V extraction)."""
-        return self.poisson.solve(vgs, 0.0).q_gate
-
-    def gate_capacitance_per_area(self, vgs: float,
-                                  delta: float = 2e-3) -> float:
-        """Small-signal C_GG per area [F/m^2] at V_DS = 0."""
-        hi = self.gate_charge_per_area(vgs + delta)
-        lo = self.gate_charge_per_area(vgs - delta)
-        return (hi - lo) / (2.0 * delta)
+    def gate_capacitance_per_area(self, vgs: ArrayLike,
+                                  delta: float = 2e-3) -> ArrayLike:
+        """Small-signal C_GG per area [F/m^2] at V_DS = 0 (for C-V
+        extraction); an array of ``vgs`` is one stacked solve."""
+        return self.poisson.gate_capacitance(vgs, delta)
 
     def transconductance(self, vgs: float, vds: float,
                          delta: float = 2e-3) -> float:
         """g_m [S] by central differencing."""
-        return (self.drain_current(vgs + delta, vds) -
-                self.drain_current(vgs - delta, vds)) / (2.0 * delta)
+        hi, lo = self.drain_currents([vgs + delta, vgs - delta], [vds, vds])
+        return (hi - lo) / (2.0 * delta)
 
     def output_conductance(self, vgs: float, vds: float,
                            delta: float = 2e-3) -> float:
-        """g_ds [S] by central differencing."""
-        return (self.drain_current(vgs, vds + delta) -
-                self.drain_current(vgs, max(vds - delta, 0.0))) / (2.0 * delta)
+        """g_ds [S] by central differencing; one-sided below ``delta``,
+        where the lower point clamps to V_DS = 0."""
+        v_hi, v_lo = vds + delta, max(vds - delta, 0.0)
+        hi, lo = self.drain_currents([vgs, vgs], [v_hi, v_lo])
+        return (hi - lo) / (v_hi - v_lo)
 
     def subthreshold_swing(self, vds: float = 0.05,
                            vg_low: float = 0.05, vg_high: float = 0.20) -> float:
         """Subthreshold swing [V/decade] between two weak-inversion biases."""
-        i_low = self.drain_current(vg_low, vds)
-        i_high = self.drain_current(vg_high, vds)
+        i_low, i_high = self.drain_currents([vg_low, vg_high], [vds, vds])
         if i_low <= 0 or i_high <= 0 or i_high <= i_low:
             raise SimulationError("invalid subthreshold window")
         decades = np.log10(i_high / i_low)

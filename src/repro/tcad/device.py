@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from numpy.typing import ArrayLike
+
 from repro.geometry.process import DEFAULT_PROCESS, ProcessParameters
 from repro.geometry.miv import MivGeometry, MivRole
 from repro.geometry.transistor_layout import (
@@ -121,9 +123,10 @@ class DeviceDesign:
         """|I_D| [A] for magnitude-space sweeps (extraction targets)."""
         return self.engine.drain_current(vgs_mag, vds_mag)
 
-    def gate_capacitance(self, vgs_mag: float) -> float:
+    def gate_capacitance(self, vgs_mag: ArrayLike) -> ArrayLike:
         """Total gate capacitance [F] at V_DS = 0 for a magnitude-space
-        gate bias: intrinsic C_GG plus overlaps and MIV fringing."""
+        gate bias (or an array of them): intrinsic C_GG plus overlaps and
+        MIV fringing."""
         per_area = self.engine.gate_capacitance_per_area(vgs_mag)
         intrinsic = per_area * self.width * self.l_gate
         return (intrinsic + self.overlap_cap_source + self.overlap_cap_drain +

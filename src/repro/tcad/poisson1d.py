@@ -16,14 +16,28 @@ LAPACK routine.  Outputs are the potential profile, the sheet inversion
 charge (integral of the minority carrier density over the film) and the
 gate charge per unit area (displacement field at the gate boundary), from
 which C-V curves are differentiated.
+
+:meth:`Poisson1D.solve` takes one bias point or a stack of ``B`` of them.
+A stack runs as one Newton: each iteration places the active rows'
+Jacobians on the diagonal of one block-diagonal tridiagonal system (the
+couplings between blocks are zero) and solves it with a single LAPACK
+call, and a row leaves the active set once its own update has converged.
+Every row does exactly the arithmetic of a solve on its own, so stacking
+changes no bit of any result; it only removes the per-call overhead that
+dominates at 65 nodes.  The Newton is inexact (the density derivative
+ignores the Fermi correction), so converged charges depend on the
+starting guess at the 1e-8 level; callers that warm-start must therefore
+keep each row's own guess, as :mod:`repro.tcad.charge_sheet` does.  The
+``tcad.poisson1d.*`` counters count rows, not calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
+from numpy.typing import ArrayLike
 from scipy.linalg import solve_banded
 
 from repro.constants import Q, thermal_voltage
@@ -70,7 +84,11 @@ class StackSpec:
 
 @dataclass(frozen=True)
 class PoissonSolution:
-    """Result of one 1-D Poisson solve.
+    """Result of a 1-D Poisson solve.
+
+    A scalar bias gives scalar fields; a stack of ``B`` biases gives one
+    entry per row: ``psi`` is ``(B, N)`` and the charges, surface
+    potential and iteration counts are ``(B,)`` arrays.
 
     Attributes
     ----------
@@ -90,10 +108,34 @@ class PoissonSolution:
 
     psi: np.ndarray
     x: np.ndarray
-    q_inv: float
-    q_gate: float
-    surface_potential: float
-    iterations: int
+    q_inv: Union[float, np.ndarray]
+    q_gate: Union[float, np.ndarray]
+    surface_potential: Union[float, np.ndarray]
+    iterations: Union[int, np.ndarray]
+
+
+def _stacked_tridiagonal_solve(lower: np.ndarray, diag: np.ndarray,
+                               upper: np.ndarray,
+                               rhs: np.ndarray) -> np.ndarray:
+    """Solve ``k`` independent tridiagonal systems in one LAPACK call.
+
+    Inputs are ``(k, n)`` blocks: ``diag[s, i]`` is ``A_s[i, i]``,
+    ``upper[s, i]`` is ``A_s[i, i+1]`` (``upper[:, -1]`` unused, must
+    be 0) and ``lower[s, i]`` is ``A_s[i, i-1]`` (``lower[:, 0]``
+    unused, must be 0).  Stacking the systems along the diagonal keeps
+    the compound matrix tridiagonal — the cross-block couplings are the
+    unused zero entries — so one banded factorisation of size ``k*n``
+    does exactly the per-block elimination, with a Python/LAPACK call
+    count independent of ``k``.
+    """
+    k, n = diag.shape
+    up = upper.reshape(k * n)
+    lo = lower.reshape(k * n)
+    ab = np.zeros((3, k * n))
+    ab[0, 1:] = up[:-1]
+    ab[1, :] = diag.reshape(k * n)
+    ab[2, :-1] = lo[1:]
+    return solve_banded((1, 1), ab, rhs.reshape(k * n)).reshape(k, n)
 
 
 class Poisson1D:
@@ -130,11 +172,28 @@ class Poisson1D:
         self._film_mask = self.mesh.node_charged
         self._volumes = self.mesh.node_volumes
         self._surface_index = int(np.argmax(self.mesh.region_node_mask("film")))
+        # Edge conductances [F/m^2] and the Jacobian's off-diagonals:
+        # interior row i couples left via cond[i-1] and right via
+        # cond[i]; the Dirichlet rows 0 and N-1 couple to nothing.
+        self._cond = self.mesh.edge_eps / self.mesh.h
+        n_nodes = self.mesh.n_nodes
+        self._lower = np.zeros(n_nodes)
+        self._lower[1:-1] = self._cond[:-1]
+        self._upper = np.zeros(n_nodes)
+        self._upper[1:-1] = self._cond[1:]
 
-    def solve(self, v_gate: float, v_channel: float = 0.0,
+    def solve(self, v_gate: ArrayLike, v_channel: ArrayLike = 0.0,
               v_back: float = 0.0,
               psi0: Optional[np.ndarray] = None) -> PoissonSolution:
-        """Solve for the potential profile.
+        """Solve for the potential profile of one bias point or a stack.
+
+        Scalar ``v_gate`` and ``v_channel`` solve one row and return a
+        scalar :class:`PoissonSolution`.  Arrays (equal length, or one of
+        them scalar) solve every row in one damped Newton: each iteration
+        solves all active rows' Jacobians with one stacked LAPACK call,
+        and a row leaves the active set once its own update falls below
+        :attr:`TOLERANCE`.  Rows are independent, so each row's result is
+        bit-identical to solving it alone.
 
         Parameters
         ----------
@@ -146,66 +205,79 @@ class Poisson1D:
         v_back:
             Back-plane (carrier wafer) potential [V].
         psi0:
-            Optional initial guess (e.g. the solution at a nearby bias).
+            Optional initial guess (e.g. the solution at a nearby bias):
+            ``(N,)`` for a scalar solve, ``(B, N)`` for a stack.
         """
-        mesh = self.mesh
-        n_nodes = mesh.n_nodes
+        scalar = np.ndim(v_gate) == 0 and np.ndim(v_channel) == 0
+        v_gate, v_channel = np.broadcast_arrays(
+            np.atleast_1d(np.asarray(v_gate, dtype=float)),
+            np.atleast_1d(np.asarray(v_channel, dtype=float)))
+        rows, n_nodes = v_gate.size, self.mesh.n_nodes
         psi_top = v_gate - self.stack.flatband
 
-        if psi0 is not None and psi0.shape == (n_nodes,):
-            psi = psi0.copy()
+        if psi0 is not None and np.shape(psi0) == \
+                ((n_nodes,) if scalar else (rows, n_nodes)):
+            psi = np.array(psi0, dtype=float).reshape(rows, n_nodes)
         else:
-            psi = np.linspace(psi_top, v_back, n_nodes)
-        psi[0] = psi_top
-        psi[-1] = v_back
+            # Row by row: a vectorised linspace rounds every row
+            # differently as soon as one row has psi_top == v_back.
+            psi = np.array([np.linspace(top, v_back, n_nodes)
+                            for top in psi_top.tolist()])
+        psi[:, 0] = psi_top
+        psi[:, -1] = v_back
 
-        cond = mesh.edge_eps / mesh.h  # edge conductances [F/m^2]
-        residual = float("inf")
+        cond = self._cond
+        volumes = self._volumes[1:-1]
+        coupling = -(cond[1:] + cond[:-1])
+        iterations = np.zeros(rows, dtype=int)
+        active = np.arange(rows)
         for iteration in range(1, self.MAX_ITERATIONS + 1):
-            n, p, dn, dp = self._carriers(psi, v_channel)
+            sub = psi[active]
+            n, p, dn, dp = self._carriers(sub, v_channel[active, None])
             rho = Q * (p - n + self.stack.net_doping) * self._film_mask
             drho = Q * (dp - dn) * self._film_mask
 
-            # Residual F_i and tridiagonal Jacobian for interior nodes.
-            flux = cond * (psi[1:] - psi[:-1])
-            f = np.zeros(n_nodes)
-            f[1:-1] = flux[1:] - flux[:-1] + rho[1:-1] * self._volumes[1:-1]
+            # Residual F_i and tridiagonal Jacobian for interior nodes;
+            # the Dirichlet rows keep F = 0 and a unit diagonal.
+            flux = cond * (sub[:, 1:] - sub[:, :-1])
+            f = np.zeros_like(sub)
+            f[:, 1:-1] = flux[:, 1:] - flux[:, :-1] + rho[:, 1:-1] * volumes
+            diag = np.ones_like(sub)
+            diag[:, 1:-1] = coupling + drho[:, 1:-1] * volumes
 
-            diag = np.zeros(n_nodes)
-            diag[1:-1] = -(cond[1:] + cond[:-1]) + drho[1:-1] * self._volumes[1:-1]
+            delta = _stacked_tridiagonal_solve(
+                np.broadcast_to(self._lower, sub.shape), diag,
+                np.broadcast_to(self._upper, sub.shape), -f)
+            sub += np.clip(delta, -self.MAX_UPDATE, self.MAX_UPDATE)
+            psi[active] = sub
+            residual = np.max(np.abs(delta), axis=1)
+            done = residual < self.TOLERANCE
+            iterations[active[done]] = iteration
+            active = active[~done]
+            if not active.size:
+                break
+        else:
+            row = active[0]
+            raise ConvergenceError(
+                f"Poisson1D failed at v_gate={v_gate[row]:.3f} V, "
+                f"v_channel={v_channel[row]:.3f} V",
+                iterations=self.MAX_ITERATIONS,
+                residual=float(residual[~done][0]))
 
-            # Dirichlet rows.
-            diag[0] = diag[-1] = 1.0
-            f[0] = f[-1] = 0.0
-            # Banded storage: ab[0, i+1] = A[i, i+1], ab[2, i] = A[i+1, i].
-            ab = np.zeros((3, n_nodes))
-            ab[0, 2:] = cond[1:]     # row i couples right via cond[i]
-            ab[1, :] = diag
-            ab[2, :-2] = cond[:-1]   # row i couples left via cond[i-1]
-            ab[0, 1] = 0.0           # top Dirichlet row has no coupling
-            ab[2, -2] = 0.0          # bottom Dirichlet row has no coupling
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.counter("tcad.poisson1d.solves").inc(rows)
+            tracer.counter("tcad.poisson1d.iterations").inc(
+                int(iterations.sum()))
+            histogram = tracer.histogram(
+                "tcad.poisson1d.iterations_per_solve")
+            for count in iterations.tolist():
+                histogram.observe(count)
+            tracer.gauge("tcad.poisson1d.last_residual").set(
+                float(residual.max()))
+        return self._package(psi, v_channel, iterations, scalar)
 
-            delta = solve_banded((1, 1), ab, -f)
-            step = np.clip(delta, -self.MAX_UPDATE, self.MAX_UPDATE)
-            psi += step
-            residual = float(np.max(np.abs(delta)))
-            if residual < self.TOLERANCE:
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.counter("tcad.poisson1d.solves").inc()
-                    tracer.counter("tcad.poisson1d.iterations").inc(iteration)
-                    tracer.histogram(
-                        "tcad.poisson1d.iterations_per_solve").observe(
-                        iteration)
-                    tracer.gauge("tcad.poisson1d.last_residual").set(residual)
-                return self._package(psi, v_channel, cond, iteration)
-
-        raise ConvergenceError(
-            f"Poisson1D failed at v_gate={v_gate:.3f} V, "
-            f"v_channel={v_channel:.3f} V",
-            iterations=self.MAX_ITERATIONS, residual=residual)
-
-    def _carriers(self, psi: np.ndarray, v_channel: float):
+    def _carriers(self, psi: np.ndarray, v_channel: ArrayLike):
         """Densities and their derivatives w.r.t. psi."""
         n = boltzmann_n(psi, v_channel, self.ni, self.vt)
         p = boltzmann_p(psi, 0.0, self.ni, self.vt)
@@ -216,33 +288,41 @@ class Poisson1D:
         dp = -p / self.vt
         return n, p, dn, dp
 
-    def _package(self, psi: np.ndarray, v_channel: float,
-                 cond: np.ndarray, iterations: int) -> PoissonSolution:
-        n, p, _, _ = self._carriers(psi, v_channel)
-        film = self._film_mask
-        q_inv = float(Q * np.sum(n * self._volumes * film))
+    def _package(self, psi: np.ndarray, v_channel: np.ndarray,
+                 iterations: np.ndarray, scalar: bool) -> PoissonSolution:
+        n, _, _, _ = self._carriers(psi, v_channel[:, None])
+        # Row by row, so each charge is the 1-D pairwise sum a one-row
+        # solve takes, whatever the memory layout of psi (an axis-1
+        # reduction of a column-major stack accumulates in another order).
+        q_inv = Q * np.array([np.sum(row) for row in
+                              n * self._volumes * self._film_mask])
         # cond[0] * (psi0 - psi1) is eps_ox * E_ox = displacement [C/m^2].
-        q_gate = float(cond[0] * (psi[0] - psi[1]))
+        q_gate = self._cond[0] * (psi[:, 0] - psi[:, 1])
+        surface = psi[:, self._surface_index]
+        if scalar:
+            return PoissonSolution(
+                psi=psi[0], x=self.mesh.x.copy(), q_inv=float(q_inv[0]),
+                q_gate=float(q_gate[0]), surface_potential=float(surface[0]),
+                iterations=int(iterations[0]))
         return PoissonSolution(
-            psi=psi.copy(),
-            x=self.mesh.x.copy(),
-            q_inv=q_inv,
-            q_gate=q_gate,
-            surface_potential=float(psi[self._surface_index]),
-            iterations=iterations,
-        )
+            psi=psi, x=self.mesh.x.copy(), q_inv=q_inv, q_gate=q_gate,
+            surface_potential=surface, iterations=iterations)
 
     def inversion_charge(self, v_gate: float, v_channel: float = 0.0,
                          psi0: Optional[np.ndarray] = None) -> float:
         """Sheet inversion charge [C/m^2] at a bias point."""
         return self.solve(v_gate, v_channel, psi0=psi0).q_inv
 
-    def gate_capacitance(self, v_gate: float, delta: float = 2e-3) -> float:
+    def gate_capacitance(self, v_gate: ArrayLike,
+                         delta: float = 2e-3) -> ArrayLike:
         """Small-signal gate capacitance per area [F/m^2] by central
-        differencing of the gate charge."""
-        hi = self.solve(v_gate + delta)
-        lo = self.solve(v_gate - delta)
-        return (hi.q_gate - lo.q_gate) / (2.0 * delta)
+        differencing of the gate charge at V_channel = 0; an array of
+        ``v_gate`` solves all its +/-delta points as one stack."""
+        v_gate = np.asarray(v_gate, dtype=float)
+        q_gate = self.solve(
+            np.stack([v_gate + delta, v_gate - delta]).ravel()).q_gate
+        hi, lo = q_gate.reshape((2,) + v_gate.shape)
+        return (hi - lo) / (2.0 * delta)
 
     def oxide_capacitance(self) -> float:
         """Front-oxide parallel-plate capacitance per area [F/m^2]."""

@@ -1,5 +1,6 @@
 """Charge-sheet transport model behaviour."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -133,3 +134,38 @@ def test_invalid_construction_rejected():
 def test_invalid_subthreshold_window_rejected(engine):
     with pytest.raises(SimulationError):
         engine.subthreshold_swing(vg_low=0.2, vg_high=0.2)
+
+
+def test_drain_current_solves_source_charge_once(engine):
+    # One cold q0 solve plus the twelve quadrature steps.
+    from repro.observe import Tracer, activate
+    tracer = Tracer()
+    with activate(tracer):
+        engine.drain_current(0.8, 0.5)
+    snapshot = tracer.metrics.snapshot()
+    assert snapshot["tcad.poisson1d.solves"]["value"] == \
+        1 + engine.quadrature_points == 13
+
+
+def test_drain_currents_equal_one_point_calls_bitwise(engine):
+    vgs = np.array([0.0, 0.3, 0.8, 1.0, 0.8, 0.6, 1.0])
+    vds = np.array([1.0, 0.05, 0.5, 0.0, -0.5, 0.2, 1.0])
+    stacked = engine.drain_currents(vgs, vds)
+    alone = [engine.drain_current(float(g), float(d))
+             for g, d in zip(vgs, vds)]
+    assert stacked.tolist() == alone
+    assert stacked[3] == 0.0 and stacked[4] < 0.0
+
+
+def test_drain_currents_reject_mismatched_lengths(engine):
+    with pytest.raises(SimulationError):
+        engine.drain_currents([0.5, 0.6], [1.0])
+
+
+def test_output_conductance_is_one_sided_below_delta(engine):
+    # The lower point clamps to V_DS = 0, so the span is vds + delta.
+    vds, delta = 1e-3, 2e-3
+    expected = (engine.drain_current(0.8, vds + delta) -
+                engine.drain_current(0.8, 0.0)) / (vds + delta)
+    assert engine.output_conductance(0.8, vds, delta) == \
+        pytest.approx(expected, rel=1e-12)

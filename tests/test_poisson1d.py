@@ -110,3 +110,90 @@ def test_convergence_error_carries_diagnostics():
     with pytest.raises(ConvergenceError) as err:
         bad.solve(1.0)
     assert err.value.iterations == 1
+
+
+# ----------------------------------------------------------------------
+# stacked solves: B rows in one Newton, each bit-identical to its own
+# ----------------------------------------------------------------------
+def _assert_rows_match_one_row_solves(solver, v_gate, v_channel,
+                                      psi0=None):
+    stacked = solver.solve(v_gate, v_channel, psi0=psi0)
+    assert stacked.psi.shape == (len(v_gate), solver.mesh.n_nodes)
+    for i, (vg, vc) in enumerate(zip(v_gate, v_channel)):
+        alone = solver.solve(float(vg), float(vc),
+                             psi0=None if psi0 is None else psi0[i])
+        assert np.array_equal(stacked.psi[i], alone.psi)
+        assert stacked.q_inv[i] == alone.q_inv
+        assert stacked.q_gate[i] == alone.q_gate
+        assert stacked.surface_potential[i] == alone.surface_potential
+        assert stacked.iterations[i] == alone.iterations
+    return stacked
+
+
+#: Biases spanning accumulation to strong inversion, with drain-end
+#: channel potentials: the rows converge after different iteration counts.
+STACK_GATES = np.array([-0.3, 0.0, 0.25, 0.5, 0.8, 1.1, 0.9, 0.4])
+STACK_CHANNELS = np.array([0.0, 0.0, 0.1, 0.6, 0.0, 0.05, 0.9, 0.3])
+
+
+def test_stacked_rows_equal_one_row_solves_bitwise(solver):
+    stacked = _assert_rows_match_one_row_solves(solver, STACK_GATES,
+                                                STACK_CHANNELS)
+    assert len(set(stacked.iterations.tolist())) > 1
+    order = np.random.default_rng(7).permutation(STACK_GATES.size)
+    permuted = solver.solve(STACK_GATES[order], STACK_CHANNELS[order])
+    assert np.array_equal(permuted.psi, stacked.psi[order])
+    assert np.array_equal(permuted.q_inv, stacked.q_inv[order])
+    assert np.array_equal(permuted.iterations, stacked.iterations[order])
+
+
+def test_stacked_warm_start_matches_one_row_warm_starts(solver):
+    # A column-major guess too: the charges must not depend on layout.
+    cold = solver.solve(STACK_GATES, STACK_CHANNELS)
+    for psi0 in (cold.psi, np.asfortranarray(cold.psi)):
+        _assert_rows_match_one_row_solves(solver, STACK_GATES + 0.01,
+                                          STACK_CHANNELS, psi0=psi0)
+
+
+def test_stacked_rows_bitwise_on_refined_stack_that_pivots():
+    # With 96 oxide cells cond[0] > 1 = the Dirichlet diagonal, so the
+    # tridiagonal LAPACK solve swaps rows inside each block.
+    refined = Poisson1D(StackSpec(t_ox=1e-9, t_si=7e-9, t_box=100e-9,
+                                  n_cells_ox=96))
+    assert refined.mesh.edge_eps[0] / refined.mesh.h[0] > 1.0
+    _assert_rows_match_one_row_solves(refined, STACK_GATES, STACK_CHANNELS)
+
+
+def test_scalar_channel_broadcasts_over_gate_array(solver):
+    # The source-charge and C-V solves pass v_channel = 0.0 for a stack.
+    broadcast = solver.solve(STACK_GATES, 0.0)
+    explicit = solver.solve(STACK_GATES, np.zeros(STACK_GATES.size))
+    assert broadcast.q_inv.shape == (STACK_GATES.size,)
+    assert np.array_equal(broadcast.psi, explicit.psi)
+    assert np.array_equal(broadcast.q_gate, explicit.q_gate)
+
+
+def test_stacked_convergence_error_names_the_failing_row(solver):
+    quick, slow = 0.0, 1.1
+    budget = solver.solve(quick).iterations
+    assert solver.solve(slow).iterations > budget
+    bad = Poisson1D(solver.stack)
+    bad.MAX_ITERATIONS = budget
+    with pytest.raises(ConvergenceError) as err:
+        bad.solve(np.array([quick, slow]), np.array([0.0, 0.2]))
+    assert err.value.iterations == budget
+    assert "v_gate=1.100" in str(err.value)
+    assert "v_channel=0.200" in str(err.value)
+
+
+def test_tracer_counts_rows_and_per_row_iterations(solver):
+    from repro.observe import Tracer, activate
+    tracer = Tracer()
+    with activate(tracer):
+        stacked = solver.solve(STACK_GATES, STACK_CHANNELS)
+    snapshot = tracer.metrics.snapshot()
+    assert snapshot["tcad.poisson1d.solves"]["value"] == STACK_GATES.size
+    assert snapshot["tcad.poisson1d.iterations"]["value"] == \
+        int(stacked.iterations.sum())
+    assert snapshot["tcad.poisson1d.iterations_per_solve"]["count"] == \
+        STACK_GATES.size

@@ -109,3 +109,28 @@ def test_targets_roundtrip(nmos_targets):
     assert again.polarity == nmos_targets.polarity
     assert np.allclose(again.idvg_lin.i, nmos_targets.idvg_lin.i)
     assert np.allclose(again.cv.c, nmos_targets.cv.c)
+
+
+@pytest.mark.golden
+def test_tcad_targets_match_exact_golden(check_golden):
+    """All 110 I-V points and 21 C-V points of one device, bit for bit.
+
+    Extraction amplifies 1e-9 relative noise on the targets into
+    percent-level Table III moves, so any change to the sweep drivers
+    or the Poisson Newton must reproduce these values exactly.
+    """
+    from repro.extraction.targets import characterize_device
+    from repro.geometry.transistor_layout import ChannelCount
+    from repro.tcad.device import Polarity, design_for_variant
+    targets = characterize_device(
+        design_for_variant(ChannelCount.TWO, Polarity.NMOS))
+    measured = {
+        "idvg_lin": targets.idvg_lin.i,
+        "idvg_sat": targets.idvg_sat.i,
+        "idvd": np.array([curve.i for curve in targets.idvd.curves]),
+        "cv": targets.cv.c,
+    }
+    assert sum(np.size(v) for k, v in measured.items() if k != "cv") == 110
+    check_golden("tcad_targets", measured, default_tolerance="exact",
+                 description="TCAD targets of characterize_device(TWO, "
+                             "NMOS): I-V and C-V, bit for bit")
