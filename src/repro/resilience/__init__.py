@@ -12,7 +12,7 @@ The failure-domain layer of the pipeline.  Three pieces:
   fault-injecting HTTP proxy (drop, delay, truncate, corrupt,
   500-burst) that chaos-tests the remote cache tier;
 * :mod:`repro.resilience.rescue` — :func:`continue_solve`, the adaptive
-  parameter-continuation primitive the solver rescue ladders share;
+  parameter-continuation primitive of Newton's rescue ladder;
 * :mod:`repro.resilience.faults` — :class:`FaultInjector`, the
   deterministic seeded injector (``REPRO_FAULTS``) that drives every
   recovery path under test: stage exceptions, SIGKILLed pool workers,

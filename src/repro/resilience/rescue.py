@@ -4,9 +4,8 @@ Nonlinear solves that fail cold often succeed when walked there: solve
 an easy nearby problem first (zero bias, scaled-down sources, extra
 gmin), then use each solution as the initial guess for a harder one.
 :func:`continue_solve` implements the adaptive bisection version of
-that walk once, so Newton source continuation (``spice.newton``) and
-TCAD corner-bias sweeps (``tcad.dd1d``) share one tested primitive
-instead of two ad-hoc loops.
+that walk; its one caller is Newton's source-continuation rung
+(``spice.newton``), which ``solve_dc`` reaches through ``newton_solve``.
 """
 
 from __future__ import annotations

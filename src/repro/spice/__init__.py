@@ -1,7 +1,7 @@
 """A SPICE-class circuit simulator (the paper's HSPICE substitute).
 
-Modified nodal analysis with damped Newton iteration for DC, source
-stepping as a convergence fallback, and backward-Euler / trapezoidal
+Modified nodal analysis with damped Newton iteration for DC (its rescue
+ladder ends in source continuation), and backward-Euler / trapezoidal
 transient with charge-conserving companion models.  Elements: resistor,
 capacitor, independent voltage/current sources (DC, PULSE, PWL) and the
 BSIMSOI4-lite MOSFET.
@@ -19,7 +19,6 @@ from repro.spice.elements.vsource import (
 from repro.spice.elements.isource import CurrentSource
 from repro.spice.elements.mosfet import Mosfet
 from repro.spice.dcop import OperatingPoint, solve_dc
-from repro.spice.dcsweep import dc_sweep
 from repro.spice.transient import TransientResult, transient
 from repro.spice.waveform import Waveform
 from repro.spice import measure
@@ -36,7 +35,6 @@ __all__ = [
     "pwl_source",
     "OperatingPoint",
     "solve_dc",
-    "dc_sweep",
     "transient",
     "TransientResult",
     "Waveform",

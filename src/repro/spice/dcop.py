@@ -1,4 +1,4 @@
-"""DC operating-point analysis with a source-stepping fallback."""
+"""DC operating-point analysis."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.errors import ConvergenceError
-from repro.spice.mna import MnaAssembler, scale_sources
+from repro.spice.mna import MnaAssembler
 from repro.spice.netlist import Circuit
 from repro.spice.newton import newton_solve
 
@@ -49,32 +48,13 @@ def _package(assembler: MnaAssembler, x: np.ndarray) -> OperatingPoint:
 
 
 def solve_dc(circuit: Circuit, time: float = 0.0,
-             x0: Optional[np.ndarray] = None,
-             source_steps: int = 8) -> OperatingPoint:
+             x0: Optional[np.ndarray] = None) -> OperatingPoint:
     """Find the DC operating point (sources evaluated at ``time``).
 
-    Tries a direct Newton solve first; on failure falls back to source
-    stepping: solve with all sources scaled to 0 (trivial), then continue
-    the solution as the scale ramps to 1.
+    One :func:`newton_solve` from ``x0`` (zeros by default); its rescue
+    ladder already ends in source continuation, so a
+    :class:`ConvergenceError` it raises propagates unchanged.
     """
     assembler = MnaAssembler(circuit)
     x = x0.copy() if x0 is not None else np.zeros(assembler.n_unknowns)
-    try:
-        return _package(assembler, newton_solve(assembler, x, time))
-    except ConvergenceError:
-        pass
-
-    x = np.zeros(assembler.n_unknowns)
-    for step in range(1, source_steps + 1):
-        factor = step / source_steps
-        with scale_sources(circuit, factor):
-            try:
-                x = newton_solve(assembler, x, time)
-            except ConvergenceError as exc:
-                raise ConvergenceError(
-                    f"source stepping failed at factor {factor:.2f} "
-                    f"for {circuit.summary()}",
-                    iterations=exc.iterations,
-                    residual=exc.residual) from exc
-    # Final solve with the true (time-dependent) source values.
     return _package(assembler, newton_solve(assembler, x, time))

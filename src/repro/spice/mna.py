@@ -100,8 +100,8 @@ def scale_sources(circuit: Circuit, factor: float) -> "ScaledSourceContext":
 class ScaledSourceContext:
     """Temporarily replaces VoltageSource waveforms with scaled DC values.
 
-    Used by the source-stepping fallback: at factor 0 the circuit is
-    trivially solvable, and the solution continues smoothly to factor 1.
+    Used by Newton's source-continuation rung: at factor 0 the circuit
+    is trivially solvable, and the solution continues smoothly to factor 1.
     """
 
     def __init__(self, circuit: Circuit, factor: float):

@@ -13,14 +13,14 @@ before the ladder existed — bit-identical artefacts.
    each solve from the last;
 4. source continuation: ramp all independent sources from zero (where
    the solution is trivial) to full value via
-   :func:`repro.resilience.rescue.continue_solve`, the same adaptive
-   continuation primitive the TCAD bias sweeps use.
+   :func:`repro.resilience.rescue.continue_solve`, the adaptive
+   continuation primitive.
 
 Raises :class:`ConvergenceError` with diagnostics when every rung
 fails.  The deterministic fault injector (``convergence:newton``) can
 force the damped rungs to fail — exercising the rescue ladder — or,
-with ``fatal=1``, force the whole solve to fail, exercising callers'
-recovery (DC source stepping, transient timestep rejection).
+with ``fatal=1``, force the whole solve to fail: ``solve_dc``
+propagates the error, the transient loop rejects the timestep.
 """
 
 from __future__ import annotations

@@ -4,9 +4,6 @@ These are the checks that hold for *any* healthy parameterisation —
 no golden values involved, so they survive deliberate recalibrations
 that regenerate every golden:
 
-* steady-state current continuity along the drift-diffusion channel
-  (the Scharfetter-Gummel edge flux must be constant);
-* zero current at equilibrium;
 * I_D monotone in V_GS above threshold (TCAD characterisation and
   compact model);
 * C-V bounds: the gate capacitance per area stays inside
@@ -35,42 +32,6 @@ def _check(name: str, passed: bool, measured=None, expected=None,
         name=name, status=STATUS_PASS if passed else STATUS_FAIL,
         measured=measured, expected=expected, tolerance=tolerance,
         detail=detail, wall_time_s=wall_time_s)
-
-
-def dd1d_current_continuity(bias: float = 0.1,
-                            rtol: float = 1e-6) -> CheckResult:
-    """SG edge flux constant along the bar in steady state."""
-    from repro.constants import Q
-    from repro.tcad.dd1d import DriftDiffusion1D, bernoulli, uniform_bar
-    solver = DriftDiffusion1D(uniform_bar())
-    solution = solver.solve(bias)
-    d = solver.bar.mobility * solver.vt
-    dpsi = (solution.psi[1:] - solution.psi[:-1]) / solver.vt
-    flux = -Q * solver.bar.area * (d / solver.h) * (
-        solution.n[1:] * bernoulli(dpsi) -
-        solution.n[:-1] * bernoulli(-dpsi))
-    spread = float(np.max(flux) - np.min(flux))
-    mean = float(np.mean(np.abs(flux)))
-    relative = spread / mean if mean else 0.0
-    return _check(
-        "invariant.dd1d.continuity", relative <= rtol,
-        measured=relative, expected=f"<= {rtol:g}", tolerance="numeric",
-        detail=f"edge-flux spread {spread:.3e} A over mean "
-               f"{mean:.3e} A at {bias} V")
-
-
-def dd1d_equilibrium_current(atol_ratio: float = 1e-10) -> CheckResult:
-    """Zero terminal current at zero bias."""
-    from repro.tcad.dd1d import DriftDiffusion1D, uniform_bar
-    solver = DriftDiffusion1D(uniform_bar())
-    equilibrium = abs(solver.solve(0.0).current)
-    reference = abs(solver.solve(0.05).current)
-    ratio = equilibrium / reference if reference else float("inf")
-    return _check(
-        "invariant.dd1d.equilibrium", ratio <= atol_ratio,
-        measured=ratio, expected=f"<= {atol_ratio:g}",
-        detail=f"|I(0V)| = {equilibrium:.3e} A vs |I(50mV)| = "
-               f"{reference:.3e} A")
 
 
 def tcad_id_monotone_in_vgs(slack: float = 1e-12) -> CheckResult:
@@ -152,8 +113,6 @@ def compact_charge_conservation(atol: float = 1e-24) -> CheckResult:
 
 #: The full invariant battery (all cheap; no engine involved).
 INVARIANT_CHECKS: List[Callable[[], CheckResult]] = [
-    dd1d_current_continuity,
-    dd1d_equilibrium_current,
     tcad_id_monotone_in_vgs,
     compact_id_monotone_in_vgs,
     cv_bounded_by_oxide,

@@ -17,8 +17,6 @@ Checks
   matching volume charge; second-order finite differences.
 * ``poisson1d`` — Richardson self-convergence of the gate-stack solve
   (no closed form exists for the nonlinear carrier terms).
-* ``dd1d`` — an n+/n-/n+ bar current under grid refinement, plus the
-  analytic low-bias conductance of the uniform bar.
 * ``spice.transient`` — RC response to a voltage ramp against the
   closed-form solution; trapezoidal must be ~2nd order and backward
   Euler ~1st.
@@ -187,55 +185,6 @@ def poisson1d_convergence(v_gate: float = 0.6,
 
 
 # ----------------------------------------------------------------------
-# 1-D drift-diffusion
-# ----------------------------------------------------------------------
-def dd1d_convergence(nodes: Sequence[int] = (41, 81, 161, 321),
-                     bias: float = 0.1) -> ConvergenceResult:
-    """n+/n-/n+ bar current under grid refinement (Richardson).
-
-    The doping step makes the field genuinely non-uniform, so the
-    Scharfetter-Gummel discretisation's convergence order is actually
-    exercised (a uniform bar is exact on any grid).
-    """
-    from repro.tcad.dd1d import Bar1D, DriftDiffusion1D
-    length = 48e-9
-    nd_hi, nd_lo = 1e25, 5e23
-
-    def doping(x: float) -> float:
-        return nd_hi if x < length / 3 or x > 2 * length / 3 else nd_lo
-
-    currents = []
-    for n in nodes:
-        # 3k+1 nodes keep the junctions on grid points at every level.
-        bar = Bar1D(length=length, area=192e-9 * 7e-9, doping=doping,
-                    n_nodes=n, mobility=0.01)
-        currents.append(DriftDiffusion1D(bar).solve(bias).current)
-    errors = [abs(a - b) for a, b in zip(currents, currents[1:])]
-    return _result("mms.dd1d", list(nodes)[:-1], errors,
-                   bounds=(0.8, 2.6),
-                   detail=f"n+/n-/n+ bar current at {bias} V")
-
-
-def dd1d_analytic_resistance(tolerance: float = 2e-2,
-                             ) -> ConvergenceResult:
-    """Uniform-bar resistance against the exact q mu N A / L form."""
-    from repro.constants import Q
-    from repro.tcad.dd1d import DriftDiffusion1D, uniform_bar
-    bar = uniform_bar()
-    nd = bar.doping(0.0)
-    analytic = bar.length / (Q * bar.mobility * nd * bar.area)
-    measured = DriftDiffusion1D(bar).resistance()
-    error = abs(measured - analytic) / analytic
-    # Encoded as a degenerate one-rung ladder: the "order" is the
-    # relative error, bounded above by the tolerance.
-    return ConvergenceResult(
-        name="mms.dd1d_resistance", resolutions=[bar.n_nodes],
-        errors=[error], observed=error, bounds=(0.0, tolerance),
-        detail=f"analytic {analytic:.4g} Ohm vs measured "
-               f"{measured:.4g} Ohm")
-
-
-# ----------------------------------------------------------------------
 # SPICE transient: ramp-driven RC against the closed form
 # ----------------------------------------------------------------------
 def transient_order(method: str = "trap",
@@ -283,16 +232,12 @@ def all_mms_checks(fast: bool = False) -> List[ConvergenceResult]:
         return [
             poisson2d_mms(sizes=(9, 17, 33)),
             poisson1d_convergence(factors=(1, 2, 4, 8)),
-            dd1d_convergence(nodes=(41, 81, 161, 321)),
-            dd1d_analytic_resistance(),
             transient_order("trap"),
             transient_order("be"),
         ]
     return [
         poisson2d_mms(sizes=(9, 17, 33, 65)),
         poisson1d_convergence(factors=(1, 2, 4, 8, 16)),
-        dd1d_convergence(nodes=(41, 81, 161, 321, 641)),
-        dd1d_analytic_resistance(),
         transient_order("trap", dts=(8e-11, 4e-11, 2e-11, 1e-11)),
         transient_order("be", dts=(8e-11, 4e-11, 2e-11, 1e-11)),
     ]

@@ -58,8 +58,8 @@ def check_golden(golden_store):
 
     Usage::
 
-        def test_dd1d_golden(check_golden):
-            check_golden("dd1d_bar", dd1d_snapshot(), "tight")
+        def test_compact_model_golden(check_golden):
+            check_golden("compact_model", compact_model_snapshot(), "tight")
     """
     def _check(name, measured, default_tolerance="tight",
                description=""):

@@ -8,8 +8,8 @@ golden, which is the intended friction.
 Families:
 
 * solver goldens (``tight`` tolerance) — deterministic in-process
-  arithmetic: the 1-D Poisson stack solve, the drift-diffusion bar, the
-  compact model and an RC transient;
+  arithmetic: the 1-D Poisson stack solve, the compact model and an RC
+  transient;
 * pipeline goldens (``numeric`` tolerance) — quantities funnelled
   through iterative optimisers: Table III extraction errors and
   per-cell PPA numbers.
@@ -30,9 +30,6 @@ VG_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 #: Drain-bias grid of the compact-model golden [V].
 VD_GRID = (0.05, 0.5, 1.0)
-
-#: Contact-bias grid of the drift-diffusion golden [V].
-DD_BIASES = (0.0, 0.01, 0.05, 0.1, 0.2)
 
 #: Reduced cell/variant grid of the PPA golden.
 PPA_CELLS = ("INV1X1", "NAND2X1")
@@ -58,19 +55,6 @@ def poisson1d_snapshot() -> Dict[str, Any]:
     out["q_gate"] = np.array(q_gate)
     out["cgg_mid"] = poisson.gate_capacitance(0.6)
     return out
-
-
-def dd1d_snapshot() -> Dict[str, Any]:
-    """I-V of the paper's S/D-extension bar (Scharfetter-Gummel)."""
-    from repro.tcad.dd1d import DriftDiffusion1D, uniform_bar
-    solver = DriftDiffusion1D(uniform_bar())
-    solutions = solver.sweep(list(DD_BIASES))
-    return {
-        "currents": np.array([s.current for s in solutions]),
-        "resistance": solver.resistance(),
-        "equilibrium_current": solutions[0].current,
-        "psi_midpoint": solutions[-1].psi[solver.x.size // 2],
-    }
 
 
 def compact_model_snapshot() -> Dict[str, Any]:
@@ -149,7 +133,6 @@ def ppa_snapshot(engine=None, cells=PPA_CELLS,
 #: engine-free.
 SOLVER_GOLDENS = {
     "poisson1d_stack": (poisson1d_snapshot, "tight"),
-    "dd1d_bar": (dd1d_snapshot, "tight"),
     "compact_model": (compact_model_snapshot, "tight"),
     "spice_rc": (spice_rc_snapshot, "tight"),
 }

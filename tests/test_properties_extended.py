@@ -1,30 +1,10 @@
-"""Property-based tests for the parser, packing and DD building blocks."""
+"""Property-based tests for row packing."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.layout.placement import pack_rows
-from repro.spice.parser import format_value, parse_value
-from repro.tcad.dd1d import bernoulli
-
-finite_values = st.floats(min_value=1e-18, max_value=1e12,
-                          allow_nan=False, allow_infinity=False)
-
-
-@given(value=finite_values)
-@settings(max_examples=100, deadline=None)
-def test_value_format_parse_roundtrip(value):
-    """parse(format(v)) stays within formatting precision of v."""
-    recovered = parse_value(format_value(value))
-    assert recovered == 0 or abs(recovered - value) <= 1e-5 * abs(value)
-
-
-@given(value=finite_values)
-@settings(max_examples=60, deadline=None)
-def test_value_roundtrip_negative(value):
-    recovered = parse_value(format_value(-value))
-    assert abs(recovered + value) <= 1e-5 * abs(value)
 
 
 @given(widths=st.lists(st.floats(min_value=0.01, max_value=1.0),
@@ -56,25 +36,3 @@ def test_pack_rows_at_most_optimal_times_two(widths):
     placement = pack_rows(items, row_width=1.0, row_height=1.0)
     lower_bound = max(1, int(np.ceil(sum(widths) - 1e-12)))
     assert placement.n_rows <= 2 * lower_bound
-
-
-@given(x=st.floats(min_value=-300.0, max_value=300.0, allow_nan=False))
-@settings(max_examples=100, deadline=None)
-def test_bernoulli_positive(x):
-    assert bernoulli(np.array(x)) >= 0.0
-
-
-@given(x=st.floats(min_value=-100.0, max_value=100.0, allow_nan=False))
-@settings(max_examples=100, deadline=None)
-def test_bernoulli_functional_identity(x):
-    """B(-x) - B(x) = x, the identity the SG flux relies on."""
-    diff = float(bernoulli(np.array(-x)) - bernoulli(np.array(x)))
-    assert diff == np.float64(x) or abs(diff - x) < 1e-9 * max(1.0, abs(x))
-
-
-@given(x=st.floats(min_value=-1e-3, max_value=1e-3, allow_nan=False))
-@settings(max_examples=60, deadline=None)
-def test_bernoulli_smooth_through_zero(x):
-    """The series branch and the exact branch agree near 0."""
-    value = float(bernoulli(np.array(x)))
-    assert abs(value - (1.0 - x / 2.0)) < 1e-6

@@ -1,6 +1,5 @@
-"""Solver rescue ladders: Newton gmin/source continuation, transient
-timestep rejection, and TCAD bias continuation — driven by the
-deterministic fault injector."""
+"""Solver rescue ladders: Newton gmin/source continuation and transient
+timestep rejection — driven by the deterministic fault injector."""
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from repro.spice import Circuit, Resistor, dc_source, pulse_source, transient
 from repro.spice.dcop import solve_dc
 from repro.spice.mna import MnaAssembler
 from repro.spice.newton import newton_solve
-from repro.tcad.dd1d import DriftDiffusion1D, uniform_bar
 
 
 @pytest.fixture(autouse=True)
@@ -65,6 +63,17 @@ def test_fatal_fault_fails_the_whole_solve():
         "convergence:newton:fatal=1,message=forced dc failure"))
     with pytest.raises(ConvergenceError, match="forced dc failure"):
         newton_solve(assembler, np.zeros(assembler.n_unknowns), 0.0)
+
+
+def test_fatal_fault_propagates_through_solve_dc():
+    """solve_dc is one newton_solve: a fatal fault reaches the caller
+    as the injected error after a single draw, with no second try."""
+    injector = FaultInjector.parse(
+        "convergence:newton:fatal=1,message=forced dc failure")
+    install(injector)
+    with pytest.raises(ConvergenceError, match="forced dc failure"):
+        solve_dc(_divider())
+    assert injector.rules[0].draws == 1
 
 
 def test_fault_free_solves_draw_nothing():
@@ -189,41 +198,3 @@ def test_unrecoverable_transient_still_raises():
     install(FaultInjector.parse("convergence:transient.newton:fatal=1"))
     with pytest.raises(ConvergenceError):
         transient(_rc_pulse(), t_stop=1e-9, dt=5e-11)
-
-
-# ----------------------------------------------------------------------
-# TCAD bias continuation
-# ----------------------------------------------------------------------
-def test_dd1d_rescue_matches_direct_solve():
-    solver = DriftDiffusion1D(uniform_bar())
-    direct = solver.solve(0.05)
-
-    install(FaultInjector.parse("convergence:dd1d:first=1"))
-    tracer = Tracer()
-    with activate(tracer):
-        rescued = solver.solve(0.05)
-    clear_faults()
-
-    assert rescued.current == pytest.approx(direct.current, rel=1e-6)
-    assert np.allclose(rescued.psi, direct.psi, atol=1e-9)
-    assert tracer.counter("tcad.dd1d.rescues").value == 1
-
-
-def test_dd1d_fatal_fault_raises():
-    solver = DriftDiffusion1D(uniform_bar())
-    for run in (lambda: solver.solve(0.05),
-                lambda: solver.sweep([0.0, 0.05])):
-        install(FaultInjector.parse("convergence:dd1d:fatal=1"))
-        with pytest.raises(ConvergenceError, match="dd1d"):
-            run()
-        clear_faults()
-
-
-def test_dd1d_sweep_warm_starts_and_stays_monotone():
-    solver = DriftDiffusion1D(uniform_bar())
-    solutions = solver.sweep([0.01, 0.03, 0.06, 0.1])
-    currents = [s.current for s in solutions]
-    assert all(b > a for a, b in zip(currents, currents[1:]))
-    # warm-started sweep agrees with independent cold solves
-    cold = solver.solve(0.1)
-    assert solutions[-1].current == pytest.approx(cold.current, rel=1e-6)

@@ -1,9 +1,7 @@
-"""DC analyses: operating point, sweeps, transfer curves."""
+"""DC operating point."""
 
-import numpy as np
 import pytest
 
-from repro.errors import NetlistError, SimulationError
 from repro.spice import (
     Circuit,
     CurrentSource,
@@ -12,7 +10,6 @@ from repro.spice import (
     dc_source,
     solve_dc,
 )
-from repro.spice.dcsweep import dc_sweep, sweep_voltages, transfer_curve
 
 
 def test_voltage_divider_exact():
@@ -67,50 +64,3 @@ def test_inverter_dc_rails(model_set_2d):
     c.element("VIN").waveform = 1.0
     op = solve_dc(c)
     assert op.voltage("out") == pytest.approx(0.0, abs=0.02)
-
-
-def test_inverter_transfer_curve_monotone(model_set_2d):
-    c = Circuit()
-    c.add(dc_source("VDD", "vdd", "0", 1.0))
-    c.add(dc_source("VIN", "in", "0", 0.0))
-    c.add(Mosfet("MP", "out", "in", "vdd", model_set_2d.pmos))
-    c.add(Mosfet("MN", "out", "in", "0", model_set_2d.nmos))
-    c.add(Resistor("RL", "out", "0", 1e9))
-    curve = transfer_curve(c, "VIN", "out", 0.0, 1.0, 21)
-    vout = curve["vout"]
-    assert np.all(np.diff(vout) <= 1e-6)          # monotone falling
-    assert vout[0] > 0.95 and vout[-1] < 0.05     # full swing
-    # switching threshold (where vout crosses mid-rail) near mid-rail
-    crossing = float(np.interp(-0.5, -vout, curve["vin"]))
-    assert 0.3 < crossing < 0.7
-
-
-def test_dc_sweep_warm_start_consistency():
-    c = Circuit()
-    c.add(dc_source("V1", "in", "0", 0.0))
-    c.add(Resistor("R1", "in", "out", 1e3))
-    c.add(Resistor("R2", "out", "0", 1e3))
-    ops = dc_sweep(c, "V1", [0.0, 0.5, 1.0])
-    assert sweep_voltages(ops, "out")[2] == pytest.approx(0.5, rel=1e-6)
-    # sweep restores the original waveform
-    assert c.element("V1").value(0.0) == 0.0
-
-
-def test_dc_sweep_validation():
-    c = Circuit()
-    c.add(dc_source("V1", "in", "0", 0.0))
-    c.add(Resistor("R1", "in", "0", 1e3))
-    with pytest.raises(SimulationError):
-        dc_sweep(c, "V1", [])
-    with pytest.raises(SimulationError):
-        dc_sweep(c, "R1", [1.0])
-    with pytest.raises(NetlistError):
-        dc_sweep(c, "VX", [1.0])
-
-
-def test_transfer_curve_validation(model_set_2d):
-    c = Circuit()
-    c.add(dc_source("V1", "in", "0", 0.0))
-    c.add(Resistor("R1", "in", "0", 1e3))
-    with pytest.raises(SimulationError):
-        transfer_curve(c, "V1", "in", 0.0, 1.0, 1)

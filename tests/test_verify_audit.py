@@ -1,16 +1,10 @@
 """Regression tests from the verification-subsystem solver audit.
 
-Two code paths were audited for latent order/edge dependence:
-
-* ``spice.transient.build_time_grid`` — the near-duplicate filter used
-  to drop the *later* point of a too-close pair, which silently dropped
-  ``t_stop`` itself whenever a refined breakpoint-window point landed
-  within ``fine/1000`` below it (found by construction, fixed by
-  dropping the earlier point instead);
-* ``tcad.dd1d`` warm-started ``sweep()`` — bias-order dependence is
-  bounded by the Gummel tolerance (~1e-8 relative at finite bias) and
-  pinned here so a regression that couples sweep order into the answer
-  gets caught.
+``spice.transient.build_time_grid`` was audited for latent edge
+dependence: its near-duplicate filter used to drop the *later* point of
+a too-close pair, which silently dropped ``t_stop`` itself whenever a
+refined breakpoint-window point landed within ``fine/1000`` below it
+(found by construction, fixed by dropping the earlier point instead).
 """
 
 from __future__ import annotations
@@ -19,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.spice.transient import EDGE_REFINE, build_time_grid
-from repro.tcad.dd1d import DriftDiffusion1D, uniform_bar
 
 
 # ----------------------------------------------------------------------
@@ -78,45 +71,3 @@ def test_transient_waveform_reaches_t_stop():
     circuit.add(Capacitor("C1", "out", "0", 1e-13))
     wave = transient(circuit, t_stop=t_stop, dt=dt).waveform("out")
     assert wave.t[-1] == pytest.approx(t_stop, abs=0.0)
-
-
-# ----------------------------------------------------------------------
-# dd1d sweep: warm-start must not couple bias order into the answer
-# ----------------------------------------------------------------------
-BIASES = (0.01, 0.05, 0.1, 0.2)
-
-
-def test_sweep_order_independent_within_gummel_tolerance():
-    ascending = [s.current for s in
-                 DriftDiffusion1D(uniform_bar()).sweep(list(BIASES))]
-    descending = [s.current for s in
-                  DriftDiffusion1D(uniform_bar()).sweep(
-                      list(BIASES)[::-1])][::-1]
-    cold = [DriftDiffusion1D(uniform_bar()).solve(b).current
-            for b in BIASES]
-    for up, down, ref in zip(ascending, descending, cold):
-        assert up == pytest.approx(ref, rel=1e-6)
-        assert down == pytest.approx(ref, rel=1e-6)
-
-
-def test_sweep_equilibrium_point_stays_at_noise_level():
-    """A warm start from a biased solution must not leave a spurious
-    finite current at the 0 V point (absolute check — the relative
-    error against a ~1e-19 A noise floor is meaningless)."""
-    down = DriftDiffusion1D(uniform_bar()).sweep([0.2, 0.1, 0.0])
-    assert abs(down[-1].current) < 1e-15
-
-
-def test_sweep_matches_documented_golden_order():
-    """The dd1d golden is recorded from an ascending sweep; pin the
-    equivalence of that sweep to cold per-point solves so the golden
-    stays start-strategy-agnostic."""
-    from repro.verify.snapshots import DD_BIASES
-    swept = DriftDiffusion1D(uniform_bar()).sweep(list(DD_BIASES))
-    for bias, solution in zip(DD_BIASES, swept):
-        cold = DriftDiffusion1D(uniform_bar()).solve(bias)
-        if bias == 0.0:
-            assert abs(solution.current - cold.current) < 1e-15
-        else:
-            assert solution.current == pytest.approx(cold.current,
-                                                     rel=1e-6)

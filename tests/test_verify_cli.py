@@ -35,7 +35,7 @@ def test_invariants_suite_end_to_end(tmp_path, capsys):
                  "--report", str(report_path)])
     out = capsys.readouterr().out
     assert code == 0
-    assert "invariant.dd1d.continuity" in out
+    assert "invariant.tcad.cv_bounds" in out
     document = json.loads(report_path.read_text())
     assert document["suite"] == "invariants"
     assert document["passed"] is True

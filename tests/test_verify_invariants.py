@@ -10,22 +10,9 @@ from repro.verify.invariants import (
     compact_charge_conservation,
     compact_id_monotone_in_vgs,
     cv_bounded_by_oxide,
-    dd1d_current_continuity,
-    dd1d_equilibrium_current,
     tcad_id_monotone_in_vgs,
 )
 from repro.verify.report import STATUS_PASS
-
-
-def test_dd1d_current_continuity_holds():
-    result = dd1d_current_continuity()
-    assert result.status == STATUS_PASS, result.detail
-    assert result.measured < 1e-6
-
-
-def test_dd1d_equilibrium_current_vanishes():
-    result = dd1d_equilibrium_current()
-    assert result.status == STATUS_PASS, result.detail
 
 
 def test_compact_id_monotone_in_vgs():

@@ -8,8 +8,6 @@ import pytest
 
 from repro.verify.mms import (
     ConvergenceResult,
-    dd1d_analytic_resistance,
-    dd1d_convergence,
     observed_order,
     poisson1d_convergence,
     poisson2d_mms,
@@ -67,18 +65,6 @@ def test_poisson1d_richardson_order_pinned():
     # a jump to clean second order means the interface quadrature
     # changed and every golden needs deliberate regeneration.
     assert result.observed < 1.8
-
-
-def test_dd1d_grid_convergence():
-    result = dd1d_convergence(nodes=(41, 81, 161))
-    assert result.passed, result.render()
-    assert result.errors[-1] < result.errors[0]
-
-
-def test_dd1d_matches_analytic_resistance():
-    result = dd1d_analytic_resistance()
-    assert result.passed, result.render()
-    assert result.observed < 2e-2
 
 
 def test_transient_trapezoidal_is_second_order():

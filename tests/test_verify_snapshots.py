@@ -29,24 +29,22 @@ def test_pipeline_golden(name, check_golden):
 
 
 def test_golden_detects_mobility_perturbation(monkeypatch):
-    """+1% bar mobility must trip the dd1d golden (sensitivity
-    check: the tolerance classes are tight enough to see a physics
-    drift an eyeball comparison would miss)."""
-    import repro.tcad.dd1d as dd
+    """+1% low-field mobility U0 must trip the compact_model golden
+    (sensitivity check: its tight class sees a physics drift an eyeball
+    comparison would miss; a widened class would let it through)."""
+    import repro.compact.parameters as parameters
     from repro.verify.goldens import GoldenStore
-    from repro.verify.snapshots import dd1d_snapshot
-    original = dd.uniform_bar
+    from repro.verify.snapshots import compact_model_snapshot
+    original = parameters.default_parameters
 
-    def perturbed(*args, **kwargs):
-        bar = original(*args, **kwargs)
-        return dd.Bar1D(length=bar.length, area=bar.area,
-                        doping=bar.doping, n_nodes=bar.n_nodes,
-                        mobility=bar.mobility * 1.01)
+    def perturbed():
+        params = original()
+        return params.updated({"U0": params["U0"] * 1.01})
 
-    monkeypatch.setattr(dd, "uniform_bar", perturbed)
-    diff = GoldenStore().diff("dd1d_bar", dd1d_snapshot())
+    monkeypatch.setattr(parameters, "default_parameters", perturbed)
+    diff = GoldenStore().diff("compact_model", compact_model_snapshot())
     assert not diff.passed
-    assert any(q.name == "currents" for q in diff.failures)
+    assert any(q.name.startswith("ids@vds=") for q in diff.failures)
 
 
 def test_registries_do_not_overlap():
