@@ -9,7 +9,10 @@ Every element linearises itself around the current solution estimate and
   Jacobian (used by the transient integrator only).
 
 The :class:`Stamper` hides matrix indexing: elements talk in node names.
-Ground ("0") maps to no row/column.
+Ground ("0") maps to no row/column.  The MOSFET is the exception: the
+assembler evaluates MOSFETs per model group and passes each one its
+values and precomputed integer positions
+(:mod:`repro.spice.elements.mosfet`).
 """
 
 from __future__ import annotations
@@ -91,11 +94,6 @@ class Stamper:
         self.add_matrix(n2, n2, g)
         self.add_matrix(n1, n2, -g)
         self.add_matrix(n2, n1, -g)
-
-    def stamp_current(self, n_from: str, n_to: str, i: float) -> None:
-        """Independent current i flowing from n_from to n_to."""
-        self.add_rhs(n_from, -i)
-        self.add_rhs(n_to, i)
 
     def stamp_transconductance(self, out_p: str, out_n: str,
                                ctrl_p: str, ctrl_n: str, gm: float) -> None:

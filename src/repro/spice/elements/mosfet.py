@@ -1,15 +1,20 @@
 """MOSFET element wrapping the BSIMSOI4-lite compact model.
 
-Three terminals (drain, gate, source).  The static stamp linearises the
-drain current with numerically differentiated gm/gds (robust against any
-future change in the model equations); the dynamic stamp provides the
-model's conservative terminal charges with a numerical 3x3 capacitance
-Jacobian.
+Three terminals (drain, gate, source).  A MOSFET does not evaluate its
+own model: :class:`~repro.spice.mna.MnaAssembler` evaluates all devices
+that share a model instance in one compact-model call per assembly and
+hands each device its own values.  The static stamp is the linearised
+drain current with numerically differentiated gm/gds (robust against
+any future change in the model equations); the dynamic stamp carries
+the model's conservative terminal charges with a numerical 3x3
+capacitance Jacobian.  Both write through integer matrix positions
+precomputed once per circuit by :meth:`Mosfet.stamp_plan`, entry for
+entry in the order of the original node-name stamps.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +24,23 @@ from repro.spice.elements.base import Element, Stamper
 
 #: Finite-difference step for gm/gds/capacitances [V].
 FD_DELTA = 1e-4
+
+
+class MosfetStamps(NamedTuple):
+    """Matrix positions of one MOSFET's stamp entries, ground dropped.
+
+    ``matrix`` holds ``(row, col, k)`` with ``k`` indexing
+    ``(gm, -gm, gds, -gds)``; ``rhs`` holds ``(row, k)`` with ``k``
+    indexing ``(-ieq, ieq)``; ``charge`` holds ``(row, i)`` with ``i``
+    indexing the charges ``(qg, qd, qs)``; ``cap`` holds
+    ``(row, col, k)`` with ``k`` indexing the row-major 3x3 Jacobian
+    ``dq_i/dv_j`` over terminals (gate, drain, source).
+    """
+
+    matrix: Tuple[Tuple[int, int, int], ...]
+    rhs: Tuple[Tuple[int, int], ...]
+    charge: Tuple[Tuple[int, int], ...]
+    cap: Tuple[Tuple[int, int, int], ...]
 
 
 class Mosfet(Element):
@@ -31,61 +53,50 @@ class Mosfet(Element):
             raise NetlistError(f"{name}: model must be a BsimSoi4Lite")
         self.model = model
 
+    def stamp_plan(self, row: Callable[[str], Optional[int]]) -> MosfetStamps:
+        """Integer stamp positions, given ``row(node)`` (None = ground)."""
+        drain, gate, source = (row(n) for n in self.nodes)
+        # Companion i = ids + gm * d(vgs) + gds * d(vds), flowing d->s:
+        # the transconductance entries, then the output conductance.
+        matrix = ((drain, gate, 0), (drain, source, 1),
+                  (source, gate, 1), (source, source, 0),
+                  (drain, drain, 2), (source, source, 2),
+                  (drain, source, 3), (source, drain, 3))
+        terminals = (gate, drain, source)
+        return MosfetStamps(
+            matrix=tuple(e for e in matrix
+                         if e[0] is not None and e[1] is not None),
+            rhs=tuple(e for e in ((drain, 0), (source, 1))
+                      if e[0] is not None),
+            charge=tuple((r, i) for i, r in enumerate(terminals)
+                         if r is not None),
+            cap=tuple((r, c, 3 * i + j)
+                      for i, r in enumerate(terminals) if r is not None
+                      for j, c in enumerate(terminals) if c is not None))
+
     # ------------------------------------------------------------------
-    # evaluations
+    # stamps (values come from the assembler's grouped evaluation)
     # ------------------------------------------------------------------
-    def _bias(self, voltages: Dict[str, float]):
-        vd, vg, vs = self.terminal_voltages(voltages)
-        return vg - vs, vd - vs
+    def stamp_static(self, stamper: Stamper, plan: MosfetStamps,
+                     gm: float, gds: float, ieq: float) -> None:
+        """Stamp the drain-current companion: gm, gds and the equivalent
+        current ``ieq = ids - gm * vgs - gds * vds``."""
+        matrix = stamper.matrix
+        values = (gm, -gm, gds, -gds)
+        for r, c, k in plan.matrix:
+            matrix[r, c] += values[k]
+        rhs = stamper.rhs
+        currents = (-ieq, ieq)
+        for r, k in plan.rhs:
+            rhs[r] += currents[k]
 
-    def drain_current(self, voltages: Dict[str, float]) -> float:
-        """I_D [A] flowing into the drain terminal."""
-        vgs, vds = self._bias(voltages)
-        return self.model.ids(vgs, vds)
-
-    # ------------------------------------------------------------------
-    # stamps
-    # ------------------------------------------------------------------
-    def stamp_static(self, stamper: Stamper, voltages: Dict[str, float],
-                     time: float) -> None:
-        vgs, vds = self._bias(voltages)
-        d = FD_DELTA
-        batch = self.model.ids_batch(
-            np.array([vgs, vgs + d, vgs - d, vgs, vgs]),
-            np.array([vds, vds, vds, vds + d, vds - d]))
-        ids = float(batch[0])
-        gm = float(batch[1] - batch[2]) / (2.0 * d)
-        gds = float(batch[3] - batch[4]) / (2.0 * d)
-
-        drain, gate, source = self.nodes
-        # Companion: i = ids + gm * d(vgs) + gds * d(vds), flowing d->s.
-        stamper.stamp_transconductance(drain, source, gate, source, gm)
-        stamper.stamp_conductance(drain, source, gds)
-        stamper.stamp_current(drain, source, ids - gm * vgs - gds * vds)
-
-    def stamp_dynamic(self, stamper: Stamper, voltages: Dict[str, float],
-                      charge_vector: np.ndarray,
-                      cap_matrix: np.ndarray) -> None:
-        drain, gate, source = self.nodes
-        rows = [stamper.row(n) for n in (gate, drain, source)]
-        vgs, vds = self._bias(voltages)
-
-        d = FD_DELTA
-        qg_b, qd_b, qs_b = self.model.charges_batch(
-            np.array([vgs, vgs + d, vgs]),
-            np.array([vds, vds, vds + d]))
-        q0 = np.array([qg_b[0], qd_b[0], qs_b[0]])
-        # dq/dvg (vs fixed), dq/dvd, and dq/dvs = -(dq/dvg + dq/dvd).
-        dq_dvg = (np.array([qg_b[1], qd_b[1], qs_b[1]]) - q0) / d
-        dq_dvd = (np.array([qg_b[2], qd_b[2], qs_b[2]]) - q0) / d
-        dq_dvs = -(dq_dvg + dq_dvd)
-
-        for i, row in enumerate(rows):
-            if row is None:
-                continue
-            charge_vector[row] += q0[i]
-            for deriv, node in ((dq_dvg[i], gate), (dq_dvd[i], drain),
-                                (dq_dvs[i], source)):
-                col = stamper.row(node)
-                if col is not None:
-                    cap_matrix[row, col] += deriv
+    def stamp_dynamic(self, charge_vector: np.ndarray,
+                      cap_matrix: np.ndarray, plan: MosfetStamps,
+                      charges: Sequence[float],
+                      jacobian: Sequence[float]) -> None:
+        """Accumulate the terminal charges ``(qg, qd, qs)`` and the
+        row-major capacitance Jacobian over (gate, drain, source)."""
+        for r, i in plan.charge:
+            charge_vector[r] += charges[i]
+        for r, c, k in plan.cap:
+            cap_matrix[r, c] += jacobian[k]

@@ -17,12 +17,16 @@ the original grid, so a run that needs no rejections is bit-identical
 to one computed before this mechanism existed, and rescued runs keep
 the same result shape.  Rejections are counted in the trace
 (``spice.transient.rejected_steps``).
+
+The charges at the state a step converges to are evaluated once and
+handed to the next step's first Newton iteration through a one-entry
+memo keyed on the exact bytes of ``x``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -102,6 +106,21 @@ def build_time_grid(t_stop: float, dt: float,
     return grid[keep]
 
 
+def _memoised(evaluate: Callable[[np.ndarray], Tuple]) -> Callable:
+    """One-entry memo of ``evaluate``, a pure function of ``x``, keyed
+    on the exact bytes of ``x`` (+0.0 and -0.0 differ), so a hit returns
+    exactly what a call would.  A hit hands back the same arrays, which
+    the integrator only reads."""
+    memo: List = [None, None]
+
+    def at(x: np.ndarray) -> Tuple:
+        key = x.tobytes()
+        if key != memo[0]:
+            memo[0], memo[1] = key, evaluate(x)
+        return memo[1]
+    return at
+
+
 def transient(circuit: Circuit, t_stop: float, dt: float,
               method: str = "trap",
               record_nodes: Optional[List[str]] = None) -> TransientResult:
@@ -118,7 +137,8 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
     method:
         ``"be"`` (backward Euler) or ``"trap"`` (trapezoidal).
     record_nodes:
-        Subset of nodes to record (default: all).
+        Subset of nodes to record (default: all); ground ``"0"`` records
+        zeros.  Raises :class:`SimulationError` for unknown nodes.
     """
     if method not in ("be", "trap"):
         raise SimulationError(f"unknown integration method {method!r}")
@@ -133,6 +153,15 @@ def _transient_traced(circuit: Circuit, t_stop: float, dt: float,
                       method: str, record_nodes: Optional[List[str]],
                       tspan) -> TransientResult:
     assembler = MnaAssembler(circuit)
+    nodes = record_nodes or circuit.nodes
+    unknown = [node for node in nodes
+               if node != "0" and node not in assembler.node_index]
+    if unknown:
+        raise SimulationError(f"record_nodes names unknown nodes {unknown}")
+
+    # The state a step converges to is where the next step's first
+    # Newton iteration evaluates the charges again.
+    charges_at = _memoised(assembler.assemble_dynamic)
 
     breakpoints: List[float] = []
     sources = [e for e in circuit if isinstance(e, VoltageSource)]
@@ -142,10 +171,9 @@ def _transient_traced(circuit: Circuit, t_stop: float, dt: float,
 
     op = solve_dc(circuit, time=0.0)
     x = op.x
-    q_prev, _ = assembler.assemble_dynamic(x)
+    q_prev, _ = charges_at(x)
     i_prev = np.zeros_like(q_prev)
 
-    nodes = record_nodes or circuit.nodes
     n_steps = len(grid)
     volts = {node: np.empty(n_steps) for node in nodes}
     currents = {s.name: np.empty(n_steps) for s in sources}
@@ -166,7 +194,7 @@ def _transient_traced(circuit: Circuit, t_stop: float, dt: float,
         coeff = 1.0 / h if method == "be" else 2.0 / h
 
         def charge_companion(x_est: np.ndarray, stamper) -> None:
-            q, cap = assembler.assemble_dynamic(x_est)
+            q, cap = charges_at(x_est)
             stamper.matrix += coeff * cap
             i_hist = coeff * q_from + (i_from if method == "trap" else 0.0)
             stamper.rhs += coeff * (cap @ x_est) - (coeff * q - i_hist)
@@ -174,7 +202,7 @@ def _transient_traced(circuit: Circuit, t_stop: float, dt: float,
         x_new = newton_solve(assembler, x_from, t_to,
                              extra_system=charge_companion,
                              site="transient.newton")
-        q_new, _ = assembler.assemble_dynamic(x_new)
+        q_new, _ = charges_at(x_new)
         i_new = (coeff * (q_new - q_from) - i_from if method == "trap"
                  else i_from)
         return x_new, q_new, i_new

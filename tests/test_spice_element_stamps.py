@@ -5,10 +5,12 @@ import pytest
 
 from repro.compact.model import BsimSoi4Lite
 from repro.compact.parameters import default_parameters
+from repro.spice import Circuit, dc_source
 from repro.spice.elements.base import Stamper
 from repro.spice.elements.capacitor import Capacitor
 from repro.spice.elements.mosfet import Mosfet
 from repro.spice.elements.resistor import Resistor
+from repro.spice.mna import GMIN, MnaAssembler
 from repro.tcad.device import Polarity
 
 
@@ -50,50 +52,64 @@ def test_capacitor_charge_and_jacobian():
     assert np.allclose(c, np.array([[2e-15, -2e-15], [-2e-15, 2e-15]]))
 
 
+def assembled_mosfet(model, voltages):
+    """One MOSFET with every terminal held by a DC source, assembled
+    through the grouped evaluation at the given terminal voltages.
+
+    Returns the static (A, z) and dynamic (q, C) restricted to the
+    d, g, s node block — the MOSFET's own entries (GMIN removed from
+    the static diagonal; the sources stamp only branch rows/columns).
+    """
+    c = Circuit()
+    c.add(Mosfet("M1", "d", "g", "s", model))
+    for node in ("d", "g", "s"):
+        c.add(dc_source(f"V{node}", node, "0", voltages[node]))
+    assembler = MnaAssembler(c)
+    assert [assembler.node_index[n] for n in ("d", "g", "s")] == [0, 1, 2]
+    x = np.zeros(assembler.n_unknowns)
+    x[:3] = [voltages[n] for n in ("d", "g", "s")]
+    stamper = assembler.assemble_static(x, 0.0)
+    matrix = stamper.matrix[:3, :3] - GMIN * np.eye(3)
+    q, cap = assembler.assemble_dynamic(x)
+    return matrix, stamper.rhs[:3], q[:3], cap[:3, :3]
+
+
 def test_mosfet_stamp_consistency():
     """The stamped companion must reproduce I(v) at the linearisation
     point: A v - z contributions equal the true drain current."""
     model = BsimSoi4Lite(params=default_parameters(),
                          polarity=Polarity.NMOS)
-    fet = Mosfet("M1", "d", "g", "s", model)
     voltages = {"d": 0.7, "g": 0.9, "s": 0.1}
-    stamper = make_stamper(["d", "g", "s"])
-    fet.stamp_static(stamper, voltages, 0.0)
+    matrix, rhs, _, _ = assembled_mosfet(model, voltages)
 
     v = np.array([voltages["d"], voltages["g"], voltages["s"]])
     # KCL residual at the drain row: sum(A[0,:] v) - z[0] = I_D.
-    i_lin = float(stamper.matrix[0] @ v - stamper.rhs[0])
+    i_lin = float(matrix[0] @ v - rhs[0])
     i_true = model.ids(voltages["g"] - voltages["s"],
                        voltages["d"] - voltages["s"])
     assert i_lin == pytest.approx(i_true, rel=1e-6)
     # Source row carries the opposite current; gate row carries none.
-    i_src = float(stamper.matrix[2] @ v - stamper.rhs[2])
+    i_src = float(matrix[2] @ v - rhs[2])
     assert i_src == pytest.approx(-i_true, rel=1e-6)
-    i_gate = float(stamper.matrix[1] @ v - stamper.rhs[1])
+    i_gate = float(matrix[1] @ v - rhs[1])
     assert i_gate == pytest.approx(0.0, abs=1e-18)
 
 
 def test_mosfet_stamp_gm_matches_model():
     model = BsimSoi4Lite(params=default_parameters(),
                          polarity=Polarity.NMOS)
-    fet = Mosfet("M1", "d", "g", "s", model)
     voltages = {"d": 1.0, "g": 0.8, "s": 0.0}
-    stamper = make_stamper(["d", "g", "s"])
-    fet.stamp_static(stamper, voltages, 0.0)
+    matrix, _, _, _ = assembled_mosfet(model, voltages)
     # A[d, g] is gm.
     d = 1e-4
     gm_ref = (model.ids(0.8 + d, 1.0) - model.ids(0.8 - d, 1.0)) / (2 * d)
-    assert stamper.matrix[0, 1] == pytest.approx(gm_ref, rel=1e-6)
+    assert matrix[0, 1] == pytest.approx(gm_ref, rel=1e-6)
 
 
 def test_mosfet_charge_stamp_conserves():
     model = BsimSoi4Lite(params=default_parameters(),
                          polarity=Polarity.NMOS)
-    fet = Mosfet("M1", "d", "g", "s", model)
-    stamper = make_stamper(["d", "g", "s"])
-    q = np.zeros(3)
-    c = np.zeros((3, 3))
-    fet.stamp_dynamic(stamper, {"d": 0.6, "g": 0.9, "s": 0.0}, q, c)
+    _, _, q, c = assembled_mosfet(model, {"d": 0.6, "g": 0.9, "s": 0.0})
     # Total stamped charge sums to zero (conservative model).
     assert q.sum() == pytest.approx(0.0, abs=1e-24)
     # Capacitance matrix rows sum to zero (charge depends on voltage
@@ -104,10 +120,8 @@ def test_mosfet_charge_stamp_conserves():
 def test_mosfet_pmos_stamp_signs():
     model = BsimSoi4Lite(params=default_parameters(),
                          polarity=Polarity.PMOS)
-    fet = Mosfet("M1", "d", "g", "s", model)
     voltages = {"d": 0.0, "g": 0.0, "s": 1.0}  # PMOS fully on
-    stamper = make_stamper(["d", "g", "s"])
-    fet.stamp_static(stamper, voltages, 0.0)
+    matrix, rhs, _, _ = assembled_mosfet(model, voltages)
     v = np.array([0.0, 0.0, 1.0])
-    i_lin = float(stamper.matrix[0] @ v - stamper.rhs[0])
+    i_lin = float(matrix[0] @ v - rhs[0])
     assert i_lin < 0  # current flows out of the drain

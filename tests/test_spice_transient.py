@@ -1,20 +1,31 @@
 """Transient integrator: closed-form RC checks, grids, methods."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
+from repro.compact.model import BsimSoi4Lite
+from repro.compact.parameters import default_parameters
 from repro.errors import SimulationError
+from repro.observe import Tracer, activate
+from repro.resilience import FaultInjector, clear_faults, install
 from repro.spice import (
     Capacitor,
     Circuit,
+    Mosfet,
     Resistor,
     dc_source,
     pulse_source,
     transient,
 )
+from repro.spice.mna import MnaAssembler
 from repro.spice.transient import build_time_grid
+from repro.tcad.device import Polarity
+
+# The module, not the ``transient`` function re-exported by the package.
+transient_mod = importlib.import_module("repro.spice.transient")
 
 
 def rc_circuit(tau_r=1e3, tau_c=1e-12):
@@ -72,6 +83,23 @@ def test_record_nodes_subset():
         res.waveform("in")
 
 
+def test_record_nodes_rejects_unknown_nodes(monkeypatch):
+    def no_dc(*args, **kwargs):
+        raise AssertionError("validation must precede the DC solve")
+
+    monkeypatch.setattr(transient_mod, "solve_dc", no_dc)
+    with pytest.raises(SimulationError, match="typo"):
+        transient(rc_circuit(), t_stop=1e-9, dt=1e-10,
+                  record_nodes=["out", "typo"])
+
+
+def test_record_nodes_allows_ground():
+    res = transient(rc_circuit(), t_stop=1e-9, dt=1e-10,
+                    record_nodes=["out", "0"])
+    assert np.all(res.node_voltages["0"] == 0.0)
+    assert res.node_voltages["out"].max() > 0.5
+
+
 def test_ground_waveform_is_zero():
     c = rc_circuit()
     res = transient(c, t_stop=1e-9, dt=1e-10)
@@ -117,3 +145,78 @@ def test_pulse_propagates_through_rc():
     res = transient(c, t_stop=3e-9, dt=2e-11)
     out = res.waveform("out")
     assert out.maximum() > 0.99
+
+
+# ----------------------------------------------------------------------
+# charge hand-forward between timesteps
+# ----------------------------------------------------------------------
+def rc_loaded_inverter():
+    nmos = BsimSoi4Lite(params=default_parameters(), polarity=Polarity.NMOS)
+    pmos = BsimSoi4Lite(params=default_parameters(), polarity=Polarity.PMOS)
+    c = Circuit("inv_rc")
+    c.add(dc_source("VDD", "vdd", "0", 1.0))
+    c.add(pulse_source("VIN", "in", "0", v1=0.0, v2=1.0, delay=1e-10,
+                       rise=2e-11, fall=2e-11, width=3e-10, period=1e-9))
+    c.add(Mosfet("MP", "out", "in", "vdd", pmos))
+    c.add(Mosfet("MN", "out", "in", "0", nmos))
+    c.add(Resistor("RL", "out", "load", 2e3))
+    c.add(Capacitor("CL", "load", "0", 2e-15))
+    return c
+
+
+def _bits(result):
+    parts = [result.times.tobytes()]
+    for table in (result.node_voltages, result.source_currents):
+        parts.extend(table[k].tobytes() for k in sorted(table))
+    return b"".join(parts)
+
+
+def test_converged_charges_are_handed_forward(monkeypatch):
+    """One charge evaluation per Newton iteration plus one for t = 0:
+    a converged state's charges serve the next step's first iteration."""
+    static_calls = {}
+    dynamic_calls = {}
+    assemble_static = MnaAssembler.assemble_static
+    assemble_dynamic = MnaAssembler.assemble_dynamic
+
+    def counted_static(self, x, time):
+        static_calls[id(self)] = static_calls.get(id(self), 0) + 1
+        return assemble_static(self, x, time)
+
+    def counted_dynamic(self, x):
+        dynamic_calls[id(self)] = dynamic_calls.get(id(self), 0) + 1
+        return assemble_dynamic(self, x)
+
+    monkeypatch.setattr(MnaAssembler, "assemble_static", counted_static)
+    monkeypatch.setattr(MnaAssembler, "assemble_dynamic", counted_dynamic)
+    tracer = Tracer()
+    with activate(tracer):
+        transient(rc_loaded_inverter(), t_stop=1e-9, dt=5e-11)
+    assert tracer.counter("spice.transient.rejected_steps").value == 0
+    # The transient's own assembler is the one that evaluated charges;
+    # each of its static assemblies is one Newton iteration.
+    (key, n_dynamic), = dynamic_calls.items()
+    assert n_dynamic == static_calls[key] + 1
+
+
+def test_hand_forward_matches_unmemoised_reference_after_rejection(
+        monkeypatch):
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+
+    def run():
+        install(FaultInjector.parse(
+            "convergence:transient.newton:after=5,fatal=1"))
+        tracer = Tracer()
+        try:
+            with activate(tracer):
+                result = transient(rc_loaded_inverter(), t_stop=1e-9,
+                                   dt=5e-11)
+        finally:
+            clear_faults()
+        assert tracer.counter("spice.transient.rejected_steps").value == 1
+        return result
+
+    memoised = run()
+    monkeypatch.setattr(transient_mod, "_memoised", lambda evaluate: evaluate)
+    reference = run()
+    assert _bits(memoised) == _bits(reference)
