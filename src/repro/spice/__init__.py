@@ -1,10 +1,12 @@
 """A SPICE-class circuit simulator (the paper's HSPICE substitute).
 
 Modified nodal analysis with damped Newton iteration for DC (its rescue
-ladder ends in source continuation), and backward-Euler / trapezoidal
-transient with charge-conserving companion models.  Elements: resistor,
-capacitor, independent voltage/current sources (DC, PULSE, PWL) and the
-BSIMSOI4-lite MOSFET.
+ladder ends in source continuation, a scale on every independent
+source), and backward-Euler / trapezoidal transient with
+charge-conserving companion models.  Elements: resistor, capacitor,
+independent voltage/current sources (DC, PULSE, PWL) and the
+BSIMSOI4-lite MOSFET; each one writes its values through integer stamp
+plans fixed once per circuit (:mod:`repro.spice.mna`).
 """
 
 from repro.spice.netlist import Circuit

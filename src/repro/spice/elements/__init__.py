@@ -1,6 +1,6 @@
 """Circuit elements."""
 
-from repro.spice.elements.base import Element, Stamper
+from repro.spice.elements.base import Element, StampPlan
 from repro.spice.elements.resistor import Resistor
 from repro.spice.elements.capacitor import Capacitor
 from repro.spice.elements.vsource import VoltageSource
@@ -9,7 +9,7 @@ from repro.spice.elements.mosfet import Mosfet
 
 __all__ = [
     "Element",
-    "Stamper",
+    "StampPlan",
     "Resistor",
     "Capacitor",
     "VoltageSource",

@@ -1,23 +1,25 @@
-"""Element interface and the MNA stamper.
+"""Element interface: stamp plans fixed per circuit, values per assembly.
 
-Every element linearises itself around the current solution estimate and
-*stamps* companion conductances/currents into the system:
+Every element linearises itself around the current solution estimate
+and contributes entries to the MNA system in two steps:
 
-* :meth:`Element.stamp_static` — resistive currents and their Jacobian
-  (used by DC and transient alike);
-* :meth:`Element.stamp_dynamic` — terminal charges and their capacitance
-  Jacobian (used by the transient integrator only).
+* :meth:`Element.stamp_plan` — once per circuit, the integer positions
+  of its entries (a :class:`StampPlan`), ground rows and columns
+  dropped;
+* per assembly, the values of those entries — :meth:`static_values`
+  (resistive currents and their Jacobian, used by DC and transient
+  alike) and :meth:`dynamic_values` (terminal charges and their
+  capacitance Jacobian, transient only) — written through the plan by
+  :meth:`stamp_static` / :meth:`stamp_dynamic`.
 
-The :class:`Stamper` hides matrix indexing: elements talk in node names.
-Ground ("0") maps to no row/column.  The MOSFET is the exception: the
-assembler evaluates MOSFETs per model group and passes each one its
-values and precomputed integer positions
-(:mod:`repro.spice.elements.mosfet`).
+The MOSFET has no value methods of its own: the assembler evaluates
+MOSFETs per model group and hands each one its values
+(:mod:`repro.spice.mna`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,81 +28,25 @@ from repro.errors import NetlistError
 GROUND = "0"
 
 
-class Stamper:
-    """Accumulates the linearised MNA system A x = z.
+class StampPlan(NamedTuple):
+    """Positions of one element's stamp entries, ground dropped.
 
-    ``x`` is [node voltages..., branch currents...].  For the transient
-    integrator a separate charge vector / capacitance matrix is built with
-    the same indexing.
+    ``matrix`` holds ``(row, col, k)``: ``matrix[row, col] +=
+    matrix_values[k]``; ``rhs`` holds ``(row, k)`` into the rhs values;
+    ``charge`` and ``cap`` do the same for the charge vector and the
+    capacitance matrix.  Entries are written in the order listed.
     """
 
-    def __init__(self, node_index: Dict[str, int],
-                 branch_index: Dict[str, int], n_unknowns: int):
-        self.node_index = node_index
-        self.branch_index = branch_index
-        self.matrix = np.zeros((n_unknowns, n_unknowns))
-        self.rhs = np.zeros(n_unknowns)
+    matrix: Tuple[Tuple[int, int, int], ...] = ()
+    rhs: Tuple[Tuple[int, int], ...] = ()
+    charge: Tuple[Tuple[int, int], ...] = ()
+    cap: Tuple[Tuple[int, int, int], ...] = ()
 
-    def row(self, node: str) -> Optional[int]:
-        """Matrix row of a node, or None for ground."""
-        if node == GROUND:
-            return None
-        try:
-            return self.node_index[node]
-        except KeyError:
-            raise NetlistError(f"unknown node {node!r}") from None
 
-    def branch_row(self, element_name: str) -> int:
-        """Matrix row of an element's branch-current unknown."""
-        try:
-            return self.branch_index[element_name]
-        except KeyError:
-            raise NetlistError(
-                f"element {element_name!r} has no branch unknown") from None
-
-    # ------------------------------------------------------------------
-    # primitive stamps
-    # ------------------------------------------------------------------
-    def add_matrix(self, row_node: str, col_node: str, value: float) -> None:
-        """A[row, col] += value (no-op if either maps to ground)."""
-        r = self.row(row_node)
-        c = self.row(col_node)
-        if r is not None and c is not None:
-            self.matrix[r, c] += value
-
-    def add_matrix_rowcol(self, r: Optional[int], c: Optional[int],
-                          value: float) -> None:
-        """Raw-index variant (rows may be branch rows)."""
-        if r is not None and c is not None:
-            self.matrix[r, c] += value
-
-    def add_rhs(self, node: str, value: float) -> None:
-        """z[row(node)] += value."""
-        r = self.row(node)
-        if r is not None:
-            self.rhs[r] += value
-
-    def add_rhs_row(self, r: Optional[int], value: float) -> None:
-        """Raw-index right-hand-side stamp."""
-        if r is not None:
-            self.rhs[r] += value
-
-    # ------------------------------------------------------------------
-    # composite stamps
-    # ------------------------------------------------------------------
-    def stamp_conductance(self, n1: str, n2: str, g: float) -> None:
-        """Two-terminal conductance between n1 and n2."""
-        self.add_matrix(n1, n1, g)
-        self.add_matrix(n2, n2, g)
-        self.add_matrix(n1, n2, -g)
-        self.add_matrix(n2, n1, -g)
-
-    def stamp_transconductance(self, out_p: str, out_n: str,
-                               ctrl_p: str, ctrl_n: str, gm: float) -> None:
-        """Current gm * (v(ctrl_p) - v(ctrl_n)) flowing out_p -> out_n."""
-        for out, sign in ((out_p, 1.0), (out_n, -1.0)):
-            self.add_matrix(out, ctrl_p, sign * gm)
-            self.add_matrix(out, ctrl_n, -sign * gm)
+def without_ground(entries: Sequence[Tuple]) -> Tuple[Tuple, ...]:
+    """The plan entries whose row and column (all but the last, value
+    index, field) are not ground (None), in the given order."""
+    return tuple(e for e in entries if None not in e[:-1])
 
 
 class Element:
@@ -117,31 +63,43 @@ class Element:
         if len(self.nodes) < 2:
             raise NetlistError(f"{name}: element needs at least two nodes")
 
-    # ------------------------------------------------------------------
-    # voltage helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def node_voltage(voltages: Dict[str, float], node: str) -> float:
-        """Voltage of a node (ground is 0 by definition)."""
-        if node == GROUND:
-            return 0.0
-        return voltages.get(node, 0.0)
+    def stamp_plan(self, rows: Sequence[Optional[int]],
+                   branch: Optional[int]) -> StampPlan:
+        """Stamp positions, given the row of each node in node order
+        (None = ground) and the element's branch row (None = none)."""
+        raise NotImplementedError
 
-    def terminal_voltages(self, voltages: Dict[str, float]) -> List[float]:
-        """Voltages of this element's terminals, in node order."""
-        return [self.node_voltage(voltages, n) for n in self.nodes]
+    def static_values(self, time: float, scale: float
+                      ) -> Tuple[Sequence[float], Sequence[float]]:
+        """``(matrix values, rhs values)`` at ``time``; ``scale``
+        multiplies every independent source (source continuation)."""
+        return (), ()
 
-    # ------------------------------------------------------------------
-    # stamping interface
-    # ------------------------------------------------------------------
-    def stamp_static(self, stamper: Stamper, voltages: Dict[str, float],
-                     time: float) -> None:
-        """Stamp resistive (memoryless) behaviour; default: nothing."""
+    def dynamic_values(self, x: Sequence[float],
+                       terminals: Sequence[int]
+                       ) -> Tuple[Sequence[float], Sequence[float]]:
+        """``(charge values, cap values)`` at the estimate ``x`` (with a
+        trailing ground slot), whose entries ``terminals`` are this
+        element's node voltages."""
+        return (), ()
 
-    def stamp_dynamic(self, stamper: Stamper, voltages: Dict[str, float],
-                      charge_vector: np.ndarray,
-                      cap_matrix: np.ndarray) -> None:
-        """Accumulate terminal charges and capacitance Jacobian."""
+    def stamp_static(self, matrix: np.ndarray, rhs: np.ndarray,
+                     plan: StampPlan, matrix_values: Sequence[float],
+                     rhs_values: Sequence[float]) -> None:
+        """Accumulate resistive values through ``plan``."""
+        for r, c, k in plan.matrix:
+            matrix[r, c] += matrix_values[k]
+        for r, k in plan.rhs:
+            rhs[r] += rhs_values[k]
+
+    def stamp_dynamic(self, charge: np.ndarray, cap: np.ndarray,
+                      plan: StampPlan, charge_values: Sequence[float],
+                      cap_values: Sequence[float]) -> None:
+        """Accumulate charge values through ``plan``."""
+        for r, k in plan.charge:
+            charge[r] += charge_values[k]
+        for r, c, k in plan.cap:
+            cap[r, c] += cap_values[k]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} {self.nodes}>"

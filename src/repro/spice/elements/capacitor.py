@@ -2,12 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict
-
-import numpy as np
-
 from repro.errors import NetlistError
-from repro.spice.elements.base import Element, Stamper
+from repro.spice.elements.base import Element, StampPlan, without_ground
 
 
 class Capacitor(Element):
@@ -24,25 +20,17 @@ class Capacitor(Element):
                 f"{name}: capacitance must be positive, got {capacitance}")
         self.capacitance = float(capacitance)
 
-    def charge(self, voltages: Dict[str, float]) -> float:
-        """Stored charge q(v) [C] referenced to terminal n1."""
-        v1, v2 = self.terminal_voltages(voltages)
-        return self.capacitance * (v1 - v2)
+    def stamp_plan(self, rows, branch) -> StampPlan:
+        """``+q`` on n1's row and ``-q`` on n2's; ``+C`` on both
+        diagonals, ``-C`` off them."""
+        r1, r2 = rows
+        return StampPlan(
+            charge=without_ground(((r1, 0), (r2, 1))),
+            cap=without_ground(
+                ((r1, r1, 0), (r1, r2, 1), (r2, r2, 0), (r2, r1, 1))))
 
-    def stamp_dynamic(self, stamper: Stamper, voltages: Dict[str, float],
-                      charge_vector: np.ndarray,
-                      cap_matrix: np.ndarray) -> None:
-        q = self.charge(voltages)
-        r1 = stamper.row(self.nodes[0])
-        r2 = stamper.row(self.nodes[1])
+    def dynamic_values(self, x, terminals):
+        t1, t2 = terminals
         c = self.capacitance
-        if r1 is not None:
-            charge_vector[r1] += q
-            cap_matrix[r1, r1] += c
-            if r2 is not None:
-                cap_matrix[r1, r2] -= c
-        if r2 is not None:
-            charge_vector[r2] -= q
-            cap_matrix[r2, r2] += c
-            if r1 is not None:
-                cap_matrix[r2, r1] -= c
+        q = c * (x[t1] - x[t2])
+        return (q, -q), (c, -c)

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict
-
-from repro.spice.elements.base import Element, Stamper
+from repro.spice.elements.base import Element, StampPlan, without_ground
 
 
 class CurrentSource(Element):
@@ -22,8 +20,11 @@ class CurrentSource(Element):
             return float(self.waveform.value(time))
         return float(self.waveform)
 
-    def stamp_static(self, stamper: Stamper, voltages: Dict[str, float],
-                     time: float) -> None:
-        i = self.value(time)
-        stamper.add_rhs(self.nodes[0], -i)
-        stamper.add_rhs(self.nodes[1], i)
+    def stamp_plan(self, rows, branch) -> StampPlan:
+        """``-i`` on n_plus's row, ``+i`` on n_minus's."""
+        r_plus, r_minus = rows
+        return StampPlan(rhs=without_ground(((r_plus, 0), (r_minus, 1))))
+
+    def static_values(self, time, scale):
+        i = self.value(time) * scale
+        return (), (-i, i)

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.errors import NetlistError
-from repro.spice.elements.base import Element, Stamper
+from repro.spice.elements.base import Element, StampPlan, without_ground
 
 
 class Resistor(Element):
@@ -33,12 +31,12 @@ class Resistor(Element):
         """1/R [S]."""
         return 1.0 / self.resistance
 
-    def current(self, voltages: Dict[str, float]) -> float:
-        """Current flowing n1 -> n2 [A]."""
-        v1, v2 = self.terminal_voltages(voltages)
-        return (v1 - v2) * self.conductance
+    def stamp_plan(self, rows, branch) -> StampPlan:
+        """``+g`` on both diagonals, ``-g`` off them."""
+        r1, r2 = rows
+        return StampPlan(matrix=without_ground(
+            ((r1, r1, 0), (r2, r2, 0), (r1, r2, 1), (r2, r1, 1))))
 
-    def stamp_static(self, stamper: Stamper, voltages: Dict[str, float],
-                     time: float) -> None:
-        stamper.stamp_conductance(self.nodes[0], self.nodes[1],
-                                  self.conductance)
+    def static_values(self, time, scale):
+        g = self.conductance
+        return (g, -g), ()

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import NetlistError
-from repro.spice.elements.base import Element, Stamper
+from repro.spice.elements.base import Element, StampPlan, without_ground
 
 
 @dataclass(frozen=True)
@@ -114,16 +114,18 @@ class VoltageSource(Element):
             return self.waveform.breakpoints(t_stop)
         return []
 
-    def stamp_static(self, stamper: Stamper, voltages: Dict[str, float],
-                     time: float) -> None:
-        branch = stamper.branch_row(self.name)
-        r_plus = stamper.row(self.nodes[0])
-        r_minus = stamper.row(self.nodes[1])
-        stamper.add_matrix_rowcol(r_plus, branch, 1.0)
-        stamper.add_matrix_rowcol(r_minus, branch, -1.0)
-        stamper.add_matrix_rowcol(branch, r_plus, 1.0)
-        stamper.add_matrix_rowcol(branch, r_minus, -1.0)
-        stamper.add_rhs_row(branch, self.value(time))
+    def stamp_plan(self, rows, branch) -> StampPlan:
+        """The +/-1 incidence of the branch current on the node rows,
+        the branch equation ``v(+) - v(-) = value`` on the branch row."""
+        r_plus, r_minus = rows
+        return StampPlan(
+            matrix=without_ground(
+                ((r_plus, branch, 0), (r_minus, branch, 1),
+                 (branch, r_plus, 0), (branch, r_minus, 1))),
+            rhs=((branch, 0),))
+
+    def static_values(self, time, scale):
+        return (1.0, -1.0), (self.value(time) * scale,)
 
 
 def dc_source(name: str, n_plus: str, n_minus: str,

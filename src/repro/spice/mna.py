@@ -5,21 +5,26 @@ dense system with ``np.linalg.solve``.  The largest committed netlist
 (MUX2X1, 2D) has 30 unknowns, where LAPACK's dense solve is as cheap as
 any sparse factorisation.
 
+There is one stamping protocol.  The constructor asks every element
+for its :class:`~repro.spice.elements.base.StampPlan`: integer
+positions into matrix, rhs, charge vector and capacitance matrix,
+ground dropped.  Each assembly then computes only values and writes
+them through the plans, element by element in circuit order, so every
+matrix entry sums its contributions in element order.  Independent
+sources are multiplied by the assembly's ``scale`` (1 except in
+Newton's source-continuation rescue).
+
 MOSFETs are evaluated per *model group* — the devices sharing one
 compact-model instance (n-top and p-bottom in a library cell): one
 ``ids_batch`` call on the nominal and finite-difference points of every
 device of the group, and one ``charges_batch`` call likewise.  The
 compact model is elementwise, so each device's values are bit for bit
-those of a call on its own points.  The stamps are then written in
-element order, each device through :meth:`Mosfet.stamp_static` /
-:meth:`Mosfet.stamp_dynamic` at integer positions fixed in the
-constructor, so every matrix entry sums its contributions in the same
-order as an element-by-element evaluation would.
+those of a call on its own points.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,8 +32,8 @@ from repro.compact.model import BsimSoi4Lite
 from repro.errors import SingularMatrixError
 from repro.observe import get_tracer
 from repro.spice.netlist import Circuit
-from repro.spice.elements.base import GROUND, Element, Stamper
-from repro.spice.elements.mosfet import FD_DELTA, Mosfet, MosfetStamps
+from repro.spice.elements.base import GROUND, Element, StampPlan
+from repro.spice.elements.mosfet import FD_DELTA, Mosfet
 
 #: Leak conductance from every node to ground — keeps cut-off transistor
 #: networks non-singular, as real simulators do.
@@ -76,29 +81,38 @@ class MnaAssembler:
         self.branch_index = circuit.branch_index()
         self.n_unknowns = circuit.n_unknowns
         self.n_nodes = len(self.node_index)
-
-        def row(node: str) -> Optional[int]:
-            return None if node == GROUND else self.node_index[node]
+        #: The node-voltage part of the diagonal of the raveled matrix.
+        self._node_diagonal = slice(0, self.n_nodes * (self.n_unknowns + 1),
+                                    self.n_unknowns + 1)
 
         ground_slot = self.n_unknowns
-        #: Every element with its MOSFET position (None: not a MOSFET).
-        self._elements: List[Tuple[Element, Optional[int]]] = []
-        #: Stamp positions of each MOSFET, in element order.
-        self._plans: List[MosfetStamps] = []
+        #: (element, plan, MOSFET position or None) of every element
+        #: with static entries, in element order.
+        self._static: List[Tuple[Element, StampPlan, Optional[int]]] = []
+        #: The same for dynamic entries, with the element's node
+        #: indices into ``x`` extended by one trailing ground slot.
+        self._dynamic: List[Tuple[Element, StampPlan, Tuple[int, ...],
+                                  Optional[int]]] = []
+        self._n_mosfets = 0
         groups: Dict[int, Tuple[BsimSoi4Lite, List[int], List[Tuple]]] = {}
         for element in circuit:
-            if not isinstance(element, Mosfet):
-                self._elements.append((element, None))
-                continue
-            k = len(self._plans)
-            self._plans.append(element.stamp_plan(row))
-            self._elements.append((element, k))
-            _, members, slots = groups.setdefault(
-                id(element.model), (element.model, [], []))
-            members.append(k)
-            slots.append(tuple(ground_slot if n == GROUND
-                               else self.node_index[n]
-                               for n in element.nodes))
+            rows = tuple(None if n == GROUND else self.node_index[n]
+                         for n in element.nodes)
+            terminals = tuple(ground_slot if r is None else r for r in rows)
+            plan = element.stamp_plan(rows,
+                                      self.branch_index.get(element.name))
+            k = None
+            if isinstance(element, Mosfet):
+                k = self._n_mosfets
+                self._n_mosfets += 1
+                _, members, slots = groups.setdefault(
+                    id(element.model), (element.model, [], []))
+                members.append(k)
+                slots.append(terminals)
+            if plan.matrix or plan.rhs:
+                self._static.append((element, plan, k))
+            if plan.charge or plan.cap:
+                self._dynamic.append((element, plan, terminals, k))
         self._groups = [
             _ModelGroup(model, members, np.array(slots, dtype=np.intp).T)
             for model, members, slots in groups.values()]
@@ -117,51 +131,51 @@ class MnaAssembler:
     # ------------------------------------------------------------------
     # assembly
     # ------------------------------------------------------------------
-    def assemble_static(self, x: np.ndarray, time: float) -> Stamper:
-        """Stamp all static (memoryless) element behaviour at estimate x."""
-        stamper = Stamper(self.node_index, self.branch_index,
-                          self.n_unknowns)
-        voltages = self.voltages_from(x)
-        values = self._companions(x)
-        for element, k in self._elements:
-            if k is None:
-                element.stamp_static(stamper, voltages, time)
-            else:
-                element.stamp_static(stamper, self._plans[k], *values[k])
-        for i in range(self.n_nodes):
-            stamper.matrix[i, i] += GMIN
-        return stamper
+    def assemble_static(self, x: np.ndarray, time: float,
+                        scale: float = 1.0
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+        """Linearised static system ``(A, z)`` at estimate x, every
+        independent source multiplied by ``scale``."""
+        n = self.n_unknowns
+        matrix = np.zeros((n, n))
+        rhs = np.zeros(n)
+        devices = self._companions(np.concatenate((x, _GROUND_VOLTAGE)))
+        for element, plan, k in self._static:
+            values = (element.static_values(time, scale) if k is None
+                      else devices[k])
+            element.stamp_static(matrix, rhs, plan, *values)
+        matrix.ravel()[self._node_diagonal] += GMIN
+        return matrix, rhs
 
     def assemble_dynamic(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Charge vector q(x) and capacitance Jacobian C(x) = dq/dx."""
-        stamper = Stamper(self.node_index, self.branch_index,
-                          self.n_unknowns)
-        voltages = self.voltages_from(x)
-        charge = np.zeros(self.n_unknowns)
-        cap = np.zeros((self.n_unknowns, self.n_unknowns))
-        values = self._charges(x)
-        for element, k in self._elements:
-            if k is None:
-                element.stamp_dynamic(stamper, voltages, charge, cap)
-            else:
-                element.stamp_dynamic(charge, cap, self._plans[k],
-                                      *values[k])
+        n = self.n_unknowns
+        charge = np.zeros(n)
+        cap = np.zeros((n, n))
+        x_ext = np.concatenate((x, _GROUND_VOLTAGE))
+        devices = self._charges(x_ext)
+        voltages = x_ext.tolist()
+        for element, plan, terminals, k in self._dynamic:
+            values = (element.dynamic_values(voltages, terminals)
+                      if k is None else devices[k])
+            element.stamp_dynamic(charge, cap, plan, *values)
         return charge, cap
 
     # ------------------------------------------------------------------
     # grouped device evaluation
     # ------------------------------------------------------------------
-    def _companions(self, x: np.ndarray) -> List[Tuple[float, float, float]]:
-        """(gm, gds, ieq) of every MOSFET, one ``ids_batch`` per group.
+    def _companions(self, x_ext: np.ndarray
+                    ) -> List[Tuple[Sequence[float], Sequence[float]]]:
+        """``((gm, -gm, gds, -gds), (-ieq, ieq))`` of every MOSFET, one
+        ``ids_batch`` per group, with ``ieq = ids - gm*vgs - gds*vds``.
 
         Each group's 5n points are laid out as blocks
         ``[vgs, vgs+d, vgs-d, vgs, vgs]`` against
         ``[vds, vds, vds, vds+d, vds-d]``: the nominal current, then
         central differences in vgs (gm) and in vds (gds).
         """
-        x_ext = np.concatenate((x, _GROUND_VOLTAGE))
         d = FD_DELTA
-        values: List = [None] * len(self._plans)
+        values: List = [None] * self._n_mosfets
         for group in self._groups:
             vgs, vds = group.bias(x_ext)
             ids = group.model.ids_batch(
@@ -171,18 +185,17 @@ class MnaAssembler:
             gm = (ids[1] - ids[2]) / (2.0 * d)
             gds = (ids[3] - ids[4]) / (2.0 * d)
             ieq = ids[0] - gm * vgs - gds * vds
-            for k, point in zip(group.members, zip(
-                    gm.tolist(), gds.tolist(), ieq.tolist())):
-                values[k] = point
+            for k, g, o, i in zip(group.members, gm.tolist(), gds.tolist(),
+                                  ieq.tolist()):
+                values[k] = ((g, -g, o, -o), (-i, i))
         return values
 
-    def _charges(self, x: np.ndarray) -> List[Tuple[list, list]]:
+    def _charges(self, x_ext: np.ndarray) -> List[Tuple[list, list]]:
         """((qg, qd, qs), row-major dq/dv) of every MOSFET, one
         ``charges_batch`` per group on blocks ``[vgs, vgs+d, vgs]``
         against ``[vds, vds, vds+d]``; dq/dvs = -(dq/dvg + dq/dvd)."""
-        x_ext = np.concatenate((x, _GROUND_VOLTAGE))
         d = FD_DELTA
-        values: List = [None] * len(self._plans)
+        values: List = [None] * self._n_mosfets
         for group in self._groups:
             vgs, vds = group.bias(x_ext)
             n = vgs.size
@@ -216,35 +229,3 @@ class MnaAssembler:
             raise SingularMatrixError(
                 f"singular MNA matrix ({exc}); check for floating "
                 f"subcircuits or voltage-source loops") from None
-
-
-def scale_sources(circuit: Circuit, factor: float) -> "ScaledSourceContext":
-    """Context manager scaling all voltage sources (source stepping)."""
-    return ScaledSourceContext(circuit, factor)
-
-
-class ScaledSourceContext:
-    """Temporarily replaces VoltageSource waveforms with scaled DC values.
-
-    Used by Newton's source-continuation rung: at factor 0 the circuit
-    is trivially solvable, and the solution continues smoothly to factor 1.
-    """
-
-    def __init__(self, circuit: Circuit, factor: float):
-        self.circuit = circuit
-        self.factor = factor
-        self._saved: Dict[str, object] = {}
-
-    def __enter__(self) -> "ScaledSourceContext":
-        from repro.spice.elements.vsource import VoltageSource
-
-        for element in self.circuit:
-            if isinstance(element, VoltageSource):
-                self._saved[element.name] = element.waveform
-                element.waveform = element.value(0.0) * self.factor
-        return self
-
-    def __exit__(self, *exc_info) -> Optional[bool]:
-        for name, waveform in self._saved.items():
-            self.circuit.element(name).waveform = waveform
-        return None

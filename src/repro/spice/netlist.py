@@ -113,7 +113,3 @@ class Circuit:
         if dangling:
             raise NetlistError(f"dangling nodes: {dangling}")
 
-    def summary(self) -> str:
-        """One-line description for logs."""
-        return (f"{self.title}: {len(self._elements)} elements, "
-                f"{len(self._node_order)} nodes")

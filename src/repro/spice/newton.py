@@ -11,10 +11,12 @@ before the ladder existed — bit-identical artefacts.
 3. gmin stepping: solve with a large extra conductance from every node
    to ground (nearly linear), then walk it down to zero, warm-starting
    each solve from the last;
-4. source continuation: ramp all independent sources from zero (where
-   the solution is trivial) to full value via
+4. source continuation: ramp every independent source, voltage and
+   current, from zero (where the solution is trivial) to its full
+   value at the solve's time, via
    :func:`repro.resilience.rescue.continue_solve`, the adaptive
-   continuation primitive.
+   continuation primitive.  The ramp is a scale factor the assembler
+   applies to the sources' rhs values; the circuit is not touched.
 
 Raises :class:`ConvergenceError` with diagnostics when every rung
 fails.  The deterministic fault injector (``convergence:newton``) can
@@ -33,7 +35,7 @@ from repro.errors import ConvergenceError, SingularMatrixError
 from repro.observe import get_tracer
 from repro.resilience.faults import draw_fault
 from repro.resilience.rescue import continue_solve
-from repro.spice.mna import MnaAssembler, scale_sources
+from repro.spice.mna import MnaAssembler
 
 #: Maximum Newton iterations.
 MAX_ITERATIONS = 120
@@ -51,17 +53,17 @@ GMIN_LADDER = (1e-3, 1e-5, 1e-7, 1e-9, 1e-11)
 
 def _damped_iteration(assembler: MnaAssembler, x0: np.ndarray, time: float,
                       extra_system: Optional[Callable], max_step: float,
-                      iterations: int,
+                      iterations: int, scale: float = 1.0,
                       ) -> Tuple[np.ndarray, int, bool, float]:
-    """One damped-Newton attempt: ``(x, iterations used, converged,
-    last residual)``."""
+    """One damped-Newton attempt with sources scaled by ``scale``:
+    ``(x, iterations used, converged, last residual)``."""
     x = x0.copy()
     residual = float("inf")
     for i in range(iterations):
-        stamper = assembler.assemble_static(x, time)
+        matrix, rhs = assembler.assemble_static(x, time, scale)
         if extra_system is not None:
-            extra_system(x, stamper)
-        x_new = assembler.solve_system(stamper.matrix, stamper.rhs)
+            extra_system(x, matrix, rhs)
+        x_new = assembler.solve_system(matrix, rhs)
         delta = x_new - x
         residual = float(np.max(np.abs(delta))) if delta.size else 0.0
         if residual <= V_TOLERANCE:
@@ -77,11 +79,11 @@ def _damped_iteration(assembler: MnaAssembler, x0: np.ndarray, time: float,
 def _with_gmin(assembler: MnaAssembler, extra_system: Optional[Callable],
                gmin: float) -> Callable:
     """Wrap ``extra_system`` to add ``gmin`` from every node to ground."""
-    def wrapped(x: np.ndarray, stamper) -> None:
+    def wrapped(x: np.ndarray, matrix: np.ndarray, rhs: np.ndarray) -> None:
         if extra_system is not None:
-            extra_system(x, stamper)
+            extra_system(x, matrix, rhs)
         idx = np.arange(assembler.n_nodes)
-        stamper.matrix[idx, idx] += gmin
+        matrix[idx, idx] += gmin
     return wrapped
 
 
@@ -114,10 +116,9 @@ def _rescue_source(assembler: MnaAssembler, x0: np.ndarray, time: float,
 
     def solve_at(factor: float, warm: Optional[np.ndarray]) -> np.ndarray:
         x_init = warm if warm is not None else np.zeros_like(x0)
-        with scale_sources(assembler.circuit, factor):
-            x, used, converged, residual = _damped_iteration(
-                assembler, x_init, time, extra_system, MAX_STEP / 8.0,
-                MAX_ITERATIONS)
+        x, used, converged, residual = _damped_iteration(
+            assembler, x_init, time, extra_system, MAX_STEP / 8.0,
+            MAX_ITERATIONS, scale=factor)
         counters["iterations"] += used
         counters["residual"] = residual
         if not converged:
@@ -147,8 +148,9 @@ def newton_solve(assembler: MnaAssembler, x0: np.ndarray, time: float,
                  site: str = "newton") -> np.ndarray:
     """Solve the nonlinear MNA system starting from ``x0``.
 
-    ``extra_system(x, stamper)`` lets the transient integrator add its
-    charge-companion terms to the freshly assembled static system.
+    ``extra_system(x, matrix, rhs)`` lets the transient integrator add
+    its charge-companion terms, in place, to the freshly assembled
+    static system.
     ``site`` names this solve for the fault injector (the transient
     loop uses ``"transient.newton"`` so injected faults can target
     timestep solves without touching the DC operating point).

@@ -193,11 +193,12 @@ def _transient_traced(circuit: Circuit, t_stop: float, dt: float,
         h = t_to - t_from
         coeff = 1.0 / h if method == "be" else 2.0 / h
 
-        def charge_companion(x_est: np.ndarray, stamper) -> None:
+        def charge_companion(x_est: np.ndarray, matrix: np.ndarray,
+                             rhs: np.ndarray) -> None:
             q, cap = charges_at(x_est)
-            stamper.matrix += coeff * cap
+            matrix += coeff * cap
             i_hist = coeff * q_from + (i_from if method == "trap" else 0.0)
-            stamper.rhs += coeff * (cap @ x_est) - (coeff * q - i_hist)
+            rhs += coeff * (cap @ x_est) - (coeff * q - i_hist)
 
         x_new = newton_solve(assembler, x_from, t_to,
                              extra_system=charge_companion,

@@ -87,17 +87,6 @@ class Waveform:
             f"{self.name or 'waveform'}: no {direction or 'any'} crossing "
             f"of {level:g} after t={time:g}")
 
-    def transition_time(self, v_low: float, v_high: float,
-                        direction: str = "rise") -> float:
-        """10/90-style transition time between two levels (first edge)."""
-        if direction == "rise":
-            t_start = self.first_crossing_after(self.t[0], v_low, "rise")
-            t_end = self.first_crossing_after(t_start, v_high, "rise")
-        else:
-            t_start = self.first_crossing_after(self.t[0], v_high, "fall")
-            t_end = self.first_crossing_after(t_start, v_low, "fall")
-        return t_end - t_start
-
     # ------------------------------------------------------------------
     # integrals / statistics
     # ------------------------------------------------------------------

@@ -51,9 +51,9 @@ def test_newton_divergence_reports_iterations():
         def __init__(self):
             self.flip = 1.0
 
-        def __call__(self, x, stamper):
+        def __call__(self, x, matrix, rhs):
             self.flip = -self.flip
-            stamper.rhs += self.flip * 10.0
+            rhs += self.flip * 10.0
 
     with pytest.raises(ConvergenceError) as err:
         newton_solve(assembler, np.zeros(assembler.n_unknowns), 0.0,

@@ -7,8 +7,17 @@ import pytest
 from repro.errors import ConvergenceError
 from repro.observe import Tracer, activate
 from repro.resilience import FaultInjector, clear_faults, install
-from repro.spice import Circuit, Resistor, dc_source, pulse_source, transient
+from repro.spice import (
+    Circuit,
+    CurrentSource,
+    Resistor,
+    dc_source,
+    pulse_source,
+    transient,
+)
+from repro.spice import newton
 from repro.spice.dcop import solve_dc
+from repro.spice.elements.vsource import PwlSpec
 from repro.spice.mna import MnaAssembler
 from repro.spice.newton import newton_solve
 
@@ -91,10 +100,10 @@ def _sabotage(times: int):
     making the linearised system exactly singular."""
     count = {"left": times}
 
-    def wrecker(x, stamper) -> None:
+    def wrecker(x, matrix, rhs) -> None:
         if count["left"] > 0:
             count["left"] -= 1
-            stamper.matrix[:, :] = 0.0
+            matrix[:, :] = 0.0
     return wrecker
 
 
@@ -141,6 +150,58 @@ def test_hard_singular_system_raises_the_structural_diagnosis():
         newton_solve(assembler, np.zeros(assembler.n_unknowns), 0.0,
                      extra_system=_sabotage(10 ** 6))
     assert err.value.code == "spice.singular_matrix"
+
+
+def _rescue_at(circuit, time, monkeypatch):
+    """Source continuation of ``circuit`` at ``time``: the solution at
+    factor 0 (recorded on the way) and the rescued solution."""
+    assembler = MnaAssembler(circuit)
+    start = {}
+    continue_solve = newton.continue_solve
+
+    def recording(solve_at, **kwargs):
+        start["x"] = solve_at(0.0, None)
+        return continue_solve(solve_at, **kwargs)
+
+    monkeypatch.setattr(newton, "continue_solve", recording)
+    x, _, _ = newton._rescue_source(
+        assembler, np.zeros(assembler.n_unknowns), time, None)
+    assert x is not None
+    return assembler, start["x"], x
+
+
+def test_source_continuation_solves_the_circuit_at_the_solve_time(
+        monkeypatch):
+    """At t = 5e-10 the pulse is at v2 = 1.0: the rescue must land on
+    the same solution as the damped iteration, not on the t = 0 circuit
+    (v1 = 0.2); and the circuit's source is left as it was."""
+    c = Circuit()
+    c.add(pulse_source("V1", "a", "0", v1=0.2, v2=1.0, delay=1e-10))
+    c.add(Resistor("R1", "a", "0", 1e3))
+    waveform = c.element("V1").waveform
+    assembler, start, rescued = _rescue_at(c, 5e-10, monkeypatch)
+    direct, _, converged, _ = newton._damped_iteration(
+        assembler, np.zeros(assembler.n_unknowns), 5e-10, None,
+        newton.MAX_STEP, newton.MAX_ITERATIONS)
+    assert converged
+    a = assembler.node_index["a"]
+    assert direct[a] == pytest.approx(1.0)
+    assert rescued[a] == pytest.approx(direct[a], abs=1e-9)
+    assert np.all(start == 0.0)
+    assert c.element("V1").waveform is waveform
+
+
+def test_source_continuation_ramps_current_sources(monkeypatch):
+    """Continuation starts from every independent source at zero,
+    current sources included, and ends at their value at the solve's
+    time: 1 mA into 1 kOhm at t = 5e-10."""
+    c = Circuit()
+    c.add(CurrentSource("I1", "0", "a",
+                        PwlSpec(((0.0, 2e-4), (1e-10, 1e-3)))))
+    c.add(Resistor("R1", "a", "0", 1e3))
+    assembler, start, rescued = _rescue_at(c, 5e-10, monkeypatch)
+    assert np.all(start == 0.0)
+    assert rescued[assembler.node_index["a"]] == pytest.approx(1.0)
 
 
 # ----------------------------------------------------------------------

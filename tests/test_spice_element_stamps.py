@@ -1,4 +1,10 @@
-"""Direct verification of element stamps against their definitions."""
+"""Direct verification of element stamps against their definitions.
+
+Each element is assembled in a small circuit whose every node is held
+by a DC source, so the element's own entries are the node block of the
+assembled system (GMIN removed; the sources stamp only branch rows and
+columns).
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +12,6 @@ import pytest
 from repro.compact.model import BsimSoi4Lite
 from repro.compact.parameters import default_parameters
 from repro.spice import Circuit, dc_source
-from repro.spice.elements.base import Stamper
 from repro.spice.elements.capacitor import Capacitor
 from repro.spice.elements.mosfet import Mosfet
 from repro.spice.elements.resistor import Resistor
@@ -14,64 +19,45 @@ from repro.spice.mna import GMIN, MnaAssembler
 from repro.tcad.device import Polarity
 
 
-def make_stamper(nodes, branches=None):
-    node_index = {n: i for i, n in enumerate(nodes)}
-    branch_index = branches or {}
-    n = len(nodes) + len(branch_index)
-    return Stamper(node_index, branch_index, n)
+def assembled(element, voltages):
+    """Static (A, z) and dynamic (q, C) of ``element`` restricted to its
+    non-ground nodes, in node order, at the given node voltages."""
+    nodes = [n for n in element.nodes if n != "0"]
+    c = Circuit()
+    c.add(element)
+    for node in nodes:
+        c.add(dc_source(f"V{node}", node, "0", voltages[node]))
+    assembler = MnaAssembler(c)
+    assert [assembler.node_index[n] for n in nodes] == list(range(len(nodes)))
+    k = len(nodes)
+    x = np.zeros(assembler.n_unknowns)
+    x[:k] = [voltages[n] for n in nodes]
+    matrix, rhs = assembler.assemble_static(x, 0.0)
+    q, cap = assembler.assemble_dynamic(x)
+    return matrix[:k, :k] - GMIN * np.eye(k), rhs[:k], q[:k], cap[:k, :k]
 
 
 def test_resistor_stamp_matrix():
-    stamper = make_stamper(["a", "b"])
-    Resistor("R1", "a", "b", 2e3).stamp_static(stamper, {}, 0.0)
+    matrix, rhs, _, _ = assembled(Resistor("R1", "a", "b", 2e3),
+                                  {"a": 0.0, "b": 0.0})
     g = 5e-4
     expected = np.array([[g, -g], [-g, g]])
-    assert np.allclose(stamper.matrix, expected)
-    assert np.allclose(stamper.rhs, 0.0)
+    assert np.allclose(matrix, expected)
+    assert np.allclose(rhs, 0.0)
 
 
 def test_resistor_stamp_to_ground_drops_ground_row():
-    stamper = make_stamper(["a"])
-    Resistor("R1", "a", "0", 1e3).stamp_static(stamper, {}, 0.0)
-    assert stamper.matrix[0, 0] == pytest.approx(1e-3)
-
-
-def test_resistor_current_helper():
-    r = Resistor("R1", "a", "b", 1e3)
-    assert r.current({"a": 1.0, "b": 0.25}) == pytest.approx(0.75e-3)
+    matrix, _, _, _ = assembled(Resistor("R1", "a", "0", 1e3), {"a": 0.0})
+    assert matrix.shape == (1, 1)
+    assert matrix[0, 0] == pytest.approx(1e-3)
 
 
 def test_capacitor_charge_and_jacobian():
-    stamper = make_stamper(["a", "b"])
     cap = Capacitor("C1", "a", "b", 2e-15)
-    q = np.zeros(2)
-    c = np.zeros((2, 2))
-    cap.stamp_dynamic(stamper, {"a": 0.8, "b": 0.3}, q, c)
+    _, _, q, c = assembled(cap, {"a": 0.8, "b": 0.3})
     assert q[0] == pytest.approx(2e-15 * 0.5)
     assert q[1] == pytest.approx(-2e-15 * 0.5)
     assert np.allclose(c, np.array([[2e-15, -2e-15], [-2e-15, 2e-15]]))
-
-
-def assembled_mosfet(model, voltages):
-    """One MOSFET with every terminal held by a DC source, assembled
-    through the grouped evaluation at the given terminal voltages.
-
-    Returns the static (A, z) and dynamic (q, C) restricted to the
-    d, g, s node block — the MOSFET's own entries (GMIN removed from
-    the static diagonal; the sources stamp only branch rows/columns).
-    """
-    c = Circuit()
-    c.add(Mosfet("M1", "d", "g", "s", model))
-    for node in ("d", "g", "s"):
-        c.add(dc_source(f"V{node}", node, "0", voltages[node]))
-    assembler = MnaAssembler(c)
-    assert [assembler.node_index[n] for n in ("d", "g", "s")] == [0, 1, 2]
-    x = np.zeros(assembler.n_unknowns)
-    x[:3] = [voltages[n] for n in ("d", "g", "s")]
-    stamper = assembler.assemble_static(x, 0.0)
-    matrix = stamper.matrix[:3, :3] - GMIN * np.eye(3)
-    q, cap = assembler.assemble_dynamic(x)
-    return matrix, stamper.rhs[:3], q[:3], cap[:3, :3]
 
 
 def test_mosfet_stamp_consistency():
@@ -80,7 +66,8 @@ def test_mosfet_stamp_consistency():
     model = BsimSoi4Lite(params=default_parameters(),
                          polarity=Polarity.NMOS)
     voltages = {"d": 0.7, "g": 0.9, "s": 0.1}
-    matrix, rhs, _, _ = assembled_mosfet(model, voltages)
+    matrix, rhs, _, _ = assembled(Mosfet("M1", "d", "g", "s", model),
+                                  voltages)
 
     v = np.array([voltages["d"], voltages["g"], voltages["s"]])
     # KCL residual at the drain row: sum(A[0,:] v) - z[0] = I_D.
@@ -99,7 +86,8 @@ def test_mosfet_stamp_gm_matches_model():
     model = BsimSoi4Lite(params=default_parameters(),
                          polarity=Polarity.NMOS)
     voltages = {"d": 1.0, "g": 0.8, "s": 0.0}
-    matrix, _, _, _ = assembled_mosfet(model, voltages)
+    matrix, _, _, _ = assembled(Mosfet("M1", "d", "g", "s", model),
+                                voltages)
     # A[d, g] is gm.
     d = 1e-4
     gm_ref = (model.ids(0.8 + d, 1.0) - model.ids(0.8 - d, 1.0)) / (2 * d)
@@ -109,7 +97,8 @@ def test_mosfet_stamp_gm_matches_model():
 def test_mosfet_charge_stamp_conserves():
     model = BsimSoi4Lite(params=default_parameters(),
                          polarity=Polarity.NMOS)
-    _, _, q, c = assembled_mosfet(model, {"d": 0.6, "g": 0.9, "s": 0.0})
+    _, _, q, c = assembled(Mosfet("M1", "d", "g", "s", model),
+                           {"d": 0.6, "g": 0.9, "s": 0.0})
     # Total stamped charge sums to zero (conservative model).
     assert q.sum() == pytest.approx(0.0, abs=1e-24)
     # Capacitance matrix rows sum to zero (charge depends on voltage
@@ -121,7 +110,8 @@ def test_mosfet_pmos_stamp_signs():
     model = BsimSoi4Lite(params=default_parameters(),
                          polarity=Polarity.PMOS)
     voltages = {"d": 0.0, "g": 0.0, "s": 1.0}  # PMOS fully on
-    matrix, rhs, _, _ = assembled_mosfet(model, voltages)
+    matrix, rhs, _, _ = assembled(Mosfet("M1", "d", "g", "s", model),
+                                  voltages)
     v = np.array([0.0, 0.0, 1.0])
     i_lin = float(matrix[0] @ v - rhs[0])
     assert i_lin < 0  # current flows out of the drain

@@ -92,9 +92,3 @@ def test_element_validation():
         Capacitor("C1", "a", "0", 0.0)
     with pytest.raises(NetlistError):
         Resistor("", "a", "0", 1.0)
-
-
-def test_summary_mentions_counts():
-    text = divider().summary()
-    assert "3 elements" in text
-    assert "2 nodes" in text

@@ -179,9 +179,9 @@ def test_converged_charges_are_handed_forward(monkeypatch):
     assemble_static = MnaAssembler.assemble_static
     assemble_dynamic = MnaAssembler.assemble_dynamic
 
-    def counted_static(self, x, time):
+    def counted_static(self, x, time, scale=1.0):
         static_calls[id(self)] = static_calls.get(id(self), 0) + 1
-        return assemble_static(self, x, time)
+        return assemble_static(self, x, time, scale)
 
     def counted_dynamic(self, x):
         dynamic_calls[id(self)] = dynamic_calls.get(id(self), 0) + 1

@@ -60,17 +60,6 @@ def test_bad_direction_rejected():
         ramp().crossings(0.5, "sideways")
 
 
-def test_transition_time():
-    wf = ramp()
-    assert wf.transition_time(0.1, 0.9, "rise") == pytest.approx(0.8)
-
-
-def test_transition_time_fall():
-    t = np.linspace(0.0, 1.0, 11)
-    wf = Waveform(t, 1.0 - t)
-    assert wf.transition_time(0.1, 0.9, "fall") == pytest.approx(0.8)
-
-
 def test_integral_and_mean():
     wf = ramp()
     assert wf.integral() == pytest.approx(0.5)
