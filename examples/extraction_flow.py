@@ -3,9 +3,12 @@
 Characterises the 2-channel MIV-transistor NMOS in TCAD-lite, runs the
 three extraction stages individually (showing the parameter hand-off),
 scores the Table III regions, and prints the resulting HSPICE-style
-.model card.
+.model card.  Each stage's ``residual_fn`` evaluates many parameter
+rows in one compact-model call; ``fit_parameters`` hands it the
+optimiser's single points and whole finite-difference Jacobians.
 
-Run:  python examples/extraction_flow.py   (about 10 seconds)
+Run:  python examples/extraction_flow.py   (about 2 seconds on a 2-vCPU
+      x86-64 box with a cold cache)
 """
 
 from repro.compact.cards import render_model_card

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.compact.parameters import per_row
 from repro.compact.subthreshold import soft_plus
 
 _EXP_CLIP = 80.0
@@ -31,7 +32,11 @@ _EXP_CLIP = 80.0
 
 @dataclass(frozen=True)
 class CapacitanceParameters:
-    """Capacitance-stage parameters (see Table II / Section III-B)."""
+    """Capacitance-stage parameters (see Table II / Section III-B).
+
+    Each is a Python float, or an (R, 1, ...) column of R parameter sets
+    for :func:`gate_capacitance`.
+    """
 
     ckappa: float
     delvt: float
@@ -43,25 +48,29 @@ class CapacitanceParameters:
     cgdl: float
 
 
-def inversion_transition(vg, vth: float, delvt: float, moin: float,
-                         vt: float) -> np.ndarray:
+def inversion_transition(vg, vth, delvt, moin, vt: float) -> np.ndarray:
     """Logistic transition factor f(Vg) in [0, 1]."""
     vg = np.asarray(vg, dtype=float)
-    width = max(moin, 0.1) * vt
+    width = per_row(lambda m: max(m, 0.1) * vt, moin)
     x = np.clip((vg - (vth + delvt)) / width, -_EXP_CLIP, _EXP_CLIP)
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def fringe_turn_on(vg, ckappa: float) -> np.ndarray:
+def fringe_turn_on(vg, ckappa) -> np.ndarray:
     """Bias-dependent inner-fringe activation g(Vg) in [0, 1]."""
     vg = np.asarray(vg, dtype=float)
-    return 0.5 * (1.0 + np.tanh(vg / max(ckappa, 1e-3)))
+    turn_on = per_row(lambda k: max(k, 1e-3), ckappa)
+    return 0.5 * (1.0 + np.tanh(vg / turn_on))
 
 
-def gate_capacitance(vg, params: CapacitanceParameters, vth: float,
+def gate_capacitance(vg, params: CapacitanceParameters, vth,
                      cox: float, width: float, length: float,
                      vt: float) -> np.ndarray:
-    """Total Cgg(Vg) [F] at Vds = 0."""
+    """Total Cgg(Vg) [F] at Vds = 0.
+
+    ``params`` and ``vth`` may hold (R, 1, ...) parameter-row columns;
+    the result then has R leading rows.
+    """
     f = inversion_transition(vg, vth, params.delvt, params.moin, vt)
     g = fringe_turn_on(vg, params.ckappa)
     intrinsic = width * length * cox * f

@@ -6,8 +6,8 @@ simulator and the extraction flow consume:
 
 * :meth:`BsimSoi4Lite.ids` — polarity-aware drain current (SPICE signs),
 * :meth:`BsimSoi4Lite.ids_magnitude` — vectorised magnitude-space current
-  (extraction fitting),
-* :meth:`BsimSoi4Lite.cgg` — total gate capacitance at Vds = 0,
+  (extraction fitting; optionally over R parameter sets at once),
+* :meth:`BsimSoi4Lite.cgg` — total gate capacitance at Vds = 0 (likewise),
 * :meth:`BsimSoi4Lite.charges` — conservative terminal charges (qg, qd,
   qs) for transient analysis.
 """
@@ -15,7 +15,7 @@ simulator and the extraction flow consume:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,19 +118,41 @@ class BsimSoi4Lite:
         return self._threshold.vth(self.p("VTH0"), self.p("DVT0"),
                                    self.p("DVT1"), self.p("ETAB"), vds)
 
-    def ids_magnitude(self, vgs, vds) -> np.ndarray:
-        """|I_D| [A] in magnitude space (vectorised, vds >= 0)."""
+    def _parameters(self, rows: Optional[Sequence[ParameterSet]],
+                    *bias) -> Callable[[str], object]:
+        """Parameter lookup for one evaluation.
+
+        Without ``rows`` a name maps to this instance's Python float.  With
+        R parameter sets it maps to an (R, 1, ...) column that broadcasts
+        against the ``bias`` arrays, giving the result R leading rows.
+        """
+        if rows is None:
+            return self.params.__getitem__
+        shape = (-1,) + (1,) * max(np.ndim(b) for b in bias)
+        return lambda name: np.reshape([p[name] for p in rows], shape)
+
+    def ids_magnitude(self, vgs, vds,
+                      rows: Optional[Sequence[ParameterSet]] = None
+                      ) -> np.ndarray:
+        """|I_D| [A] in magnitude space (vectorised, vds >= 0).
+
+        ``rows`` evaluates R parameter sets in one call: the result gains
+        a leading axis of length R whose row r equals, bit for bit, this
+        model with ``params=rows[r]`` evaluated alone.
+        """
         vgs = np.asarray(vgs, dtype=float)
         vds = np.asarray(vds, dtype=float)
-        vth = self.vth(vds)
-        n = ideality_factor(self.p("CDSC"), self.p("CDSCD"), self.cox, vds)
+        p = self._parameters(rows, vgs, vds)
+        vth = self._threshold.vth(p("VTH0"), p("DVT0"), p("DVT1"),
+                                  p("ETAB"), vds)
+        n = ideality_factor(p("CDSC"), p("CDSCD"), self.cox, vds)
         vgsteff = effective_overdrive(vgs, vth, n, self.vt_thermal)
         mu = mob_mod.effective_mobility(
-            vgsteff, self.t_ox, self.p("U0"), self.p("UA"),
-            self.p("UB"), self.p("UD"), self.p("UCS"), self.vt_thermal)
+            vgsteff, self.t_ox, p("U0"), p("UA"), p("UB"), p("UD"),
+            p("UCS"), self.vt_thermal)
         return cur_mod.drain_current(
             vgsteff, vds, mu, self.cox, self.width, self.length,
-            self.p("VSAT"), self.p("PVAG"), self.vt_thermal)
+            p("VSAT"), p("PVAG"), self.vt_thermal)
 
     def ids(self, vgs: float, vds: float) -> float:
         """Drain current [A] with SPICE signs (PMOS takes negative biases).
@@ -163,17 +185,27 @@ class BsimSoi4Lite:
     # ------------------------------------------------------------------
     # capacitance / charge
     # ------------------------------------------------------------------
-    def _cap_params(self) -> cap_mod.CapacitanceParameters:
+    def _cap_params(self, p: Optional[Callable[[str], object]] = None
+                    ) -> cap_mod.CapacitanceParameters:
+        p = p or self.p
         return cap_mod.CapacitanceParameters(
-            ckappa=self.p("CKAPPA"), delvt=self.p("DELVT"),
-            cf=self.p("CF"), cgso=self.p("CGSO"), cgdo=self.p("CGDO"),
-            moin=self.p("MOIN"), cgsl=self.p("CGSL"), cgdl=self.p("CGDL"))
+            ckappa=p("CKAPPA"), delvt=p("DELVT"), cf=p("CF"),
+            cgso=p("CGSO"), cgdo=p("CGDO"), moin=p("MOIN"),
+            cgsl=p("CGSL"), cgdl=p("CGDL"))
 
-    def cgg(self, vg) -> np.ndarray:
-        """Total gate capacitance [F] at Vds = 0, magnitude space."""
+    def cgg(self, vg, rows: Optional[Sequence[ParameterSet]] = None
+            ) -> np.ndarray:
+        """Total gate capacitance [F] at Vds = 0, magnitude space.
+
+        ``rows`` evaluates R parameter sets in one call, as in
+        :meth:`ids_magnitude`.
+        """
+        p = self._parameters(rows, vg)
+        vth0 = self._threshold.vth(p("VTH0"), p("DVT0"), p("DVT1"),
+                                   p("ETAB"), 0.0)
         return cap_mod.gate_capacitance(
-            vg, self._cap_params(), float(self.vth(0.0)), self.cox,
-            self.width, self.length, self.vt_thermal)
+            vg, self._cap_params(p), vth0, self.cox, self.width,
+            self.length, self.vt_thermal)
 
     def charges(self, vgs: float, vds: float) -> Tuple[float, float, float]:
         """Conservative terminal charges (qg, qd, qs) [C], SPICE signs.

@@ -15,6 +15,7 @@ from math import cosh, sqrt
 
 import numpy as np
 
+from repro.compact.parameters import per_row
 from repro.materials import SILICON, SILICON_DIOXIDE
 
 #: Effective junction built-in potential entering the roll-off term [V].
@@ -47,8 +48,11 @@ class ThresholdModel:
             denom = 1e-12
         return 0.5 * dvt0 / denom * BUILT_IN_EFFECTIVE
 
-    def vth(self, vth0: float, dvt0: float, dvt1: float,
-            etab: float, vds) -> np.ndarray:
-        """Threshold voltage [V] versus drain bias (vectorised in vds)."""
+    def vth(self, vth0, dvt0, dvt1, etab, vds) -> np.ndarray:
+        """Threshold voltage [V] versus drain bias (vectorised in vds).
+
+        The parameters are Python floats or parameter-row columns; the
+        short-channel shift is taken row by row (:func:`per_row`).
+        """
         vds = np.asarray(vds, dtype=float)
-        return vth0 - self.sce_shift(dvt0, dvt1) - etab * vds
+        return vth0 - per_row(self.sce_shift, dvt0, dvt1) - etab * vds

@@ -23,18 +23,54 @@ REPORT_FLOOR_FRACTION = 0.02
 LOG_FLOOR = 1e-14
 
 
+def _log10_current(current) -> np.ndarray:
+    """log10 of a current [A], floored at :data:`LOG_FLOOR`."""
+    return np.log10(np.maximum(current, LOG_FLOOR))
+
+
+class ReferenceCurve:
+    """A reference curve with its residual terms precomputed.
+
+    The denominators of :func:`relative_errors` and the ``log10`` of the
+    reference depend on the reference alone; an extraction stage builds
+    them once and then scores every trial curve against them.  The
+    trial curve may be one evaluation, shape ``(n,)``, or R of them,
+    shape ``(R, n)``; each row is scored exactly as alone.
+    """
+
+    def __init__(self, reference,
+                 floor_fraction: float = REPORT_FLOOR_FRACTION):
+        reference = np.asarray(reference, dtype=float)
+        scale = float(np.max(np.abs(reference)))
+        if scale <= 0:
+            raise ExtractionError("reference curve is identically zero")
+        self.reference = reference
+        self.denominator = np.maximum(np.abs(reference),
+                                      floor_fraction * scale)
+        self.log_reference = _log10_current(reference)
+
+    def relative(self, simulated) -> np.ndarray:
+        """Pointwise |sim - ref| / max(|ref|, floor) as a fraction."""
+        return np.abs(simulated - self.reference) / self.denominator
+
+    def mixed(self, simulated, log_weight: float) -> np.ndarray:
+        """Relative residuals, then log10-space ones times ``log_weight``."""
+        logr = (_log10_current(simulated) - self.log_reference) * log_weight
+        return np.concatenate([self.relative(simulated), logr], axis=-1)
+
+
+def _checked(simulated, reference) -> np.ndarray:
+    simulated = np.asarray(simulated, dtype=float)
+    if simulated.shape != np.shape(reference):
+        raise ExtractionError("shape mismatch between sim and reference")
+    return simulated
+
+
 def relative_errors(simulated, reference,
                     floor_fraction: float = REPORT_FLOOR_FRACTION) -> np.ndarray:
     """Pointwise |sim - ref| / max(|ref|, floor) as a fraction."""
-    simulated = np.asarray(simulated, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    if simulated.shape != reference.shape:
-        raise ExtractionError("shape mismatch between sim and reference")
-    scale = float(np.max(np.abs(reference)))
-    if scale <= 0:
-        raise ExtractionError("reference curve is identically zero")
-    denom = np.maximum(np.abs(reference), floor_fraction * scale)
-    return np.abs(simulated - reference) / denom
+    simulated = _checked(simulated, reference)
+    return ReferenceCurve(reference, floor_fraction).relative(simulated)
 
 
 def region_error_percent(simulated, reference) -> float:
@@ -46,13 +82,11 @@ def log_residuals(simulated, reference) -> np.ndarray:
     """log10-space residuals with a floor (subthreshold fitting)."""
     simulated = np.asarray(simulated, dtype=float)
     reference = np.asarray(reference, dtype=float)
-    return (np.log10(np.maximum(simulated, LOG_FLOOR)) -
-            np.log10(np.maximum(reference, LOG_FLOOR)))
+    return _log10_current(simulated) - _log10_current(reference)
 
 
 def mixed_current_residuals(simulated, reference,
                             log_weight: float = 0.5) -> np.ndarray:
     """Concatenated log-space and relative residuals for current curves."""
-    rel = relative_errors(simulated, reference)
-    logr = log_residuals(simulated, reference) * log_weight
-    return np.concatenate([rel, logr])
+    simulated = _checked(simulated, reference)
+    return ReferenceCurve(reference).mixed(simulated, log_weight)

@@ -1,23 +1,67 @@
 """Bounded least-squares wrapper used by every extraction stage.
 
 Parameters are normalised to [0, 1] against their spec bounds before the
-scipy trust-region-reflective solve; this keeps the numerical Jacobian
-well scaled even though the raw parameters span fifteen orders of
-magnitude (CDSC ~ 1e-4 F/m^2 vs UB ~ 1e-18 m^2/V^2).
+scipy trust-region-reflective solve; this keeps the Jacobian well scaled
+even though the raw parameters span fifteen orders of magnitude
+(CDSC ~ 1e-4 F/m^2 vs UB ~ 1e-18 m^2/V^2).
+
+Residuals are evaluated over parameter *rows*: a :class:`RowResidual`
+maps R parameter mappings to an (R, m) matrix in one call, so a stage
+makes one compact-model call for all R.  The solver's own evaluations
+are single rows.  Its Jacobian is a 2-point finite difference whose k
+step points run, with x itself, as one (k+1)-row batch: scipy's
+``approx_derivative`` (relative step 1e-4, bounds [0, 1]) still picks
+the step points -- flipping a step that would leave the box -- and
+assembles J, so the fit follows exactly the path scipy's built-in
+``'2-point'`` Jacobian takes on the installed scipy; only the
+evaluation is batched.  A plain ``residual_fn(values) -> array`` is
+lifted to rows by a loop.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import least_squares
+from scipy.optimize._numdiff import approx_derivative
 
 from repro.errors import ExtractionError
 from repro.compact.parameters import PARAMETER_SPECS, ParameterSet
 from repro.observe import EVALUATION_BUCKETS, get_tracer
 
 ResidualFn = Callable[[Dict[str, float]], np.ndarray]
+RowsFn = Callable[[Sequence[Dict[str, float]]], np.ndarray]
+
+#: Relative finite-difference step of the Jacobian (scipy ``rel_step``).
+JACOBIAN_REL_STEP = 1e-4
+
+#: What the step-recording pass of :meth:`UnitBoxObjective.jac` returns.
+_NO_RESIDUAL = np.zeros(1)
+
+
+@dataclass(frozen=True)
+class RowResidual:
+    """A residual over parameter rows: R value mappings -> (R, m) array.
+
+    Calling it with one mapping evaluates that single row, so it also
+    serves wherever a plain residual function does.
+    """
+
+    rows: RowsFn
+
+    def __call__(self, values: Dict[str, float]) -> np.ndarray:
+        return self.rows([values])[0]
+
+
+def _lifted(residual_fn: ResidualFn) -> RowsFn:
+    """A plain residual function evaluated row by row."""
+    def rows(values: Sequence[Dict[str, float]]) -> np.ndarray:
+        return np.array([np.atleast_1d(np.asarray(residual_fn(v),
+                                                  dtype=float))
+                         for v in values])
+    return rows
 
 
 def _bounds_for(names: List[str]) -> Tuple[np.ndarray, np.ndarray]:
@@ -26,12 +70,75 @@ def _bounds_for(names: List[str]) -> Tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
+class UnitBoxObjective:
+    """``residual_fn`` of ``names``, normalised to the unit box.
+
+    ``objective(x)`` is the residual vector at one normalised point and
+    ``objective.jac(x)`` its 2-point finite-difference Jacobian.
+    ``rows`` counts the residual rows evaluated, single and Jacobian
+    rows alike; ``jacobians`` counts the Jacobians built.
+    """
+
+    def __init__(self, names: List[str], residual_fn: ResidualFn):
+        self.names = list(names)
+        self.lower, upper = _bounds_for(self.names)
+        self.span = upper - self.lower
+        self.bounds = (np.zeros(len(self.names)), np.ones(len(self.names)))
+        self._rows = (residual_fn.rows
+                      if isinstance(residual_fn, RowResidual)
+                      else _lifted(residual_fn))
+        self.rows = 0
+        self.jacobians = 0
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """Parameter values at normalised point(s) ``x`` (clipped)."""
+        return self.lower + np.clip(x, 0.0, 1.0) * self.span
+
+    def evaluate(self, xs: np.ndarray) -> np.ndarray:
+        """Residual rows, shape (R, m), at R normalised points (R, k)."""
+        self.rows += len(xs)
+        residuals = self._rows([dict(zip(self.names, row))
+                                for row in self.values(xs)])
+        if not np.all(np.isfinite(residuals)):
+            # Penalise non-finite model output instead of crashing TRF.
+            residuals = np.nan_to_num(residuals, nan=1e3,
+                                      posinf=1e3, neginf=-1e3)
+        return residuals
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.evaluate(x[np.newaxis])[0]
+
+    def jac(self, x: np.ndarray) -> np.ndarray:
+        """2-point Jacobian at ``x``: one batch of x and its k steps.
+
+        A first ``approx_derivative`` pass only records the step points
+        scipy chooses; the second assembles J from the batch's rows, in
+        the order the first pass asked for them.
+        """
+        self.jacobians += 1
+        steps: List[np.ndarray] = []
+
+        def record(point: np.ndarray) -> np.ndarray:
+            steps.append(np.array(point))
+            return _NO_RESIDUAL
+
+        options = dict(method="2-point", rel_step=JACOBIAN_REL_STEP,
+                       bounds=self.bounds)
+        approx_derivative(record, x, f0=_NO_RESIDUAL, **options)
+        residuals = self.evaluate(np.vstack([x] + steps))
+        stepped = iter(residuals[1:])
+        return approx_derivative(lambda _: next(stepped), x,
+                                 f0=residuals[0], **options)
+
+
 def fit_parameters(base: ParameterSet, names: List[str],
                    residual_fn: ResidualFn,
                    max_evaluations: int = 2000) -> Tuple[ParameterSet, float]:
     """Fit ``names`` starting from ``base`` to minimise ``residual_fn``.
 
-    Returns the updated parameter set and the final residual RMS.
+    ``residual_fn`` is a :class:`RowResidual` or a plain function of one
+    ``{name: value}`` mapping.  Returns the updated parameter set and the
+    final residual RMS.
     """
     if not names:
         raise ExtractionError("no parameters to fit")
@@ -39,39 +146,26 @@ def fit_parameters(base: ParameterSet, names: List[str],
     if unknown:
         raise ExtractionError(f"unknown parameters: {unknown}")
 
-    lower, upper = _bounds_for(names)
-    span = upper - lower
-    x0 = (np.array([base[n] for n in names]) - lower) / span
+    objective = UnitBoxObjective(names, residual_fn)
+    x0 = (np.array([base[n] for n in names]) - objective.lower) / \
+        objective.span
     x0 = np.clip(x0, 0.0, 1.0)
-
-    evaluations = 0
-
-    def wrapped(x: np.ndarray) -> np.ndarray:
-        nonlocal evaluations
-        evaluations += 1
-        values = dict(zip(names, lower + np.clip(x, 0.0, 1.0) * span))
-        residuals = residual_fn(values)
-        if not np.all(np.isfinite(residuals)):
-            # Penalise non-finite model output instead of crashing TRF.
-            residuals = np.nan_to_num(residuals, nan=1e3,
-                                      posinf=1e3, neginf=-1e3)
-        return residuals
 
     tracer = get_tracer()
     with tracer.span("extraction.fit",
                      parameters=",".join(names)) as fit_span:
         result = least_squares(
-            wrapped, x0, bounds=(np.zeros_like(x0), np.ones_like(x0)),
-            max_nfev=max_evaluations, xtol=1e-10, ftol=1e-10, gtol=1e-10,
-            diff_step=1e-4)
-        fitted = dict(zip(names, lower + np.clip(result.x, 0.0, 1.0) * span))
+            objective, x0, jac=objective.jac, bounds=objective.bounds,
+            max_nfev=max_evaluations, xtol=1e-10, ftol=1e-10, gtol=1e-10)
+        fitted = dict(zip(names, objective.values(result.x)))
         rms = (float(np.sqrt(np.mean(result.fun ** 2)))
                if result.fun.size else 0.0)
         if tracer.enabled:
-            fit_span.set(evaluations=evaluations, rms=rms)
+            rows, jacobians = objective.rows, objective.jacobians
+            fit_span.set(rows=rows, jacobians=jacobians, rms=rms)
             tracer.counter("extraction.optimizer.fits").inc()
-            tracer.counter("extraction.optimizer.evaluations").inc(
-                evaluations)
+            tracer.counter("extraction.optimizer.evaluations").inc(rows)
+            tracer.counter("extraction.optimizer.jacobians").inc(jacobians)
             tracer.histogram("extraction.optimizer.evaluations_per_fit",
-                             EVALUATION_BUCKETS).observe(evaluations)
+                             EVALUATION_BUCKETS).observe(rows)
     return base.updated(fitted), rms

@@ -15,7 +15,7 @@ residual vector from the relevant target curves:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -25,8 +25,10 @@ from repro.compact.parameters import (
     STAGE_CAPACITANCE,
     STAGE_HIGH_DRAIN,
     STAGE_LOW_DRAIN,
+    ParameterSet,
 )
-from repro.extraction.error import mixed_current_residuals, relative_errors
+from repro.extraction.error import ReferenceCurve
+from repro.extraction.optimizer import RowResidual
 from repro.extraction.targets import DeviceTargets
 
 
@@ -36,65 +38,89 @@ class ExtractionStage:
 
     name: str
     parameter_names: List[str]
-    residual_builder: Callable[[BsimSoi4Lite, DeviceTargets],
-                               Callable[[Dict[str, float]], np.ndarray]]
+    residual_builder: Callable[[BsimSoi4Lite, DeviceTargets], RowResidual]
 
     def residual_fn(self, model: BsimSoi4Lite,
-                    targets: DeviceTargets) -> Callable[[Dict[str, float]],
-                                                        np.ndarray]:
-        """Bind the stage residuals to a model template and targets."""
+                    targets: DeviceTargets) -> RowResidual:
+        """Bind the stage residuals to a model template and targets.
+
+        The result maps R ``{name: value}`` updates of the template's
+        parameters to an (R, m) residual matrix with one model call;
+        called with a single mapping it returns that row.
+        """
         return self.residual_builder(model, targets)
 
 
-def _low_drain_builder(model: BsimSoi4Lite, targets: DeviceTargets):
+def _parameter_rows(model: BsimSoi4Lite,
+                    rows: Sequence[Dict[str, float]]) -> List[ParameterSet]:
+    """The template's parameters with each row's updates (bounds-checked)."""
+    return [model.params.updated(values) for values in rows]
+
+
+def _low_drain_builder(model: BsimSoi4Lite,
+                       targets: DeviceTargets) -> RowResidual:
     curve = targets.idvg_lin
+    reference = ReferenceCurve(curve.i)
 
-    def residuals(values: Dict[str, float]) -> np.ndarray:
-        trial = model.with_params(values)
-        sim = trial.ids_magnitude(curve.v, curve.fixed_bias)
-        return mixed_current_residuals(sim, curve.i, log_weight=0.6)
+    def residuals(rows: Sequence[Dict[str, float]]) -> np.ndarray:
+        sim = model.ids_magnitude(curve.v, curve.fixed_bias,
+                                  rows=_parameter_rows(model, rows))
+        return reference.mixed(sim, log_weight=0.6)
 
-    return residuals
+    return RowResidual(residuals)
 
 
-def _high_drain_builder(model: BsimSoi4Lite, targets: DeviceTargets):
+def _high_drain_builder(model: BsimSoi4Lite,
+                        targets: DeviceTargets) -> RowResidual:
     sat = targets.idvg_sat
     lin = targets.idvg_lin
-    family = targets.idvd
+    family = targets.idvd.curves
+    # All six curves in one bias vector: the two Id-Vg curves sweep Vgs
+    # at a fixed Vds, the Id-Vd family sweeps Vds at fixed Vgs.
+    vgs = np.concatenate([sat.v, lin.v] +
+                         [np.full(len(c.v), c.fixed_bias) for c in family])
+    vds = np.concatenate([np.full(len(sat.v), sat.fixed_bias),
+                          np.full(len(lin.v), lin.fixed_bias)] +
+                         [c.v for c in family])
+    edges = np.cumsum([0] + [len(c.v) for c in (sat, lin, *family)])
+    references = [ReferenceCurve(c.i) for c in (sat, lin, *family)]
     # Stage 1 "passes U0, UA ... for fine-tuning" (Section III-B): tether
     # the shared mobility parameters to their incoming values so this
     # stage refines rather than refits them.
-    incoming = {name: model.p(name) for name in ("U0", "UA")}
+    incoming = [(name, model.p(name)) for name in ("U0", "UA")
+                if model.p(name) > 0]
 
-    def residuals(values: Dict[str, float]) -> np.ndarray:
-        trial = model.with_params(values)
-        parts = [mixed_current_residuals(
-            trial.ids_magnitude(sat.v, sat.fixed_bias), sat.i,
-            log_weight=0.6)]
+    def tether(values: Dict[str, float]) -> List[float]:
+        return [2.0 * np.log(max(values.get(n, v), 1e-12) / max(v, 1e-12))
+                for n, v in incoming]
+
+    def residuals(rows: Sequence[Dict[str, float]]) -> np.ndarray:
+        sim = model.ids_magnitude(vgs, vds,
+                                  rows=_parameter_rows(model, rows))
+        curves = [sim[:, a:b] for a, b in zip(edges[:-1], edges[1:])]
+        parts = [references[0].mixed(curves[0], log_weight=0.6)]
         # Keep a light anchor on the low-drain curve so the linear region
         # fitted in stage 1 survives the saturation fit.
-        parts.append(0.5 * relative_errors(
-            trial.ids_magnitude(lin.v, lin.fixed_bias), lin.i))
-        for curve in family.curves:
-            sim = trial.ids_magnitude(curve.fixed_bias, curve.v)
-            parts.append(relative_errors(sim, curve.i))
-        tether = [2.0 * np.log(max(values.get(n, v), 1e-12) / max(v, 1e-12))
-                  for n, v in incoming.items() if v > 0]
-        parts.append(np.asarray(tether))
-        return np.concatenate(parts)
+        parts.append(0.5 * references[1].relative(curves[1]))
+        parts.extend(reference.relative(curve) for reference, curve
+                     in zip(references[2:], curves[2:]))
+        parts.append(np.reshape([tether(values) for values in rows],
+                                (len(rows), len(incoming))))
+        return np.concatenate(parts, axis=1)
 
-    return residuals
+    return RowResidual(residuals)
 
 
-def _capacitance_builder(model: BsimSoi4Lite, targets: DeviceTargets):
+def _capacitance_builder(model: BsimSoi4Lite,
+                         targets: DeviceTargets) -> RowResidual:
     curve = targets.cv
+    reference = ReferenceCurve(curve.c)
 
-    def residuals(values: Dict[str, float]) -> np.ndarray:
-        trial = model.with_params(values)
-        sim = trial.cgg(curve.v)
-        return relative_errors(sim, curve.c)
+    def residuals(rows: Sequence[Dict[str, float]]) -> np.ndarray:
+        sim = model.cgg(curve.v, rows=_parameter_rows(model, rows))
+        return reference.relative(sim)
 
-    return residuals
+    return RowResidual(residuals)
 
 
 def low_drain_stage() -> ExtractionStage:

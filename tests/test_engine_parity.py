@@ -122,6 +122,9 @@ def test_traced_flow_records_hot_path_metrics(traced_serial):
     assert snapshot["spice.newton.iterations"]["value"] > 0
     assert snapshot["spice.mna.solves"]["value"] > 0
     assert snapshot["extraction.optimizer.evaluations"]["value"] > 0
+    # every Jacobian is one batch of 1 + k rows, counted as evaluations
+    assert 0 < snapshot["extraction.optimizer.jacobians"]["value"] < \
+        snapshot["extraction.optimizer.evaluations"]["value"]
     assert snapshot["tcad.poisson1d.iterations"]["value"] > 0
     assert snapshot["engine.computed"]["value"] == \
         snapshot["engine.tasks"]["value"]

@@ -46,6 +46,17 @@ def test_device_characterization_runs(capsys):
     assert "drive" in out
 
 
+def test_extraction_flow_runs(capsys):
+    module = _load("extraction_flow.py")
+    module.main()
+    out = capsys.readouterr().out
+    for stage in ("low_drain", "high_drain", "capacitance"):
+        assert stage in out
+    assert "Table III regional errors" in out
+    assert ".model" in out
+    assert "two-pass flow" in out
+
+
 def test_custom_cell_logic_helpers():
     module = _load("custom_cell.py")
     cell = module.build_aoi22()
