@@ -11,15 +11,12 @@ Run:  python examples/custom_cell.py   (about one minute)
 
 import itertools
 
-from repro.cells.netlist_builder import build_cell_circuit
 from repro.cells.spec import CellSpec, GateStage, inp, parallel, series
 from repro.cells.variants import DeviceVariant, extracted_model_set
-from repro.cells.vectors import stimulus_plan_for
 from repro.layout.cell_layout import CellAreaModel
 from repro.ppa.delay import measure_cell_delay
 from repro.ppa.power import measure_cell_power
-from repro.ppa.runner import _configure_sources
-from repro.spice.transient import transient
+from repro.ppa.runner import simulate_cell
 
 
 def build_aoi22() -> CellSpec:
@@ -45,15 +42,8 @@ def verify_logic(cell: CellSpec) -> None:
 
 
 def evaluate(cell: CellSpec, variant: DeviceVariant) -> dict:
-    models = extracted_model_set(variant)
-    netlist = build_cell_circuit(cell, models)
-    results = {}
-    for run in stimulus_plan_for(cell).runs:
-        _configure_sources(netlist, run)
-        record = [f"in_{run.toggled_input}", netlist.output_node]
-        results[run.toggled_input] = (
-            run, transient(netlist.circuit, t_stop=run.t_stop, dt=2e-11,
-                           record_nodes=record))
+    netlist, results = simulate_cell(cell, variant,
+                                     models=extracted_model_set(variant))
     area = CellAreaModel().layout(cell, variant)
     return {
         "delay": measure_cell_delay(netlist, results),

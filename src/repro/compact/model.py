@@ -125,11 +125,14 @@ class BsimSoi4Lite:
         Without ``rows`` a name maps to this instance's Python float.  With
         R parameter sets it maps to an (R, 1, ...) column that broadcasts
         against the ``bias`` arrays, giving the result R leading rows.
+        The columns are the rows of one (P, R) table built per call.
         """
         if rows is None:
             return self.params.__getitem__
         shape = (-1,) + (1,) * max(np.ndim(b) for b in bias)
-        return lambda name: np.reshape([p[name] for p in rows], shape)
+        table = np.array([list(p.values.values()) for p in rows]).T.copy()
+        column = {name: i for i, name in enumerate(rows[0].values)}
+        return lambda name: table[column[name]].reshape(shape)
 
     def ids_magnitude(self, vgs, vds,
                       rows: Optional[Sequence[ParameterSet]] = None

@@ -202,9 +202,12 @@ class ParameterSet:
                 raise ExtractionError(
                     f"{name}={value} outside bounds "
                     f"[{spec.lower}, {spec.upper}]")
-        new_values = dict(self.values)
-        new_values.update({k: float(v) for k, v in updates.items()})
-        return ParameterSet(new_values)
+        # ``values`` already holds every parameter, each checked and a
+        # float, so the copy skips __post_init__'s merge and re-check.
+        new = object.__new__(ParameterSet)
+        new.values = dict(self.values)
+        new.values.update({k: float(v) for k, v in updates.items()})
+        return new
 
     def subset(self, names: Iterable[str]) -> Dict[str, float]:
         """Extract a {name: value} dict for the given names."""

@@ -70,25 +70,33 @@ def simulate_cell(spec: CellSpec, variant: DeviceVariant,
                              Dict[str, Tuple[StimulusRun, TransientResult]]]:
     """Run the sensitised stimulus plan of one cell implementation.
 
-    Returns the netlist and, per toggled input, its (run, transient).
-    ``models`` short-circuits the extraction chain when the caller (the
-    engine's ``cell_ppa`` stage) already holds the variant's model set.
+    Every run gets its own netlist, and the runs are integrated in
+    lockstep by one :func:`transient` call; each run records every
+    input and the output.  Returns the last run's netlist (the handles
+    measurements need are the same in every run) and, per toggled
+    input, its (run, transient).  ``models`` short-circuits the
+    extraction chain when the caller (the engine's ``cell_ppa`` stage)
+    already holds the variant's model set.
     """
     if models is None:
         models = extracted_model_set(variant)
-    netlist = build_cell_circuit(spec, models, parasitics)
     plan = stimulus_plan_for(spec)
+    netlists = [build_cell_circuit(spec, models, parasitics)
+                for _ in plan.runs]
+    for netlist, run in zip(netlists, plan.runs):
+        _configure_sources(netlist, run)
+    netlist = netlists[-1]
+    record = [f"in_{name}" for name in spec.inputs] + [netlist.output_node]
+    # The runs share one time grid: one pulse timing and one t_stop.
+    (t_stop,) = {run.t_stop for run in plan.runs}
 
-    results: Dict[str, Tuple[StimulusRun, TransientResult]] = {}
     with get_tracer().span("ppa.simulate_cell", cell=spec.name,
                            variant=variant.value, runs=len(plan.runs)):
-        for run in plan.runs:
-            _configure_sources(netlist, run)
-            record = [f"in_{run.toggled_input}", netlist.output_node]
-            result = transient(netlist.circuit, t_stop=run.t_stop, dt=dt,
-                               method="trap", record_nodes=record)
-            results[run.toggled_input] = (run, result)
-    return netlist, results
+        results = transient([n.circuit for n in netlists],
+                            t_stop=t_stop, dt=dt, method="trap",
+                            record_nodes=record)
+    return netlist, {run.toggled_input: (run, result)
+                     for run, result in zip(plan.runs, results)}
 
 
 def _configure_sources(netlist: CellNetlist, run: StimulusRun) -> None:

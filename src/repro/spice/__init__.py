@@ -6,7 +6,9 @@ source), and backward-Euler / trapezoidal transient with
 charge-conserving companion models.  Elements: resistor, capacitor,
 independent voltage/current sources (DC, PULSE, PWL) and the
 BSIMSOI4-lite MOSFET; each one writes its values through integer stamp
-plans fixed once per circuit (:mod:`repro.spice.mna`).
+plans fixed once per circuit (:mod:`repro.spice.mna`).  Solvers work on
+batches of same-topology circuits — a cell's stimulus runs integrate in
+lockstep — and a single circuit is the batch of one.
 """
 
 from repro.spice.netlist import Circuit

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -47,14 +47,22 @@ def _package(assembler: MnaAssembler, x: np.ndarray) -> OperatingPoint:
     return OperatingPoint(assembler.voltages_from(x), currents, x)
 
 
-def solve_dc(circuit: Circuit, time: float = 0.0,
-             x0: Optional[np.ndarray] = None) -> OperatingPoint:
+def solve_dc(circuit: Union[Circuit, Sequence[Circuit]], time: float = 0.0,
+             x0: Optional[np.ndarray] = None,
+             ) -> Union[OperatingPoint, List[OperatingPoint]]:
     """Find the DC operating point (sources evaluated at ``time``).
 
     One :func:`newton_solve` from ``x0`` (zeros by default); its rescue
     ladder already ends in source continuation, so a
-    :class:`ConvergenceError` it raises propagates unchanged.
+    :class:`ConvergenceError` it raises propagates unchanged.  A
+    sequence of same-topology circuits is solved as one batch and gives
+    a list of operating points, in order; the first failing run's error
+    propagates.
     """
     assembler = MnaAssembler(circuit)
-    x = x0.copy() if x0 is not None else np.zeros(assembler.n_unknowns)
-    return _package(assembler, newton_solve(assembler, x, time))
+    x = np.zeros((assembler.n_runs, assembler.n_unknowns))
+    if x0 is not None:
+        x[:] = x0
+    points = [_package(assembler, row)
+              for row in newton_solve(assembler, x, time)]
+    return points[0] if isinstance(circuit, Circuit) else points

@@ -51,7 +51,7 @@ def test_newton_divergence_reports_iterations():
         def __init__(self):
             self.flip = 1.0
 
-        def __call__(self, x, matrix, rhs):
+        def __call__(self, runs, x, matrix, rhs):
             self.flip = -self.flip
             rhs += self.flip * 10.0
 

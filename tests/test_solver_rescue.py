@@ -100,7 +100,7 @@ def _sabotage(times: int):
     making the linearised system exactly singular."""
     count = {"left": times}
 
-    def wrecker(x, matrix, rhs) -> None:
+    def wrecker(runs, x, matrix, rhs) -> None:
         if count["left"] > 0:
             count["left"] -= 1
             matrix[:, :] = 0.0

@@ -1,5 +1,6 @@
 """Transient integrator: closed-form RC checks, grids, methods."""
 
+import dataclasses
 import importlib
 import math
 
@@ -220,3 +221,158 @@ def test_hand_forward_matches_unmemoised_reference_after_rejection(
     monkeypatch.setattr(transient_mod, "_memoised", lambda evaluate: evaluate)
     reference = run()
     assert _bits(memoised) == _bits(reference)
+
+
+# ----------------------------------------------------------------------
+# lockstep runs: the batch equals each run integrated alone
+# ----------------------------------------------------------------------
+#: Long enough to cover the stimulus' rising edge and its settling.
+LOCKSTEP_T_STOP = 6e-10
+
+#: Counters that must add up over the runs of a batch.
+RUN_COUNTERS = ("spice.newton.solves", "spice.newton.iterations",
+                "spice.mna.solves", "spice.transient.timesteps")
+
+
+def _default_models():
+    from repro.cells.variants import DeviceVariant, ModelSet
+    return ModelSet(
+        DeviceVariant.MIV_2CH,
+        BsimSoi4Lite(params=default_parameters(), polarity=Polarity.NMOS),
+        BsimSoi4Lite(params=default_parameters(), polarity=Polarity.PMOS))
+
+
+def nand3_runs(models=None):
+    """One NAND3X1 netlist per stimulus run, on default-parameter
+    models (no extraction needed)."""
+    from repro.cells.library import get_cell
+    from repro.cells.netlist_builder import build_cell_circuit
+    from repro.cells.vectors import stimulus_plan_for
+    from repro.ppa.runner import _configure_sources
+    spec = get_cell("NAND3X1")
+    models = models or _default_models()
+    circuits = []
+    for run in stimulus_plan_for(spec).runs:
+        netlist = build_cell_circuit(spec, models)
+        _configure_sources(netlist, run)
+        circuits.append(netlist.circuit)
+    return circuits
+
+
+def _traced(simulate, faults=None):
+    """``simulate()`` under a fresh tracer (and fault spec): its result
+    and the tracer."""
+    tracer = Tracer()
+    if faults:
+        install(FaultInjector.parse(faults))
+    try:
+        with activate(tracer):
+            return simulate(), tracer
+    finally:
+        clear_faults()
+
+
+def _lockstep_and_alone(faults=None, solo_faults=None):
+    """The NAND3X1 runs integrated in lockstep under ``faults``, and
+    each run integrated alone under ``solo_faults[run]``."""
+    circuits = nand3_runs()
+    batch, tracer = _traced(
+        lambda: transient(circuits, t_stop=LOCKSTEP_T_STOP, dt=2e-11),
+        faults)
+    solo = [_traced(lambda c=c: transient(c, t_stop=LOCKSTEP_T_STOP,
+                                          dt=2e-11),
+                    (solo_faults or {}).get(r))
+            for r, c in enumerate(nand3_runs())]
+    return batch, tracer, solo
+
+
+def _counts(tracer, name):
+    return tracer.counter(name).value
+
+
+def test_lockstep_runs_equal_each_run_alone(monkeypatch):
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    batch, tracer, solo = _lockstep_and_alone()
+    assert len(batch) == len(solo) == 3
+    for got, (want, _) in zip(batch, solo):
+        assert set(got.node_voltages) == set(want.node_voltages)
+        assert _bits(got) == _bits(want)
+    # The runs differ: the oracle is not comparing one run thrice.
+    assert len({_bits(result) for result in batch}) == 3
+    for name in RUN_COUNTERS:
+        assert _counts(tracer, name) == sum(
+            _counts(t, name) for _, t in solo), name
+    assert _counts(tracer, "spice.transient.runs") == 3
+
+
+def test_lockstep_model_calls_are_shared_across_runs(monkeypatch):
+    """Per Newton iteration, one ``ids_batch`` per model group for every
+    run still iterating: fewer calls than the runs make alone."""
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    calls = {"ids": 0}
+    ids_batch = BsimSoi4Lite.ids_batch
+
+    def counted_ids(self, vgs, vds):
+        calls["ids"] += 1
+        return ids_batch(self, vgs, vds)
+
+    monkeypatch.setattr(BsimSoi4Lite, "ids_batch", counted_ids)
+    transient(nand3_runs(), t_stop=LOCKSTEP_T_STOP, dt=2e-11)
+    lockstep = calls["ids"]
+    calls["ids"] = 0
+    for circuit in nand3_runs():
+        transient(circuit, t_stop=LOCKSTEP_T_STOP, dt=2e-11)
+    assert lockstep < calls["ids"]
+
+
+#: Fault draws of the lockstep batch: step s (1-based) of run r is draw
+#: 3 * (s - 1) + r + 1 at the ``transient.newton`` site.
+_FAULTED_STEP, _FAULTED_RUN = 5, 1
+_BATCH_DRAW = 3 * (_FAULTED_STEP - 1) + _FAULTED_RUN + 1
+
+
+@pytest.mark.parametrize("fatal", [True, False],
+                         ids=["rejected", "rescued"])
+def test_a_faulted_run_equals_itself_alone(monkeypatch, fatal):
+    """One run's step is fault-rejected (fatal: halved and sub-stepped)
+    or rescued (non-fatal: the rescue ladder); that run equals itself
+    integrated alone under the same fault, the other runs are
+    untouched, and the counters still add up."""
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    option = ",fatal=1" if fatal else ""
+    batch, tracer, solo = _lockstep_and_alone(
+        f"convergence:transient.newton:after={_BATCH_DRAW}{option}",
+        {_FAULTED_RUN: f"convergence:transient.newton:"
+                       f"after={_FAULTED_STEP}{option}"})
+    for got, (want, _) in zip(batch, solo):
+        assert _bits(got) == _bits(want)
+    clean, _ = _traced(lambda: transient(
+        nand3_runs()[_FAULTED_RUN], t_stop=LOCKSTEP_T_STOP, dt=2e-11))
+    assert _bits(batch[_FAULTED_RUN]) != _bits(clean)
+    event = ("spice.transient.rejected_steps" if fatal
+             else "spice.newton.rescues")
+    assert _counts(tracer, event) == 1
+    for name in RUN_COUNTERS + (event,):
+        assert _counts(tracer, name) == sum(
+            _counts(t, name) for _, t in solo), name
+
+
+def test_lockstep_rejects_runs_that_differ():
+    from repro.cells.library import get_cell
+    from repro.cells.netlist_builder import build_cell_circuit
+    runs = nand3_runs()
+    # Another topology.
+    nor3 = build_cell_circuit(get_cell("NOR3X1"), _default_models())
+    with pytest.raises(SimulationError, match="share"):
+        transient([runs[0], nor3.circuit], t_stop=LOCKSTEP_T_STOP,
+                  dt=2e-11)
+    # The same topology on other model instances.
+    other = nand3_runs(_default_models())
+    with pytest.raises(SimulationError, match="share"):
+        transient([runs[0], other[1]], t_stop=LOCKSTEP_T_STOP, dt=2e-11)
+    # Other source breakpoints.
+    late = rc_circuit()
+    late.element("V1").waveform = dataclasses.replace(
+        late.element("V1").waveform, delay=2e-10)
+    with pytest.raises(SimulationError, match="breakpoints"):
+        transient([rc_circuit(), late], t_stop=1e-9, dt=1e-10)
