@@ -5,10 +5,11 @@ ladder ends in source continuation, a scale on every independent
 source), and backward-Euler / trapezoidal transient with
 charge-conserving companion models.  Elements: resistor, capacitor,
 independent voltage/current sources (DC, PULSE, PWL) and the
-BSIMSOI4-lite MOSFET; each one writes its values through integer stamp
-plans fixed once per circuit (:mod:`repro.spice.mna`).  Solvers work on
-batches of same-topology circuits — a cell's stimulus runs integrate in
-lockstep — and a single circuit is the batch of one.
+BSIMSOI4-lite MOSFET.  Every assembly writes all their values with one
+scatter per array, through flat indices built once from the elements'
+stamp plans (:mod:`repro.spice.mna`).  Solvers work on batches of
+same-topology circuits — a cell's stimulus runs integrate in lockstep
+— and a single circuit is the batch of one.
 """
 
 from repro.spice.netlist import Circuit

@@ -1,27 +1,22 @@
 """Element interface: stamp plans fixed per circuit, values per assembly.
 
-Every element linearises itself around the current solution estimate
-and contributes entries to the MNA system in two steps:
+:meth:`Element.stamp_plan` gives, once per circuit, the integer
+positions of an element's entries in the MNA system (a
+:class:`StampPlan`), ground rows and columns dropped.  The assembler
+turns the plans into flat indices and writes each assembly's values
+through them with one scatter (:mod:`repro.spice.mna`).
 
-* :meth:`Element.stamp_plan` — once per circuit, the integer positions
-  of its entries (a :class:`StampPlan`), ground rows and columns
-  dropped;
-* per assembly, the values of those entries — :meth:`static_values`
-  (resistive currents and their Jacobian, used by DC and transient
-  alike) and :meth:`dynamic_values` (terminal charges and their
-  capacitance Jacobian, transient only) — written through the plan by
-  :meth:`stamp_static` / :meth:`stamp_dynamic`.
-
-The MOSFET has no value methods of its own: the assembler evaluates
-MOSFETs per model group and hands each one its values
-(:mod:`repro.spice.mna`).
+Every element but the MOSFET is linear: its :meth:`Element.matrix_values`
+and a capacitor's capacitance are read once per batch, a source's
+:meth:`Element.rhs_values` once per ``(time, scale)``.  MOSFETs are
+evaluated per model group, whose values
+:meth:`~repro.spice.elements.mosfet.Mosfet.stamp_static` /
+``stamp_dynamic`` lay out.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.errors import NetlistError
 
@@ -69,37 +64,15 @@ class Element:
         (None = ground) and the element's branch row (None = none)."""
         raise NotImplementedError
 
-    def static_values(self, time: float, scale: float
-                      ) -> Tuple[Sequence[float], Sequence[float]]:
-        """``(matrix values, rhs values)`` at ``time``; ``scale``
+    def matrix_values(self) -> Sequence[float]:
+        """The values matrix ``k`` indexes (constant: the element is
+        linear)."""
+        return ()
+
+    def rhs_values(self, time: float, scale: float) -> Sequence[float]:
+        """The values rhs ``k`` indexes at ``time``; ``scale``
         multiplies every independent source (source continuation)."""
-        return (), ()
-
-    def dynamic_values(self, x: Sequence[float],
-                       terminals: Sequence[int]
-                       ) -> Tuple[Sequence[float], Sequence[float]]:
-        """``(charge values, cap values)`` at the estimate ``x`` (with a
-        trailing ground slot), whose entries ``terminals`` are this
-        element's node voltages."""
-        return (), ()
-
-    def stamp_static(self, matrix: np.ndarray, rhs: np.ndarray,
-                     plan: StampPlan, matrix_values: Sequence[float],
-                     rhs_values: Sequence[float]) -> None:
-        """Accumulate resistive values through ``plan``."""
-        for r, c, k in plan.matrix:
-            matrix[r, c] += matrix_values[k]
-        for r, k in plan.rhs:
-            rhs[r] += rhs_values[k]
-
-    def stamp_dynamic(self, charge: np.ndarray, cap: np.ndarray,
-                      plan: StampPlan, charge_values: Sequence[float],
-                      cap_values: Sequence[float]) -> None:
-        """Accumulate charge values through ``plan``."""
-        for r, k in plan.charge:
-            charge[r] += charge_values[k]
-        for r, c, k in plan.cap:
-            cap[r, c] += cap_values[k]
+        return ()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} {self.nodes}>"

@@ -22,15 +22,11 @@ class Capacitor(Element):
 
     def stamp_plan(self, rows, branch) -> StampPlan:
         """``+q`` on n1's row and ``-q`` on n2's; ``+C`` on both
-        diagonals, ``-C`` off them."""
+        diagonals, ``-C`` off them: charge ``k`` indexes ``(q, -q)``
+        with ``q = C (v1 - v2)`` and cap ``k`` ``(C, -C)``, which the
+        assembler computes for every capacitor at once."""
         r1, r2 = rows
         return StampPlan(
             charge=without_ground(((r1, 0), (r2, 1))),
             cap=without_ground(
                 ((r1, r1, 0), (r1, r2, 1), (r2, r2, 0), (r2, r1, 1))))
-
-    def dynamic_values(self, x, terminals):
-        t1, t2 = terminals
-        c = self.capacitance
-        q = c * (x[t1] - x[t2])
-        return (q, -q), (c, -c)

@@ -25,6 +25,6 @@ class CurrentSource(Element):
         r_plus, r_minus = rows
         return StampPlan(rhs=without_ground(((r_plus, 0), (r_minus, 1))))
 
-    def static_values(self, time, scale):
+    def rhs_values(self, time, scale):
         i = self.value(time) * scale
-        return (), (-i, i)
+        return -i, i

@@ -1,16 +1,19 @@
 """MOSFET element wrapping the BSIMSOI4-lite compact model.
 
-Three terminals (drain, gate, source).  A MOSFET does not evaluate its
-own model: :class:`~repro.spice.mna.MnaAssembler` evaluates all devices
-that share a model instance in one compact-model call per assembly and
-hands each device its own values.  The static stamp is the linearised
+Three terminals (drain, gate, source).  The assembler evaluates all
+devices that share a model instance in one compact-model call per
+assembly (:mod:`repro.spice.mna`); the static stamp is the linearised
 drain current with numerically differentiated gm/gds (robust against
-any future change in the model equations); the dynamic stamp carries
-the model's conservative terminal charges with a numerical 3x3
-capacitance Jacobian.
+any future change in the model equations), the dynamic stamp the
+model's conservative terminal charges with a numerical 3x3 capacitance
+Jacobian.
 """
 
 from __future__ import annotations
+
+from typing import Tuple
+
+import numpy as np
 
 from repro.compact.model import BsimSoi4Lite
 from repro.errors import NetlistError
@@ -53,9 +56,28 @@ class Mosfet(Element):
                 (r, c, 3 * i + j) for i, r in enumerate(terminals)
                 for j, c in enumerate(terminals))))
 
-    # The values come from the assembler's grouped evaluation; the
-    # writers are Element's, bound here as well so that the MOSFET
-    # stamps are an attribute of their own (benchmarks/perf counts
-    # calls to them).
-    stamp_static = Element.stamp_static
-    stamp_dynamic = Element.stamp_dynamic
+    #: Values per device that matrix, rhs, charge and cap ``k`` index.
+    value_counts = (4, 2, 3, 9)
+
+    # A model group's value rows, device after device, for m devices
+    # over K runs; called once per group per assembly (and counted by
+    # benchmarks/perf, so they stay in this class's own namespace).
+    @staticmethod
+    def stamp_static(gm: np.ndarray, gds: np.ndarray, ieq: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        """Matrix rows ``(gm, -gm, gds, -gds)`` (4m, K) and rhs rows
+        ``(-ieq, ieq)`` (2m, K) from (m, K) arrays."""
+        runs = gm.shape[1]
+        return (np.concatenate((gm, -gm, gds, -gds), 1).reshape(-1, runs),
+                np.concatenate((-ieq, ieq), 1).reshape(-1, runs))
+
+    @staticmethod
+    def stamp_dynamic(charges: np.ndarray, jacobian: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+        """Charge rows ``(qg, qd, qs)`` (3m, K) from (3, m, K) charges
+        and cap rows (9m, K) from the (3, 3, m, K) Jacobian
+        ``dq_i/dv_j``, row-major over (gate, drain, source)."""
+        _, m, runs = charges.shape
+        return (charges.transpose(1, 0, 2).reshape(-1, runs),
+                jacobian.reshape(9, m, runs).transpose(1, 0, 2)
+                .reshape(-1, runs))

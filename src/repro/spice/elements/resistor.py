@@ -37,6 +37,6 @@ class Resistor(Element):
         return StampPlan(matrix=without_ground(
             ((r1, r1, 0), (r2, r2, 0), (r1, r2, 1), (r2, r1, 1))))
 
-    def static_values(self, time, scale):
+    def matrix_values(self):
         g = self.conductance
-        return (g, -g), ()
+        return g, -g

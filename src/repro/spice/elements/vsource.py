@@ -71,10 +71,12 @@ class PwlSpec:
         times = [p[0] for p in self.points]
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise NetlistError("PWL times must be strictly increasing")
+        # Not a field: equality, hashing and fingerprints see points only.
+        object.__setattr__(self, "_times", times)
 
     def value(self, time: float) -> float:
         """Waveform value at ``time`` (clamped at the ends)."""
-        times = [p[0] for p in self.points]
+        times = self._times
         if time <= times[0]:
             return self.points[0][1]
         if time >= times[-1]:
@@ -124,8 +126,11 @@ class VoltageSource(Element):
                  (branch, r_plus, 0), (branch, r_minus, 1))),
             rhs=((branch, 0),))
 
-    def static_values(self, time, scale):
-        return (1.0, -1.0), (self.value(time) * scale,)
+    def matrix_values(self):
+        return 1.0, -1.0
+
+    def rhs_values(self, time, scale):
+        return (self.value(time) * scale,)
 
 
 def dc_source(name: str, n_plus: str, n_minus: str,

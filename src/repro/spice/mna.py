@@ -4,39 +4,39 @@ The assembler works on a *batch* of K runs: circuits with the same
 elements, nodes and MOSFET model instances, whose element values and
 source waveforms may differ (the stimulus runs of one cell).  A single
 circuit is the batch of one run.  Estimates are (K, n) arrays, one row
-per run, and every assembly returns stacked (K, n, n) matrices and
-(K, n) vectors; a 1-D estimate is read as the batch of one run and
-gets unstacked results.  :meth:`MnaAssembler.select` gives the
-assembler of a sub-batch, sharing every plan, so a solver can drop the
-runs that are done.
+per run; assemblies return stacked (K, n, n) matrices and (K, n)
+vectors, unstacked for a 1-D estimate.  :meth:`MnaAssembler.select`
+gives the assembler of a sub-batch, so a solver can drop the runs that
+are done.  The dense systems are solved with one stacked
+``np.linalg.solve``, which calls LAPACK once per matrix, exactly as a
+call on that matrix alone does (30 unknowns at most, MUX2X1 2D).
 
-Every Newton iteration stamps every element from scratch and solves
-the dense systems with one stacked ``np.linalg.solve``, which calls
-LAPACK once per matrix, exactly as a call on that matrix alone does.
-The largest committed netlist (MUX2X1, 2D) has 30 unknowns, where
-LAPACK's dense solve is as cheap as any sparse factorisation.
-
-There is one stamping protocol.  The constructor asks every element
-for its :class:`~repro.spice.elements.base.StampPlan`: integer
-positions into matrix, rhs, charge vector and capacitance matrix,
-ground dropped.  Each assembly then computes only values and writes
-them through the plans, run by run and element by element in circuit
-order, so every matrix entry sums its contributions in element order.
-Independent sources are multiplied by the assembly's ``scale`` (1
-except in Newton's source-continuation rescue).
+There is one stamping protocol: plans, then flat indices, then one
+scatter.  The constructor turns every element's
+:class:`~repro.spice.elements.base.StampPlan` into one flat index per
+target array — matrix, rhs, charge vector and capacitance matrix — in
+element-and-entry order, offset by ``run·n²`` into the stacked
+matrices and ``run·n`` into the stacked vectors.  An assembly computes
+the values as (rows, K) blocks — linear constants, source values (once
+per ``(time, scale)``; ``scale`` is 1 except in Newton's source
+continuation), capacitor charges and each MOSFET model group's rows —
+gathers them into that order and writes each target with one
+``np.bincount``.  ``bincount`` adds in input order from zero, as a
+``+=`` per entry does, so every entry sums its contributions in
+element order, bit for bit.
 
 MOSFETs are evaluated per *model group* — the devices sharing one
-compact-model instance (n-top and p-bottom in a library cell): one
-``ids_batch`` call on the nominal and finite-difference points of every
-device of the group in every run, and one ``charges_batch`` call
-likewise.  The compact model is elementwise, so each device's values
-are bit for bit those of a call on its own points.
+compact-model instance: one ``ids_batch`` and one ``charges_batch``
+call on the nominal and finite-difference points of every device of
+the group in every run.  The compact model is elementwise, so each
+device's values are bit for bit those of a call on its own points.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from collections import Counter
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from repro.errors import SimulationError, SingularMatrixError
 from repro.observe import get_tracer
 from repro.spice.netlist import Circuit
 from repro.spice.elements.base import GROUND, StampPlan
+from repro.spice.elements.capacitor import Capacitor
 from repro.spice.elements.mosfet import FD_DELTA, Mosfet
 
 #: Leak conductance from every node to ground — keeps cut-off transistor
@@ -66,16 +67,6 @@ def _extended(xs: np.ndarray) -> np.ndarray:
     return x_ext
 
 
-def _stacked(arrays: List[np.ndarray]) -> np.ndarray:
-    """The runs' arrays stacked; one run's array is viewed, not copied.
-
-    Each run stamps into arrays of its own: a scalar ``+=`` into a
-    standalone array is about half again as fast as into a view of a
-    stacked one.
-    """
-    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
-
-
 def _topology(circuit: Circuit) -> List[Tuple]:
     """What the runs of one batch must share: every element's type, name
     and nodes in circuit order, and each MOSFET's model instance."""
@@ -84,24 +75,59 @@ def _topology(circuit: Circuit) -> List[Tuple]:
             for e in circuit]
 
 
-class _ModelGroup:
-    """The MOSFETs of one circuit that share a model instance."""
+def _per_run(rows: List[List[float]]) -> np.ndarray:
+    """Per-run value lists as a (values, K) block."""
+    return np.array(rows, dtype=float).reshape(len(rows), -1).T
 
-    __slots__ = ("model", "members", "terminals")
 
-    def __init__(self, model: BsimSoi4Lite, members: List[int],
-                 terminals: np.ndarray):
-        self.model = model
-        #: Positions of the devices among the circuit's MOSFETs.
-        self.members = members
-        #: (3, n) indices of (drain, gate, source) into ``x`` extended
-        #: by one trailing ground slot.
-        self.terminals = terminals
+def _pairs(values: np.ndarray) -> np.ndarray:
+    """Rows ``value, -value`` of every row of ``values``, in turn."""
+    return np.concatenate((values, -values), 1).reshape(-1, values.shape[1])
 
-    def bias(self, x_ext: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(vgs, vds) of every member (row) in every run (column)."""
-        vd, vg, vs = x_ext[self.terminals]
-        return vg - vs, vd - vs
+
+def _companions(model: BsimSoi4Lite, terminals: np.ndarray,
+                x_ext: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gm, gds, ieq) of a model group, each (m, K), from one
+    ``ids_batch`` call, with ``ieq = ids - gm*vgs - gds*vds``; the
+    (3, m) ``terminals`` index the members' (drain, gate, source) in
+    ``x_ext``.
+
+    The (5·m, K) points are laid out as blocks
+    ``[vgs, vgs+d, vgs-d, vgs, vgs]`` against
+    ``[vds, vds, vds, vds+d, vds-d]`` of m device rows each: the nominal
+    current, then central differences in vgs (gm) and in vds (gds).
+    """
+    d = FD_DELTA
+    vd, vg, vs = x_ext[terminals]
+    vgs, vds = vg - vs, vd - vs
+    ids = model.ids_batch(
+        np.concatenate((vgs, vgs + d, vgs - d, vgs, vgs)),
+        np.concatenate((vds, vds, vds, vds + d, vds - d)),
+    ).reshape((5,) + vgs.shape)
+    gm, gds = (ids[1::2] - ids[2::2]) / (2.0 * d)
+    return gm, gds, ids[0] - gm * vgs - gds * vds
+
+
+def _charges(model: BsimSoi4Lite, terminals: np.ndarray, x_ext: np.ndarray
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """Charges q[terminal (g, d, s), device, run] of a model group and
+    their Jacobian [terminal, d/dv of (g, d, s), device, run], from one
+    ``charges_batch`` call on blocks ``[vgs, vgs+d, vgs]`` against
+    ``[vds, vds, vds+d]``; dq/dvs = -(dq/dvg + dq/dvd)."""
+    d = FD_DELTA
+    vd, vg, vs = x_ext[terminals]
+    vgs, vds = vg - vs, vd - vs
+    # q[terminal, point, device, run]
+    q = np.concatenate(model.charges_batch(
+        np.concatenate((vgs, vgs + d, vgs)),
+        np.concatenate((vds, vds, vds + d)),
+    )).reshape((3, 3) + vgs.shape)
+    q0 = q[:, 0]
+    jacobian = np.empty((3,) + q0.shape)
+    jacobian[:, :2] = (q[:, 1:] - q0[:, None]) / d
+    jacobian[:, 2] = -(jacobian[:, 0] + jacobian[:, 1])
+    return q0, jacobian
 
 
 class MnaAssembler:
@@ -113,8 +139,8 @@ class MnaAssembler:
         One circuit, or a sequence of circuits that share their
         elements, nodes and MOSFET model instances (raises
         :class:`~repro.errors.SimulationError` otherwise).  Their
-        structure is read once, here; element values and source
-        waveforms are read per assembly, run by run.
+        structure, their resistances and capacitances are read once,
+        here; source waveforms are read per ``(time, scale)``.
     """
 
     def __init__(self, circuits: Union[Circuit, Sequence[Circuit]]):
@@ -134,57 +160,84 @@ class MnaAssembler:
                 "nodes and MOSFET model instances")
         self.node_index = circuit.node_index()
         self.branch_index = circuit.branch_index()
-        self.n_unknowns = circuit.n_unknowns
+        n = self.n_unknowns = circuit.n_unknowns
         self.n_nodes = len(self.node_index)
         #: The node-voltage part of the diagonal of a raveled matrix.
-        self._node_diagonal = slice(0, self.n_nodes * (self.n_unknowns + 1),
-                                    self.n_unknowns + 1)
+        self._node_diagonal = slice(0, self.n_nodes * (n + 1), n + 1)
         #: Sub-batch assemblers made by :meth:`select`.
         self._selections: Dict[Tuple[int, ...], MnaAssembler] = {}
+        #: Runs among the whole batch's, whose circuits and last
+        #: ``[(time, scale), source rows]`` every sub-batch shares.
+        self._columns = np.arange(self.n_runs)
+        self._all_circuits = self.circuits
+        self._sources_at: List = [None, None]
 
-        ground_slot = self.n_unknowns
-        # (element position, plan, MOSFET position or None) of every
-        # element with static entries, in element order; the same for
-        # dynamic entries, with the element's node indices into ``x``
-        # extended by one trailing ground slot.
-        static: List[Tuple[int, StampPlan, Optional[int]]] = []
-        dynamic: List[Tuple[int, StampPlan, Tuple[int, ...],
-                            Optional[int]]] = []
-        self._n_mosfets = 0
-        groups: Dict[int, Tuple[BsimSoi4Lite, List[int], List[Tuple]]] = {}
+        # Value blocks per target: block 0 for the elements other than
+        # MOSFETs, block 1 + g for model group g, each element's values
+        # consecutive rows of its block.  Per target: ``entries`` holds
+        # (slot, block, row) in element-and-entry order, ``self._at``
+        # block 0's element positions; ``used`` counts block rows.
+        targets = StampPlan._fields
+        entries: Dict[str, List[Tuple]] = {target: [] for target in targets}
+        self._at: Dict[str, List[int]] = {target: [] for target in targets}
+        used: Counter = Counter()
+        slots: List[Tuple[int, ...]] = []
+        groups: Dict[int, Tuple[BsimSoi4Lite, List[int]]] = {}
         for position, element in enumerate(circuit):
-            rows = tuple(None if n == GROUND else self.node_index[n]
-                         for n in element.nodes)
-            terminals = tuple(ground_slot if r is None else r for r in rows)
+            rows = tuple(None if node == GROUND else self.node_index[node]
+                         for node in element.nodes)
+            slots.append(tuple(n if r is None else r for r in rows))
             plan = element.stamp_plan(rows,
                                       self.branch_index.get(element.name))
-            k = None
+            block, counts = 0, (len(element.matrix_values()),
+                                len(element.rhs_values(0.0, 1.0)), 0, 0)
             if isinstance(element, Mosfet):
-                k = self._n_mosfets
-                self._n_mosfets += 1
-                _, members, slots = groups.setdefault(
-                    id(element.model), (element.model, [], []))
-                members.append(k)
-                slots.append(terminals)
-            if plan.matrix or plan.rhs:
-                static.append((position, plan, k))
-            if plan.charge or plan.cap:
-                dynamic.append((position, plan, terminals, k))
-        #: Per run, (element, plan, MOSFET position or None) of every
-        #: element with static entries, in element order.
-        self._static = []
-        #: Per run, the same for dynamic entries, with the terminals.
-        self._dynamic = []
-        for c in self.circuits:
-            elements = c.elements
-            self._static.append([(elements[position], plan, k)
-                                 for position, plan, k in static])
-            self._dynamic.append([(elements[position], plan, terminals, k)
-                                  for position, plan, terminals, k
-                                  in dynamic])
+                groups.setdefault(id(element.model),
+                                  (element.model, []))[1].append(position)
+                block = 1 + list(groups).index(id(element.model))
+                counts = Mosfet.value_counts
+            elif isinstance(element, Capacitor):
+                counts = (0, 0, 2, 2)
+            for target, plan_entries, count in zip(targets, plan, counts):
+                for *at, k in plan_entries:
+                    slot = at[0] * n + at[1] if len(at) == 2 else at[0]
+                    entries[target].append(
+                        (slot, block, used[target, block] + k))
+                used[target, block] += count
+                if block == 0 and count:
+                    self._at[target].append(position)
+
+        self._plans: Dict[str, Tuple[np.ndarray, np.ndarray, int]] = {}
+        for target, listed in entries.items():
+            offsets = np.cumsum([0] + [used[target, b]
+                                       for b in range(len(groups))])
+            self._plans[target] = (
+                np.array([offsets[b] + row for _, b, row in listed],
+                         dtype=np.intp),
+                np.array([slot for slot, _, _ in listed], dtype=np.intp),
+                n * n if target in ("matrix", "cap") else n)
+        #: (model, (3, m) drain/gate/source slots) of every model group.
         self._groups = [
-            _ModelGroup(model, members, np.array(slots, dtype=np.intp).T)
-            for model, members, slots in groups.values()]
+            (model, np.array([slots[p] for p in members], dtype=np.intp).T)
+            for model, members in groups.values()]
+        #: (2, capacitors) terminal slots of every capacitor.
+        self._capacitor_terminals = np.array(
+            [slots[p] for p in self._at["cap"]], dtype=np.intp
+        ).reshape(-1, 2).T
+        self._runs()
+
+    def _runs(self) -> None:
+        """Per-run constants as (rows, K) blocks, and flat indices."""
+        self._linear = _per_run([[v for p in self._at["matrix"]
+                                  for v in c.elements[p].matrix_values()]
+                                 for c in self.circuits])
+        self._capacitance = _per_run([[c.elements[p].capacitance
+                                       for p in self._at["cap"]]
+                                      for c in self.circuits])
+        self._capacitance_rows = _pairs(self._capacitance)
+        self._index = {
+            target: (slots[:, None] + size * np.arange(self.n_runs)).ravel()
+            for target, (_, slots, size) in self._plans.items()}
 
     def select(self, runs: Sequence[int]) -> "MnaAssembler":
         """The assembler of the sub-batch ``runs`` — distinct indices
@@ -199,15 +252,12 @@ class MnaAssembler:
             sub.n_runs = len(key)
             sub.circuits = [self.circuits[r] for r in key]
             sub.circuit = sub.circuits[0]
-            sub._static = [self._static[r] for r in key]
-            sub._dynamic = [self._dynamic[r] for r in key]
             sub._selections = {}
+            sub._columns = self._columns[list(key)]
+            sub._runs()
             self._selections[key] = sub
         return sub
 
-    # ------------------------------------------------------------------
-    # vector <-> dict conversions
-    # ------------------------------------------------------------------
     def voltages_from(self, x: np.ndarray) -> Dict[str, float]:
         """Node-voltage dict from one run's solution vector."""
         return {node: float(x[i]) for node, i in self.node_index.items()}
@@ -217,15 +267,32 @@ class MnaAssembler:
         vector."""
         return float(x[self.branch_index[element_name]])
 
-    # ------------------------------------------------------------------
-    # assembly
-    # ------------------------------------------------------------------
     def _batch(self, x: np.ndarray) -> np.ndarray:
         xs = as_runs(x)
         if len(xs) != self.n_runs:
             raise SimulationError(
                 f"{len(xs)} estimates for a batch of {self.n_runs} runs")
         return xs
+
+    def _scatter(self, target: str, blocks: List) -> np.ndarray:
+        """Every run's raveled ``target`` array, run after run: the rows
+        of the concatenated value blocks gathered in element-and-entry
+        order and added up with one ``bincount``."""
+        order, _, size = self._plans[target]
+        values = np.concatenate(blocks)[order]
+        return np.bincount(self._index[target], values.ravel(),
+                           size * self.n_runs)
+
+    def _source_values(self, time: float, scale: float) -> np.ndarray:
+        """Every source's rhs values in every run at ``(time, scale)``,
+        computed for the whole batch once per ``(time, scale)``."""
+        memo = self._sources_at
+        if memo[0] != (time, scale):
+            memo[:] = (time, scale), _per_run(
+                [[v for p in self._at["rhs"]
+                  for v in c.elements[p].rhs_values(time, scale)]
+                 for c in self._all_circuits])
+        return memo[1][:, self._columns]
 
     def assemble_static(self, x: np.ndarray, time: float,
                         scale: float = 1.0
@@ -234,103 +301,38 @@ class MnaAssembler:
         independent source multiplied by ``scale``."""
         xs = self._batch(x)
         runs, n = xs.shape
-        matrices, rhss = [], []
-        devices = self._companions(_extended(xs))
-        for stamps, values_of in zip(self._static, devices):
-            a, z = np.zeros((n, n)), np.zeros(n)
-            for element, plan, k in stamps:
-                values = (element.static_values(time, scale) if k is None
-                          else values_of[k])
-                element.stamp_static(a, z, plan, *values)
-            matrices.append(a)
-            rhss.append(z)
-        matrix, rhs = _stacked(matrices), _stacked(rhss)
+        x_ext = _extended(xs)
+        matrix_blocks = [self._linear]
+        rhs_blocks = [self._source_values(time, scale)]
+        for model, terminals in self._groups:
+            matrix_rows, rhs_rows = Mosfet.stamp_static(
+                *_companions(model, terminals, x_ext))
+            matrix_blocks.append(matrix_rows)
+            rhs_blocks.append(rhs_rows)
+        matrix = self._scatter("matrix", matrix_blocks)
         matrix.reshape(runs, n * n)[:, self._node_diagonal] += GMIN
+        matrix = matrix.reshape(runs, n, n)
+        rhs = self._scatter("rhs", rhs_blocks).reshape(runs, n)
         return (matrix[0], rhs[0]) if x.ndim == 1 else (matrix, rhs)
 
     def assemble_dynamic(self, x: np.ndarray
                          ) -> Tuple[np.ndarray, np.ndarray]:
         """Charge vectors q(x) and capacitance Jacobians C(x) = dq/dx."""
         xs = self._batch(x)
-        n = xs.shape[1]
-        charges, caps = [], []
+        runs, n = xs.shape
         x_ext = _extended(xs)
-        devices = self._charges(x_ext)
-        for stamps, voltages, values_of in zip(
-                self._dynamic, x_ext.T.tolist(), devices):
-            q, c = np.zeros(n), np.zeros((n, n))
-            for element, plan, terminals, k in stamps:
-                values = (element.dynamic_values(voltages, terminals)
-                          if k is None else values_of[k])
-                element.stamp_dynamic(q, c, plan, *values)
-            charges.append(q)
-            caps.append(c)
-        charge, cap = _stacked(charges), _stacked(caps)
+        t1, t2 = self._capacitor_terminals
+        charge_blocks = [
+            _pairs(self._capacitance * (x_ext[t1] - x_ext[t2]))]
+        cap_blocks = [self._capacitance_rows]
+        for model, terminals in self._groups:
+            charge_rows, cap_rows = Mosfet.stamp_dynamic(
+                *_charges(model, terminals, x_ext))
+            charge_blocks.append(charge_rows)
+            cap_blocks.append(cap_rows)
+        charge = self._scatter("charge", charge_blocks).reshape(runs, n)
+        cap = self._scatter("cap", cap_blocks).reshape(runs, n, n)
         return (charge[0], cap[0]) if x.ndim == 1 else (charge, cap)
-
-    # ------------------------------------------------------------------
-    # grouped device evaluation
-    # ------------------------------------------------------------------
-    def _companions(self, x_ext: np.ndarray
-                    ) -> List[List[Tuple[Sequence[float], Sequence[float]]]]:
-        """Per run, ``((gm, -gm, gds, -gds), (-ieq, ieq))`` of every
-        MOSFET, one ``ids_batch`` per group over every run, with
-        ``ieq = ids - gm*vgs - gds*vds``.
-
-        Each group's (5·n, K) points are laid out as blocks
-        ``[vgs, vgs+d, vgs-d, vgs, vgs]`` against
-        ``[vds, vds, vds, vds+d, vds-d]`` of n device rows each: the
-        nominal current, then central differences in vgs (gm) and in
-        vds (gds).
-        """
-        d = FD_DELTA
-        runs = x_ext.shape[1]
-        values: List[List] = [[None] * self._n_mosfets for _ in range(runs)]
-        for group in self._groups:
-            vgs, vds = group.bias(x_ext)
-            ids = group.model.ids_batch(
-                np.concatenate((vgs, vgs + d, vgs - d, vgs, vgs)),
-                np.concatenate((vds, vds, vds, vds + d, vds - d)),
-            ).reshape((5,) + vgs.shape)
-            gm = (ids[1] - ids[2]) / (2.0 * d)
-            gds = (ids[3] - ids[4]) / (2.0 * d)
-            ieq = ids[0] - gm * vgs - gds * vds
-            for out, gm_run, gds_run, ieq_run in zip(
-                    values, gm.T.tolist(), gds.T.tolist(), ieq.T.tolist()):
-                for k, g, o, i in zip(group.members, gm_run, gds_run,
-                                      ieq_run):
-                    out[k] = ((g, -g, o, -o), (-i, i))
-        return values
-
-    def _charges(self, x_ext: np.ndarray) -> List[List[Tuple[list, list]]]:
-        """Per run, ((qg, qd, qs), row-major dq/dv) of every MOSFET, one
-        ``charges_batch`` per group over every run on blocks
-        ``[vgs, vgs+d, vgs]`` against ``[vds, vds, vds+d]``;
-        dq/dvs = -(dq/dvg + dq/dvd)."""
-        d = FD_DELTA
-        runs = x_ext.shape[1]
-        values: List[List] = [[None] * self._n_mosfets for _ in range(runs)]
-        for group in self._groups:
-            vgs, vds = group.bias(x_ext)
-            n = len(vgs)
-            # q[terminal (g, d, s), point, device, run]
-            q = np.concatenate(group.model.charges_batch(
-                np.concatenate((vgs, vgs + d, vgs)),
-                np.concatenate((vds, vds, vds + d)),
-            )).reshape(3, 3, n, runs)
-            q0 = q[:, 0]
-            # jacobian[terminal, d/dv of (g, d, s), device, run]
-            jacobian = np.empty((3, 3, n, runs))
-            jacobian[:, 0] = (q[:, 1] - q0) / d
-            jacobian[:, 1] = (q[:, 2] - q0) / d
-            jacobian[:, 2] = -(jacobian[:, 0] + jacobian[:, 1])
-            for out, charges, derivatives in zip(
-                    values, q0.transpose(2, 1, 0).tolist(),
-                    jacobian.reshape(9, n, runs).transpose(2, 1, 0).tolist()):
-                for k, point in zip(group.members,
-                                    zip(charges, derivatives)):
-                    out[k] = point
-        return values
 
     def solve_system(self, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = z for every run: one stacked ``np.linalg.solve``

@@ -271,30 +271,35 @@ def _oracle_dynamic(assembler, x):
 MID_EDGE = 2e-11
 
 
-def nand2_like():
+def nand2_like(run=0, models=None):
     """Two NMOS in series (one with a grounded source) and two parallel
     PMOS, one shared model per polarity, a gate resistor, a load
     capacitor and resistor on ``out`` with the MOSFETs, a diode-connected
     NMOS (repeated stamp positions), a PWL source and a PWL current
-    source."""
-    nmos = BsimSoi4Lite(params=default_parameters(), polarity=Polarity.NMOS)
-    pmos = BsimSoi4Lite(params=default_parameters(), polarity=Polarity.PMOS)
+    source.  Runs other than 0 scale every resistance and capacitance
+    and move every source waveform; ``models`` (nmos, pmos) lets runs
+    share their model instances."""
+    nmos, pmos = models or (
+        BsimSoi4Lite(params=default_parameters(), polarity=Polarity.NMOS),
+        BsimSoi4Lite(params=default_parameters(), polarity=Polarity.PMOS))
+    f = 1.0 + 0.37 * run
     c = Circuit("nand2")
-    c.add(dc_source("VDD", "vdd", "0", 1.0))
-    c.add(pulse_source("VA", "a_in", "0", v1=0.0, v2=1.0, delay=1e-11,
-                       rise=2e-11))
-    c.add(pwl_source("VB", "b", "0", [(0.0, 0.9), (4e-11, 0.1)]))
-    c.add(Resistor("RA", "a_in", "a", 5e3))
+    c.add(dc_source("VDD", "vdd", "0", 1.0 - 0.05 * run))
+    c.add(pulse_source("VA", "a_in", "0", v1=0.0, v2=1.0,
+                       delay=1e-11 * f, rise=2e-11 * f))
+    c.add(pwl_source("VB", "b", "0", [(0.0, 0.9 - 0.1 * run),
+                                      (4e-11 * f, 0.1)]))
+    c.add(Resistor("RA", "a_in", "a", 5e3 * f))
     c.add(Mosfet("MP1", "out", "a", "vdd", pmos))
     c.add(Mosfet("MN1", "out", "a", "mid", nmos))
-    c.add(Capacitor("CL", "out", "0", 1e-15))
-    c.add(Resistor("RL", "out", "vdd", 2e4))
+    c.add(Capacitor("CL", "out", "0", 1e-15 * f))
+    c.add(Resistor("RL", "out", "vdd", 2e4 / f))
     c.add(Mosfet("MP2", "out", "b", "vdd", pmos))
     c.add(CurrentSource("IL", "mid", "0",
-                        PwlSpec(((0.0, 1e-6), (4e-11, 3e-6)))))
+                        PwlSpec(((0.0, 1e-6 * f), (4e-11, 3e-6)))))
     c.add(Mosfet("MN2", "mid", "b", "0", nmos))
     c.add(Mosfet("MD", "mid", "mid", "0", nmos))
-    c.add(Capacitor("CM", "0", "mid", 2e-16))
+    c.add(Capacitor("CM", "0", "mid", 2e-16 * f))
     return c
 
 
@@ -369,3 +374,107 @@ def test_one_model_call_per_group_per_assembly(monkeypatch):
     assembler.assemble_dynamic(x)
     # Five MOSFETs over two model instances: one call per group each.
     assert calls == {"ids": 2, "charges": 2}
+
+
+def nand2_runs():
+    """Three ``nand2_like`` runs on one pair of model instances."""
+    models = (BsimSoi4Lite(params=default_parameters(),
+                           polarity=Polarity.NMOS),
+              BsimSoi4Lite(params=default_parameters(),
+                           polarity=Polarity.PMOS))
+    return [nand2_like(run, models) for run in range(3)]
+
+
+#: Sub-batches as chains of ``select`` calls on the three-run batch,
+#: with the runs each ends up holding.
+SELECTIONS = {
+    "whole": ((), (0, 1, 2)),
+    "0,2": (((0, 2),), (0, 2)),
+    "1": (((1,),), (1,)),
+    "0,2 then 1": (((0, 2), (1,)), (2,)),
+}
+
+
+@pytest.mark.parametrize("selection", list(SELECTIONS))
+def test_batched_assembly_equals_per_device_oracle_bitwise(selection):
+    """Every run of a batch, and of sub-batches made by ``select``,
+    assembles bit for bit what the per-device oracle gives for that
+    run's circuit alone: the run offsets and the value order of the
+    one-scatter assembly are right."""
+    chain, runs = SELECTIONS[selection]
+    circuits = nand2_runs()
+    batch = MnaAssembler(circuits)
+    for sub in chain:
+        batch = batch.select(sub)
+    assert batch.n_runs == len(runs)
+    alone = [MnaAssembler(circuits[r]) for r in runs]
+    n = batch.n_unknowns
+    rng = np.random.default_rng(20240611)
+    samples = [np.zeros((len(runs), n))]
+    for _ in range(11):
+        xs = rng.uniform(-0.4, 1.4, (len(runs), n))
+        xs[rng.random(xs.shape) < 0.25] = 0.0
+        samples.append(xs)
+    for t, scale in ((0.0, 1.0), (MID_EDGE, 1.0), (MID_EDGE, 0.5)):
+        # One (time, scale) over several estimates: the memoised
+        # source values are reused.
+        for xs in samples:
+            matrix, rhs = batch.assemble_static(xs, t, scale)
+            for j, single in enumerate(alone):
+                want_matrix, want_rhs = _oracle_static(single, xs[j], t,
+                                                       scale)
+                assert _bits(matrix[j]) == _bits(want_matrix)
+                assert _bits(rhs[j]) == _bits(want_rhs)
+    for xs in samples:
+        q, cap = batch.assemble_dynamic(xs)
+        for j, single in enumerate(alone):
+            q_ref, cap_ref = _oracle_dynamic(single, xs[j])
+            assert _bits(q[j]) == _bits(q_ref)
+            assert _bits(cap[j]) == _bits(cap_ref)
+    # The runs differ: at zero estimates, every run has its own system.
+    zero = np.zeros(n)
+    assert len({_bits(_oracle_static(single, zero, MID_EDGE)[0])
+                for single in alone}) == len(runs)
+    assert len({_bits(_oracle_dynamic(single, zero)[1])
+                for single in alone}) == len(runs)
+
+
+def test_source_values_are_read_once_per_time_and_scale(monkeypatch):
+    calls = {"v": 0, "i": 0}
+    v_values, i_values = VoltageSource.rhs_values, CurrentSource.rhs_values
+
+    def counted_v(self, time, scale):
+        calls["v"] += 1
+        return v_values(self, time, scale)
+
+    def counted_i(self, time, scale):
+        calls["i"] += 1
+        return i_values(self, time, scale)
+
+    monkeypatch.setattr(VoltageSource, "rhs_values", counted_v)
+    monkeypatch.setattr(CurrentSource, "rhs_values", counted_i)
+    assembler = MnaAssembler(nand2_runs())
+    calls.update(v=0, i=0)
+    rng = np.random.default_rng(7)
+    xs = rng.uniform(0.0, 1.0, (3, assembler.n_unknowns))
+    for _ in range(3):
+        assembler.assemble_static(xs, MID_EDGE)
+        xs = xs + 0.01
+    # Three voltage sources and one current source in each of 3 runs.
+    assert calls == {"v": 9, "i": 3}
+    # Sub-batches share the whole batch's values.
+    assembler.select((0, 2)).assemble_static(xs[[0, 2]], MID_EDGE)
+    assembler.select((0, 2)).select((1,)).assemble_static(xs[2], MID_EDGE)
+    assert calls == {"v": 9, "i": 3}
+    assembler.assemble_static(xs, MID_EDGE, 0.5)
+    assembler.select((1,)).assemble_static(xs[1], 0.0, 0.5)
+    assert calls == {"v": 27, "i": 9}
+
+
+def test_pwl_times_are_fixed_at_construction():
+    spec = PwlSpec(((0.0, 0.0), (1.0, 1.0), (3.0, 0.0)))
+    assert spec._times == [0.0, 1.0, 3.0]
+    assert [spec.value(t) for t in (-1.0, 0.5, 2.0, 4.0)] == [
+        0.0, 0.5, 0.5, 0.0]
+    assert spec == PwlSpec(((0.0, 0.0), (1.0, 1.0), (3.0, 0.0)))
+    assert "_times" not in repr(spec)

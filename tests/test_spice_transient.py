@@ -325,6 +325,37 @@ def test_lockstep_model_calls_are_shared_across_runs(monkeypatch):
     assert lockstep < calls["ids"]
 
 
+def test_mosfet_stamps_once_per_model_group_per_assembly(monkeypatch):
+    """Each assembly of the NAND3X1 lockstep batch lays out each model
+    group's values with one ``Mosfet.stamp_static`` (static) or
+    ``Mosfet.stamp_dynamic`` (dynamic) call, whatever the number of
+    devices and runs; zero calls would be a blind spot of the perf
+    trace, which counts them."""
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    calls = dict.fromkeys(("assemble_static", "assemble_dynamic",
+                           "stamp_static", "stamp_dynamic"), 0)
+
+    def counted(owner, name, wrap=lambda f: f):
+        original = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrap(call))
+
+    counted(MnaAssembler, "assemble_static")
+    counted(MnaAssembler, "assemble_dynamic")
+    counted(Mosfet, "stamp_static", staticmethod)
+    counted(Mosfet, "stamp_dynamic", staticmethod)
+    circuits = nand3_runs()
+    groups = {id(e.model) for e in circuits[0] if isinstance(e, Mosfet)}
+    assert len(circuits) == 3 and len(groups) == 2
+    transient(circuits, t_stop=LOCKSTEP_T_STOP, dt=2e-11)
+    assert calls["assemble_static"] > 0 and calls["assemble_dynamic"] > 0
+    assert calls["stamp_static"] == 2 * calls["assemble_static"]
+    assert calls["stamp_dynamic"] == 2 * calls["assemble_dynamic"]
+
+
 #: Fault draws of the lockstep batch: step s (1-based) of run r is draw
 #: 3 * (s - 1) + r + 1 at the ``transient.newton`` site.
 _FAULTED_STEP, _FAULTED_RUN = 5, 1
