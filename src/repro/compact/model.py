@@ -9,13 +9,22 @@ simulator and the extraction flow consume:
   (extraction fitting; optionally over R parameter sets at once),
 * :meth:`BsimSoi4Lite.cgg` — total gate capacitance at Vds = 0 (likewise),
 * :meth:`BsimSoi4Lite.charges` — conservative terminal charges (qg, qd,
-  qs) for transient analysis.
+  qs) for transient analysis,
+* :meth:`BsimSoi4Lite.ids_batch` / :meth:`BsimSoi4Lite.charges_batch` —
+  the vectorised forms the circuit simulator calls, once per assembly
+  for every MOSFET of a batch (``devices=``).
+
+Every entry point evaluates a
+:class:`~repro.compact.columns.DeviceColumns` set through the one
+implementation of the equations below: a model alone is the set of one,
+``rows=`` the set of R parameter sets on this model's geometry, and
+``devices=`` a set of several models, n- and p-devices mixed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,13 +34,14 @@ from repro.materials import SILICON_DIOXIDE
 from repro.compact import capacitance as cap_mod
 from repro.compact import current as cur_mod
 from repro.compact import mobility as mob_mod
+from repro.compact.columns import DeviceColumns
 from repro.compact.parameters import (
     DRAWN_GATE_LENGTH,
     LEVEL70_CONSTANTS,
     ParameterSet,
 )
 from repro.compact.subthreshold import effective_overdrive, ideality_factor
-from repro.compact.threshold import ThresholdModel
+from repro.compact.threshold import ThresholdModel, threshold_voltage
 from repro.tcad.device import Polarity
 
 
@@ -111,28 +121,19 @@ class BsimSoi4Lite:
         )
 
     # ------------------------------------------------------------------
-    # DC current
+    # evaluation
     # ------------------------------------------------------------------
     def vth(self, vds=0.0) -> np.ndarray:
         """Threshold voltage [V] vs (magnitude-space) drain bias."""
         return self._threshold.vth(self.p("VTH0"), self.p("DVT0"),
                                    self.p("DVT1"), self.p("ETAB"), vds)
 
-    def _parameters(self, rows: Optional[Sequence[ParameterSet]],
-                    *bias) -> Callable[[str], object]:
-        """Parameter lookup for one evaluation.
-
-        Without ``rows`` a name maps to this instance's Python float.  With
-        R parameter sets it maps to an (R, 1, ...) column that broadcasts
-        against the ``bias`` arrays, giving the result R leading rows.
-        The columns are the rows of one (P, R) table built per call.
-        """
+    def _columns(self, rows: Optional[Sequence[ParameterSet]]
+                 ) -> DeviceColumns:
+        """This model alone, or with each of R parameter sets."""
         if rows is None:
-            return self.params.__getitem__
-        shape = (-1,) + (1,) * max(np.ndim(b) for b in bias)
-        table = np.array([list(p.values.values()) for p in rows]).T.copy()
-        column = {name: i for i, name in enumerate(rows[0].values)}
-        return lambda name: table[column[name]].reshape(shape)
+            return DeviceColumns.alone(self)
+        return DeviceColumns((self,) * len(rows), rows)
 
     def ids_magnitude(self, vgs, vds,
                       rows: Optional[Sequence[ParameterSet]] = None
@@ -143,19 +144,7 @@ class BsimSoi4Lite:
         a leading axis of length R whose row r equals, bit for bit, this
         model with ``params=rows[r]`` evaluated alone.
         """
-        vgs = np.asarray(vgs, dtype=float)
-        vds = np.asarray(vds, dtype=float)
-        p = self._parameters(rows, vgs, vds)
-        vth = self._threshold.vth(p("VTH0"), p("DVT0"), p("DVT1"),
-                                  p("ETAB"), vds)
-        n = ideality_factor(p("CDSC"), p("CDSCD"), self.cox, vds)
-        vgsteff = effective_overdrive(vgs, vth, n, self.vt_thermal)
-        mu = mob_mod.effective_mobility(
-            vgsteff, self.t_ox, p("U0"), p("UA"), p("UB"), p("UD"),
-            p("UCS"), self.vt_thermal)
-        return cur_mod.drain_current(
-            vgsteff, vds, mu, self.cox, self.width, self.length,
-            p("VSAT"), p("PVAG"), self.vt_thermal)
+        return _ids_magnitude(self._columns(rows), vgs, vds)
 
     def ids(self, vgs: float, vds: float) -> float:
         """Drain current [A] with SPICE signs (PMOS takes negative biases).
@@ -170,31 +159,26 @@ class BsimSoi4Lite:
             return sign * float(self.ids_magnitude(vgs_m, vds_m))
         return -sign * float(self.ids_magnitude(vgs_m - vds_m, -vds_m))
 
-    def ids_batch(self, vgs, vds) -> np.ndarray:
+    def ids_batch(self, vgs, vds,
+                  devices: Optional[DeviceColumns] = None) -> np.ndarray:
         """Vectorised :meth:`ids` over arrays of bias points.
 
         Used by the circuit simulator to evaluate the nominal point and
-        all finite-difference points in one call.
+        all finite-difference points in one call.  ``devices`` evaluates
+        that whole set instead of this model alone (this model, the
+        set's first, is only the entry point): row i of the (m, N) bias
+        arrays holds device i's points, and its values equal, bit for
+        bit, ``devices.models[i].ids_batch`` on those points.
         """
-        sign = self.polarity.sign
+        c = self._columns(None) if devices is None else devices
+        sign = c.sign
         vgs_m = sign * np.asarray(vgs, dtype=float)
         vds_m = sign * np.asarray(vds, dtype=float)
         reverse = vds_m < 0
         vgs_eff = np.where(reverse, vgs_m - vds_m, vgs_m)
         vds_eff = np.abs(vds_m)
-        magnitude = self.ids_magnitude(vgs_eff, vds_eff)
+        magnitude = _ids_magnitude(c, vgs_eff, vds_eff)
         return sign * np.where(reverse, -magnitude, magnitude)
-
-    # ------------------------------------------------------------------
-    # capacitance / charge
-    # ------------------------------------------------------------------
-    def _cap_params(self, p: Optional[Callable[[str], object]] = None
-                    ) -> cap_mod.CapacitanceParameters:
-        p = p or self.p
-        return cap_mod.CapacitanceParameters(
-            ckappa=p("CKAPPA"), delvt=p("DELVT"), cf=p("CF"),
-            cgso=p("CGSO"), cgdo=p("CGDO"), moin=p("MOIN"),
-            cgsl=p("CGSL"), cgdl=p("CGDL"))
 
     def cgg(self, vg, rows: Optional[Sequence[ParameterSet]] = None
             ) -> np.ndarray:
@@ -203,12 +187,10 @@ class BsimSoi4Lite:
         ``rows`` evaluates R parameter sets in one call, as in
         :meth:`ids_magnitude`.
         """
-        p = self._parameters(rows, vg)
-        vth0 = self._threshold.vth(p("VTH0"), p("DVT0"), p("DVT1"),
-                                   p("ETAB"), 0.0)
+        c = self._columns(rows)
         return cap_mod.gate_capacitance(
-            vg, self._cap_params(p), vth0, self.cox, self.width,
-            self.length, self.vt_thermal)
+            vg, c.cv_centre, c.cv_width, c.channel, c.static, c.fringe,
+            c.turn_on)
 
     def charges(self, vgs: float, vds: float) -> Tuple[float, float, float]:
         """Conservative terminal charges (qg, qd, qs) [C], SPICE signs.
@@ -217,42 +199,28 @@ class BsimSoi4Lite:
         and partitioned 50/50; overlap and fringe charges are linear /
         soft functions of their controlling voltages.  qg + qd + qs = 0.
         """
-        sign = self.polarity.sign
+        qg, qd, qs = self.charges_batch(vgs, vds)
+        return float(qg), float(qd), float(qs)
+
+    def charges_batch(self, vgs, vds,
+                      devices: Optional[DeviceColumns] = None
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Vectorised :meth:`charges` over arrays of bias points;
+        ``devices`` as in :meth:`ids_batch`."""
+        c = self._columns(None) if devices is None else devices
+        sign = c.sign
+        vgs = np.asarray(vgs, dtype=float)
         vgs_m = sign * vgs
-        vgd_m = sign * (vgs - vds)
-        params = self._cap_params()
-        vth0 = float(self.vth(0.0))
-
-        q_int = float(cap_mod.intrinsic_channel_charge(
-            vgs_m, params, vth0, self.cox, self.width, self.length,
-            self.vt_thermal))
-        q_ov_s = (self.width * (params.cgso + 0.5 * params.cf) * vgs_m +
-                  float(cap_mod.fringe_charge(vgs_m, params, self.width, "s")))
-        q_ov_d = (self.width * (params.cgdo + 0.5 * params.cf) * vgd_m +
-                  float(cap_mod.fringe_charge(vgd_m, params, self.width, "d")))
-
-        qg = q_int + q_ov_s + q_ov_d
-        qd = -(0.5 * q_int + q_ov_d)
-        qs = -(0.5 * q_int + q_ov_s)
-        return sign * qg, sign * qd, sign * qs
-
-    def charges_batch(self, vgs, vds) -> Tuple[np.ndarray, np.ndarray,
-                                               np.ndarray]:
-        """Vectorised :meth:`charges` over arrays of bias points."""
-        sign = self.polarity.sign
-        vgs_m = sign * np.asarray(vgs, dtype=float)
-        vgd_m = sign * (np.asarray(vgs, dtype=float) -
-                        np.asarray(vds, dtype=float))
-        params = self._cap_params()
-        vth0 = float(self.vth(0.0))
+        vgd_m = sign * (vgs - np.asarray(vds, dtype=float))
+        (overlap_s, overlap_d), (fringe_s, fringe_d) = (c.overlap,
+                                                        c.inner_fringe)
 
         q_int = cap_mod.intrinsic_channel_charge(
-            vgs_m, params, vth0, self.cox, self.width, self.length,
-            self.vt_thermal)
-        q_ov_s = (self.width * (params.cgso + 0.5 * params.cf) * vgs_m +
-                  cap_mod.fringe_charge(vgs_m, params, self.width, "s"))
-        q_ov_d = (self.width * (params.cgdo + 0.5 * params.cf) * vgd_m +
-                  cap_mod.fringe_charge(vgd_m, params, self.width, "d"))
+            vgs_m, c.cv_centre, c.cv_width, c.channel)
+        q_ov_s = (overlap_s * vgs_m +
+                  cap_mod.fringe_charge(vgs_m, fringe_s, c.turn_on))
+        q_ov_d = (overlap_d * vgd_m +
+                  cap_mod.fringe_charge(vgd_m, fringe_d, c.turn_on))
 
         qg = q_int + q_ov_s + q_ov_d
         qd = -(0.5 * q_int + q_ov_d)
@@ -271,3 +239,19 @@ class BsimSoi4Lite:
             "ioff": float(self.ids_magnitude(0.0, 1.0)),
             "cgg_max_fF": float(self.cgg(1.0)) * 1e15,
         }
+
+
+def _ids_magnitude(c: DeviceColumns, vgs, vds) -> np.ndarray:
+    """|I_D| [A] of the devices of ``c`` in magnitude space."""
+    vgs = np.asarray(vgs, dtype=float)
+    vds = np.asarray(vds, dtype=float)
+    p = c.p
+    vth = threshold_voltage(p["VTH0"], c.sce, p["ETAB"], vds)
+    n = ideality_factor(p["CDSC"], p["CDSCD"], c.cox, vds)
+    vgsteff = effective_overdrive(vgs, vth, n, c.vt)
+    mu = mob_mod.effective_mobility(
+        vgsteff, c.t_ox, p["U0"], p["UA"], p["UB"], p["UD"], c.coulomb,
+        c.vt)
+    return cur_mod.drain_current(
+        vgsteff, vds, mu, c.cox, c.width, c.length, p["VSAT"], p["PVAG"],
+        c.vt)

@@ -16,9 +16,7 @@ coupling, saturation, overlap capacitance) with simplified equations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping
-
-import numpy as np
+from typing import Dict, Iterable, List, Mapping
 
 from repro.errors import ExtractionError
 
@@ -221,19 +219,3 @@ class ParameterSet:
 def default_parameters() -> ParameterSet:
     """A parameter set at the documented defaults."""
     return ParameterSet()
-
-
-def per_row(prelude: Callable[..., float], *values):
-    """Apply a scalar parameter prelude row by row.
-
-    The model equations take each parameter either as a Python float (one
-    parameter set) or as an ``(R, 1, ...)`` column holding R sets (see
-    :meth:`repro.compact.model.BsimSoi4Lite.ids_magnitude`).  Scalar
-    preludes -- ``math.cosh``, Python ``max``, branches -- do not
-    broadcast: they run here on each row's Python floats, so row r is
-    computed exactly as a one-set evaluation computes it.
-    """
-    if not (isinstance(values[0], np.ndarray) and values[0].ndim):
-        return prelude(*values)
-    rows = zip(*(np.ravel(value).tolist() for value in values))
-    return np.reshape([prelude(*row) for row in rows], np.shape(values[0]))

@@ -11,11 +11,11 @@ with ``lt = sqrt(eps_si/eps_ox * TSI * TOX)`` the SOI natural length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import cosh, sqrt
 
 import numpy as np
 
-from repro.compact.parameters import per_row
 from repro.materials import SILICON, SILICON_DIOXIDE
 
 #: Effective junction built-in potential entering the roll-off term [V].
@@ -34,7 +34,7 @@ class ThresholdModel:
         if min(self.l_gate, self.t_si, self.t_ox) <= 0:
             raise ValueError("geometry must be positive")
 
-    @property
+    @cached_property
     def natural_length(self) -> float:
         """SOI characteristic length lt [m]."""
         ratio = SILICON.permittivity / SILICON_DIOXIDE.permittivity
@@ -48,11 +48,17 @@ class ThresholdModel:
             denom = 1e-12
         return 0.5 * dvt0 / denom * BUILT_IN_EFFECTIVE
 
-    def vth(self, vth0, dvt0, dvt1, etab, vds) -> np.ndarray:
-        """Threshold voltage [V] versus drain bias (vectorised in vds).
+    def vth(self, vth0: float, dvt0: float, dvt1: float, etab: float,
+            vds) -> np.ndarray:
+        """Threshold voltage [V] versus drain bias (vectorised in vds)."""
+        return threshold_voltage(vth0, self.sce_shift(dvt0, dvt1), etab, vds)
 
-        The parameters are Python floats or parameter-row columns; the
-        short-channel shift is taken row by row (:func:`per_row`).
-        """
-        vds = np.asarray(vds, dtype=float)
-        return vth0 - per_row(self.sce_shift, dvt0, dvt1) - etab * vds
+
+def threshold_voltage(vth0, sce, etab, vds) -> np.ndarray:
+    """``VTH0 - dVth_SCE - ETAB * Vds`` [V] from the short-channel shift
+    ``sce`` (:meth:`ThresholdModel.sce_shift`).
+
+    The parameters are Python floats or device columns
+    (:class:`~repro.compact.columns.DeviceColumns`).
+    """
+    return vth0 - sce - etab * np.asarray(vds, dtype=float)

@@ -8,10 +8,10 @@ through them with one scatter (:mod:`repro.spice.mna`).
 
 Every element but the MOSFET is linear: its :meth:`Element.matrix_values`
 and a capacitor's capacitance are read once per batch, a source's
-:meth:`Element.rhs_values` once per ``(time, scale)``.  MOSFETs are
-evaluated per model group, whose values
+:meth:`Element.rhs_values` once per ``(time, scale)``.  All MOSFETs are
+evaluated together, once per assembly, and their values laid out by
 :meth:`~repro.spice.elements.mosfet.Mosfet.stamp_static` /
-``stamp_dynamic`` lay out.
+``stamp_dynamic``.
 """
 
 from __future__ import annotations

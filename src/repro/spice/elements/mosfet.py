@@ -1,12 +1,12 @@
 """MOSFET element wrapping the BSIMSOI4-lite compact model.
 
-Three terminals (drain, gate, source).  The assembler evaluates all
-devices that share a model instance in one compact-model call per
-assembly (:mod:`repro.spice.mna`); the static stamp is the linearised
-drain current with numerically differentiated gm/gds (robust against
-any future change in the model equations), the dynamic stamp the
-model's conservative terminal charges with a numerical 3x3 capacitance
-Jacobian.
+Three terminals (drain, gate, source).  The assembler evaluates every
+MOSFET of a batch, whatever its model instance, in one compact-model
+call per assembly (:mod:`repro.spice.mna`); the static stamp is the
+linearised drain current with numerically differentiated gm/gds
+(robust against any future change in the model equations), the
+dynamic stamp the model's conservative terminal charges with a
+numerical 3x3 capacitance Jacobian.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ class Mosfet(Element):
     #: Values per device that matrix, rhs, charge and cap ``k`` index.
     value_counts = (4, 2, 3, 9)
 
-    # A model group's value rows, device after device, for m devices
-    # over K runs; called once per group per assembly (and counted by
-    # benchmarks/perf, so they stay in this class's own namespace).
+    # The MOSFETs' value rows, device after device, for m devices over
+    # K runs; called once per assembly (and counted by benchmarks/perf,
+    # so they stay in this class's own namespace).
     @staticmethod
     def stamp_static(gm: np.ndarray, gds: np.ndarray, ieq: np.ndarray
                      ) -> Tuple[np.ndarray, np.ndarray]:

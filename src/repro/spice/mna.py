@@ -19,17 +19,22 @@ element-and-entry order, offset by ``run·n²`` into the stacked
 matrices and ``run·n`` into the stacked vectors.  An assembly computes
 the values as (rows, K) blocks — linear constants, source values (once
 per ``(time, scale)``; ``scale`` is 1 except in Newton's source
-continuation), capacitor charges and each MOSFET model group's rows —
-gathers them into that order and writes each target with one
-``np.bincount``.  ``bincount`` adds in input order from zero, as a
-``+=`` per entry does, so every entry sums its contributions in
-element order, bit for bit.
+continuation), capacitor charges and the MOSFETs' rows — gathers them
+into that order and writes each target with one ``np.bincount``.
+``bincount`` adds in input order from zero, as a ``+=`` per entry
+does, so every entry sums its contributions in element order, bit for
+bit.
 
-MOSFETs are evaluated per *model group* — the devices sharing one
-compact-model instance: one ``ids_batch`` and one ``charges_batch``
-call on the nominal and finite-difference points of every device of
-the group in every run.  The compact model is elementwise, so each
-device's values are bit for bit those of a call on its own points.
+Every MOSFET of the batch, n- and p-models together, is evaluated by
+one ``ids_batch`` and one ``charges_batch`` call per assembly, on the
+nominal and finite-difference points of every device in every run.
+The constructor reads the models' parameters once, as it reads the
+resistances and capacitances: one
+:class:`~repro.compact.columns.DeviceColumns` in circuit order, whose
+per-device columns broadcast against bias arrays holding one row of
+points (finite-difference points by runs) per device.  The compact
+model is elementwise, so each device's values are bit for bit those of
+its own model called on its own points.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.compact.model import BsimSoi4Lite
+from repro.compact.columns import DeviceColumns
 from repro.errors import SimulationError, SingularMatrixError
 from repro.observe import get_tracer
 from repro.spice.netlist import Circuit
@@ -85,44 +90,45 @@ def _pairs(values: np.ndarray) -> np.ndarray:
     return np.concatenate((values, -values), 1).reshape(-1, values.shape[1])
 
 
-def _companions(model: BsimSoi4Lite, terminals: np.ndarray,
+def _companions(devices: DeviceColumns, terminals: np.ndarray,
                 x_ext: np.ndarray
                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(gm, gds, ieq) of a model group, each (m, K), from one
+    """(gm, gds, ieq) of every MOSFET, each (m, K), from one
     ``ids_batch`` call, with ``ieq = ids - gm*vgs - gds*vds``; the
-    (3, m) ``terminals`` index the members' (drain, gate, source) in
+    (3, m) ``terminals`` index the devices' (drain, gate, source) in
     ``x_ext``.
 
-    The (5·m, K) points are laid out as blocks
+    Each device's row of 5·K points is the blocks
     ``[vgs, vgs+d, vgs-d, vgs, vgs]`` against
-    ``[vds, vds, vds, vds+d, vds-d]`` of m device rows each: the nominal
+    ``[vds, vds, vds, vds+d, vds-d]`` of its K runs: the nominal
     current, then central differences in vgs (gm) and in vds (gds).
     """
     d = FD_DELTA
     vd, vg, vs = x_ext[terminals]
     vgs, vds = vg - vs, vd - vs
-    ids = model.ids_batch(
-        np.concatenate((vgs, vgs + d, vgs - d, vgs, vgs)),
-        np.concatenate((vds, vds, vds, vds + d, vds - d)),
-    ).reshape((5,) + vgs.shape)
+    # ids[point, device, run]
+    ids = devices.models[0].ids_batch(
+        np.concatenate((vgs, vgs + d, vgs - d, vgs, vgs), 1),
+        np.concatenate((vds, vds, vds, vds + d, vds - d), 1),
+        devices=devices).reshape(len(vgs), 5, -1).transpose(1, 0, 2)
     gm, gds = (ids[1::2] - ids[2::2]) / (2.0 * d)
     return gm, gds, ids[0] - gm * vgs - gds * vds
 
 
-def _charges(model: BsimSoi4Lite, terminals: np.ndarray, x_ext: np.ndarray
-             ) -> Tuple[np.ndarray, np.ndarray]:
-    """Charges q[terminal (g, d, s), device, run] of a model group and
+def _charges(devices: DeviceColumns, terminals: np.ndarray,
+             x_ext: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Charges q[terminal (g, d, s), device, run] of every MOSFET and
     their Jacobian [terminal, d/dv of (g, d, s), device, run], from one
-    ``charges_batch`` call on blocks ``[vgs, vgs+d, vgs]`` against
-    ``[vds, vds, vds+d]``; dq/dvs = -(dq/dvg + dq/dvd)."""
+    ``charges_batch`` call on each device's blocks ``[vgs, vgs+d, vgs]``
+    against ``[vds, vds, vds+d]``; dq/dvs = -(dq/dvg + dq/dvd)."""
     d = FD_DELTA
     vd, vg, vs = x_ext[terminals]
     vgs, vds = vg - vs, vd - vs
     # q[terminal, point, device, run]
-    q = np.concatenate(model.charges_batch(
-        np.concatenate((vgs, vgs + d, vgs)),
-        np.concatenate((vds, vds, vds + d)),
-    )).reshape((3, 3) + vgs.shape)
+    q = np.array(devices.models[0].charges_batch(
+        np.concatenate((vgs, vgs + d, vgs), 1),
+        np.concatenate((vds, vds, vds + d), 1), devices=devices)
+    ).reshape(3, len(vgs), 3, -1).transpose(0, 2, 1, 3)
     q0 = q[:, 0]
     jacobian = np.empty((3,) + q0.shape)
     jacobian[:, :2] = (q[:, 1:] - q0[:, None]) / d
@@ -139,8 +145,9 @@ class MnaAssembler:
         One circuit, or a sequence of circuits that share their
         elements, nodes and MOSFET model instances (raises
         :class:`~repro.errors.SimulationError` otherwise).  Their
-        structure, their resistances and capacitances are read once,
-        here; source waveforms are read per ``(time, scale)``.
+        structure, their resistances and capacitances and their MOSFETs'
+        model parameters are read once, here; source waveforms are read
+        per ``(time, scale)``.
     """
 
     def __init__(self, circuits: Union[Circuit, Sequence[Circuit]]):
@@ -173,7 +180,7 @@ class MnaAssembler:
         self._sources_at: List = [None, None]
 
         # Value blocks per target: block 0 for the elements other than
-        # MOSFETs, block 1 + g for model group g, each element's values
+        # MOSFETs, block 1 for the MOSFETs, each element's values
         # consecutive rows of its block.  Per target: ``entries`` holds
         # (slot, block, row) in element-and-entry order, ``self._at``
         # block 0's element positions; ``used`` counts block rows.
@@ -182,7 +189,7 @@ class MnaAssembler:
         self._at: Dict[str, List[int]] = {target: [] for target in targets}
         used: Counter = Counter()
         slots: List[Tuple[int, ...]] = []
-        groups: Dict[int, Tuple[BsimSoi4Lite, List[int]]] = {}
+        mosfets: List[int] = []
         for position, element in enumerate(circuit):
             rows = tuple(None if node == GROUND else self.node_index[node]
                          for node in element.nodes)
@@ -192,10 +199,8 @@ class MnaAssembler:
             block, counts = 0, (len(element.matrix_values()),
                                 len(element.rhs_values(0.0, 1.0)), 0, 0)
             if isinstance(element, Mosfet):
-                groups.setdefault(id(element.model),
-                                  (element.model, []))[1].append(position)
-                block = 1 + list(groups).index(id(element.model))
-                counts = Mosfet.value_counts
+                mosfets.append(position)
+                block, counts = 1, Mosfet.value_counts
             elif isinstance(element, Capacitor):
                 counts = (0, 0, 2, 2)
             for target, plan_entries, count in zip(targets, plan, counts):
@@ -209,17 +214,20 @@ class MnaAssembler:
 
         self._plans: Dict[str, Tuple[np.ndarray, np.ndarray, int]] = {}
         for target, listed in entries.items():
-            offsets = np.cumsum([0] + [used[target, b]
-                                       for b in range(len(groups))])
+            offsets = (0, used[target, 0])
             self._plans[target] = (
                 np.array([offsets[b] + row for _, b, row in listed],
                          dtype=np.intp),
                 np.array([slot for slot, _, _ in listed], dtype=np.intp),
                 n * n if target in ("matrix", "cap") else n)
-        #: (model, (3, m) drain/gate/source slots) of every model group.
-        self._groups = [
-            (model, np.array([slots[p] for p in members], dtype=np.intp).T)
-            for model, members in groups.values()]
+        #: Every MOSFET's model parameters, read once here as one
+        #: column set in circuit order (None without MOSFETs), and the
+        #: devices' (3, m) drain/gate/source slots.
+        self._devices = (DeviceColumns([circuit.elements[p].model
+                                        for p in mosfets])
+                         if mosfets else None)
+        self._terminals = np.array([slots[p] for p in mosfets],
+                                   dtype=np.intp).reshape(-1, 3).T
         #: (2, capacitors) terminal slots of every capacitor.
         self._capacitor_terminals = np.array(
             [slots[p] for p in self._at["cap"]], dtype=np.intp
@@ -304,9 +312,9 @@ class MnaAssembler:
         x_ext = _extended(xs)
         matrix_blocks = [self._linear]
         rhs_blocks = [self._source_values(time, scale)]
-        for model, terminals in self._groups:
+        if self._devices is not None:
             matrix_rows, rhs_rows = Mosfet.stamp_static(
-                *_companions(model, terminals, x_ext))
+                *_companions(self._devices, self._terminals, x_ext))
             matrix_blocks.append(matrix_rows)
             rhs_blocks.append(rhs_rows)
         matrix = self._scatter("matrix", matrix_blocks)
@@ -325,9 +333,9 @@ class MnaAssembler:
         charge_blocks = [
             _pairs(self._capacitance * (x_ext[t1] - x_ext[t2]))]
         cap_blocks = [self._capacitance_rows]
-        for model, terminals in self._groups:
+        if self._devices is not None:
             charge_rows, cap_rows = Mosfet.stamp_dynamic(
-                *_charges(model, terminals, x_ext))
+                *_charges(self._devices, self._terminals, x_ext))
             charge_blocks.append(charge_rows)
             cap_blocks.append(cap_rows)
         charge = self._scatter("charge", charge_blocks).reshape(runs, n)

@@ -1,6 +1,8 @@
 """Compact-model building blocks: threshold, subthreshold, mobility,
 current and capacitance submodules."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -198,15 +200,24 @@ def _cap_params(**overrides):
     defaults = dict(ckappa=0.6, delvt=0.0, cf=5e-11, cgso=5e-11, cgdo=5e-11,
                     moin=3.0, cgsl=1e-10, cgdl=1e-10)
     defaults.update(overrides)
-    return cap_mod.CapacitanceParameters(**defaults)
+    return SimpleNamespace(**defaults)
+
+
+def _cgg(vg, params, vth, cox, w, l):
+    """Cgg from the raw parameters through the capacitance preludes."""
+    return cap_mod.gate_capacitance(
+        vg, vth + params.delvt, cap_mod.transition_width(params.moin, VT),
+        w * l * cox, w * (params.cgso + params.cgdo + params.cf),
+        w * (params.cgsl + params.cgdl),
+        cap_mod.turn_on_voltage(params.ckappa))
 
 
 def test_cgg_limits():
     params = _cap_params()
     cox = 0.0345
     w, l = 192e-9, 24e-9
-    low = float(cap_mod.gate_capacitance(-0.5, params, 0.35, cox, w, l, VT))
-    high = float(cap_mod.gate_capacitance(1.5, params, 0.35, cox, w, l, VT))
+    low = float(_cgg(-0.5, params, 0.35, cox, w, l))
+    high = float(_cgg(1.5, params, 0.35, cox, w, l))
     static = w * (params.cgso + params.cgdo + params.cf)
     assert low == pytest.approx(static, rel=0.05)
     assert high == pytest.approx(static + w * l * cox +
@@ -216,17 +227,15 @@ def test_cgg_limits():
 def test_cgg_monotone():
     params = _cap_params()
     vg = np.linspace(-0.5, 1.5, 41)
-    c = cap_mod.gate_capacitance(vg, params, 0.35, 0.0345, 192e-9, 24e-9, VT)
+    c = _cgg(vg, params, 0.35, 0.0345, 192e-9, 24e-9)
     assert np.all(np.diff(c) >= -1e-20)
 
 
 def test_delvt_shifts_transition():
     base = _cap_params()
     shifted = _cap_params(delvt=0.2)
-    c_base = float(cap_mod.gate_capacitance(0.35, base, 0.35, 0.0345,
-                                            192e-9, 24e-9, VT))
-    c_shift = float(cap_mod.gate_capacitance(0.35, shifted, 0.35, 0.0345,
-                                             192e-9, 24e-9, VT))
+    c_base = float(_cgg(0.35, base, 0.35, 0.0345, 192e-9, 24e-9))
+    c_shift = float(_cgg(0.35, shifted, 0.35, 0.0345, 192e-9, 24e-9))
     assert c_shift < c_base
 
 
@@ -235,10 +244,8 @@ def test_moin_widens_transition():
     wide = _cap_params(moin=10.0)
     # far below threshold, the wide transition already shows some rise
     below = 0.1
-    c_narrow = float(cap_mod.gate_capacitance(below, narrow, 0.35, 0.0345,
-                                              192e-9, 24e-9, VT))
-    c_wide = float(cap_mod.gate_capacitance(below, wide, 0.35, 0.0345,
-                                            192e-9, 24e-9, VT))
+    c_narrow = float(_cgg(below, narrow, 0.35, 0.0345, 192e-9, 24e-9))
+    c_wide = float(_cgg(below, wide, 0.35, 0.0345, 192e-9, 24e-9))
     assert c_wide > c_narrow
 
 
@@ -248,12 +255,14 @@ def test_intrinsic_charge_is_antiderivative():
     cox, w, l = 0.0345, 192e-9, 24e-9
     v = 0.5
     dv = 1e-5
-    q1 = float(cap_mod.intrinsic_channel_charge(v + dv, params, 0.35, cox,
-                                                w, l, VT))
-    q0 = float(cap_mod.intrinsic_channel_charge(v - dv, params, 0.35, cox,
-                                                w, l, VT))
+    width = cap_mod.transition_width(params.moin, VT)
+    centre = 0.35 + params.delvt
+    q1 = float(cap_mod.intrinsic_channel_charge(v + dv, centre, width,
+                                                w * l * cox))
+    q0 = float(cap_mod.intrinsic_channel_charge(v - dv, centre, width,
+                                                w * l * cox))
     c_expected = w * l * cox * float(cap_mod.inversion_transition(
-        v, 0.35, params.delvt, params.moin, VT))
+        v, centre, width))
     assert (q1 - q0) / (2 * dv) == pytest.approx(c_expected, rel=1e-3)
 
 
@@ -261,8 +270,9 @@ def test_fringe_charge_derivative_matches_turn_on():
     params = _cap_params()
     w = 192e-9
     v, dv = 0.3, 1e-5
-    q1 = float(cap_mod.fringe_charge(v + dv, params, w, "s"))
-    q0 = float(cap_mod.fringe_charge(v - dv, params, w, "s"))
+    turn_on = cap_mod.turn_on_voltage(params.ckappa)
+    q1 = float(cap_mod.fringe_charge(v + dv, w * params.cgsl, turn_on))
+    q0 = float(cap_mod.fringe_charge(v - dv, w * params.cgsl, turn_on))
     c_expected = w * params.cgsl * float(cap_mod.fringe_turn_on(
-        v, params.ckappa))
+        v, turn_on))
     assert (q1 - q0) / (2 * dv) == pytest.approx(c_expected, rel=1e-3)

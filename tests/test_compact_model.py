@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.compact.columns import DeviceColumns
 from repro.compact.model import BsimSoi4Lite
 from repro.compact.parameters import default_parameters
 from repro.errors import SimulationError
@@ -138,3 +139,83 @@ def test_cgg_consistent_with_dqg_dvgs(nmos):
     qg0 = nmos.charges(v - dv, 0.0)[0]
     assert (qg1 - qg0) / (2 * dv) == pytest.approx(float(nmos.cgg(v)),
                                                    rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# device columns: several models in one call
+# ---------------------------------------------------------------------------
+def _mixed_devices():
+    """n- and p-devices with distinct parameter sets: UD = 0 and UD > 0,
+    UCS 2.0 (a square), 0.5 (a square root) and a generic exponent, one
+    device at another width and temperature, and instances shared by
+    two devices."""
+    base = default_parameters()
+    n_plain = BsimSoi4Lite(params=base.updated(
+        {"UD": 0.0, "UCS": 2.0, "VTH0": 0.35, "CGSO": 8e-11}),
+        polarity=Polarity.NMOS)
+    n_square = BsimSoi4Lite(params=base.updated(
+        {"UD": 0.8, "UCS": 2.0, "U0": 0.05, "DVT0": 2.0, "CDSCD": 1e-3}),
+        polarity=Polarity.NMOS)
+    p_root = BsimSoi4Lite(params=base.updated(
+        {"UD": 1.2, "UCS": 0.5, "VTH0": 0.45, "CKAPPA": 0.05,
+         "CGSL": 1e-10, "CGDL": 2e-10, "MOIN": 1.0, "DELVT": 0.1}),
+        polarity=Polarity.PMOS)
+    p_generic = BsimSoi4Lite(params=base.updated(
+        {"UD": 0.3, "UCS": 1.37, "ETAB": 0.1, "PVAG": 2.0}),
+        polarity=Polarity.PMOS, width=384e-9, temperature=350.0)
+    return [n_plain, n_square, p_root, n_square, p_generic, n_plain]
+
+
+#: Every gate bias against every drain bias: deep subthreshold to strong
+#: inversion, +-8 V past the +-80 exponent clips, reverse operation for
+#: both polarities and |Vds| < 1e-12 (the conjugate Vdseff form).
+_VGS, _VDS = (g.ravel() for g in np.meshgrid(
+    [-8.0, -0.3, 0.0, 0.25, 0.6, 1.2, 8.0],
+    [-5.0, -1.0, -0.05, -1e-13, 0.0, 1e-13, 0.05, 1.0, 5.0]))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def test_device_columns_rows_equal_each_device_alone():
+    """Row i of a call on a column set equals, bit for bit, device i's
+    own model on its own points: its one-model ``ids_batch`` /
+    ``charges_batch`` and its scalar ``ids`` / ``charges``."""
+    models = _mixed_devices()
+    devices = DeviceColumns(models)
+    assert {ucs for ucs, _ in devices.coulomb} == {2.0, 0.5, 1.37}
+    # Each device its own points: a swapped row cannot pass.
+    vgs = np.stack([_VGS + 0.01 * i for i in range(len(models))])
+    vds = np.stack([_VDS] * len(models))
+    ids = models[0].ids_batch(vgs, vds, devices=devices)
+    charges = models[0].charges_batch(vgs, vds, devices=devices)
+    assert ids.shape == vgs.shape
+    for i, model in enumerate(models):
+        assert _bits(ids[i]) == _bits(model.ids_batch(vgs[i], vds[i]))
+        assert _bits(ids[i]) == _bits(
+            [model.ids(a, b) for a, b in zip(vgs[i].tolist(), _VDS)])
+        alone = model.charges_batch(vgs[i], vds[i])
+        scalar = np.array([model.charges(a, b)
+                           for a, b in zip(vgs[i].tolist(), _VDS)]).T
+        for q, q_alone, q_scalar in zip(charges, alone, scalar):
+            assert _bits(q[i]) == _bits(q_alone) == _bits(q_scalar)
+    # Points shared by every device broadcast to one row per device.
+    shared = models[0].ids_batch(_VGS, _VDS, devices=devices)
+    for i, model in enumerate(models):
+        assert _bits(shared[i]) == _bits(model.ids_batch(_VGS, _VDS))
+
+
+def test_device_columns_cover_the_exercised_regions():
+    """The oracle's points reach every branch they are meant to."""
+    devices = DeviceColumns(_mixed_devices())
+    signs = devices.sign.ravel()
+    reverse = signs[:, None] * _VDS[None] < 0
+    assert reverse[signs > 0].any() and reverse[signs < 0].any()
+    tiny = (np.abs(_VDS) < 1e-12) & (_VDS != 0.0)
+    assert tiny.any() and (_VDS == 0.0).any()
+    # The C-V soft-plus ratio passes +-80 on every device, the inner
+    # fringe ratio on the small-CKAPPA one.
+    ratio = (_VGS - devices.cv_centre) / devices.cv_width
+    assert (ratio.max(axis=1) > 80).all() and (ratio.min(axis=1) < -80).all()
+    assert (_VGS / devices.turn_on).max() > 80

@@ -271,17 +271,29 @@ def _oracle_dynamic(assembler, x):
 MID_EDGE = 2e-11
 
 
+def nand2_models():
+    """An NMOS and a PMOS model with distinct parameter sets (threshold,
+    mobility with and without the Coulomb term, overlap and fringe
+    capacitances), so that a device evaluated with the other polarity's
+    parameter columns changes the assembly."""
+    base = default_parameters()
+    return (BsimSoi4Lite(params=base, polarity=Polarity.NMOS),
+            BsimSoi4Lite(params=base.updated(
+                {"VTH0": 0.45, "U0": 0.03, "UD": 0.5, "UCS": 0.5,
+                 "DVT0": 2.0, "ETAB": 0.05, "CGSO": 8e-11, "CF": 2e-11,
+                 "CKAPPA": 0.3, "CGSL": 1e-10, "MOIN": 2.0}),
+                polarity=Polarity.PMOS))
+
+
 def nand2_like(run=0, models=None):
     """Two NMOS in series (one with a grounded source) and two parallel
-    PMOS, one shared model per polarity, a gate resistor, a load
-    capacitor and resistor on ``out`` with the MOSFETs, a diode-connected
-    NMOS (repeated stamp positions), a PWL source and a PWL current
-    source.  Runs other than 0 scale every resistance and capacitance
-    and move every source waveform; ``models`` (nmos, pmos) lets runs
-    share their model instances."""
-    nmos, pmos = models or (
-        BsimSoi4Lite(params=default_parameters(), polarity=Polarity.NMOS),
-        BsimSoi4Lite(params=default_parameters(), polarity=Polarity.PMOS))
+    PMOS, one shared model per polarity (:func:`nand2_models`), a gate
+    resistor, a load capacitor and resistor on ``out`` with the MOSFETs,
+    a diode-connected NMOS (repeated stamp positions), a PWL source and
+    a PWL current source.  Runs other than 0 scale every resistance and
+    capacitance and move every source waveform; ``models`` (nmos, pmos)
+    lets runs share their model instances."""
+    nmos, pmos = models or nand2_models()
     f = 1.0 + 0.37 * run
     c = Circuit("nand2")
     c.add(dc_source("VDD", "vdd", "0", 1.0 - 0.05 * run))
@@ -353,35 +365,36 @@ def test_oracle_conditions_move_every_source():
     assert rhs[0][mid] == -1e-6 and rhs[2][mid] == rhs[1][mid] / 2
 
 
-def test_one_model_call_per_group_per_assembly(monkeypatch):
-    calls = {"ids": 0, "charges": 0}
+def test_one_model_call_per_assembly(monkeypatch):
+    calls = {"ids": [], "charges": []}
     ids_batch = BsimSoi4Lite.ids_batch
     charges_batch = BsimSoi4Lite.charges_batch
 
-    def counted_ids(self, vgs, vds):
-        calls["ids"] += 1
-        return ids_batch(self, vgs, vds)
+    def counted_ids(self, vgs, vds, devices=None):
+        calls["ids"].append(devices.models)
+        return ids_batch(self, vgs, vds, devices=devices)
 
-    def counted_charges(self, vgs, vds):
-        calls["charges"] += 1
-        return charges_batch(self, vgs, vds)
+    def counted_charges(self, vgs, vds, devices=None):
+        calls["charges"].append(devices.models)
+        return charges_batch(self, vgs, vds, devices=devices)
 
     monkeypatch.setattr(BsimSoi4Lite, "ids_batch", counted_ids)
     monkeypatch.setattr(BsimSoi4Lite, "charges_batch", counted_charges)
-    assembler = MnaAssembler(nand2_like())
+    circuit = nand2_like()
+    assembler = MnaAssembler(circuit)
     x = np.full(assembler.n_unknowns, 0.5)
     assembler.assemble_static(x, 0.0)
     assembler.assemble_dynamic(x)
-    # Five MOSFETs over two model instances: one call per group each.
-    assert calls == {"ids": 2, "charges": 2}
+    # Five MOSFETs over two model instances: one call for all of them,
+    # their models in circuit order.
+    models = tuple(e.model for e in circuit if isinstance(e, Mosfet))
+    assert len(models) == 5 and len(set(map(id, models))) == 2
+    assert calls == {"ids": [models], "charges": [models]}
 
 
 def nand2_runs():
     """Three ``nand2_like`` runs on one pair of model instances."""
-    models = (BsimSoi4Lite(params=default_parameters(),
-                           polarity=Polarity.NMOS),
-              BsimSoi4Lite(params=default_parameters(),
-                           polarity=Polarity.PMOS))
+    models = nand2_models()
     return [nand2_like(run, models) for run in range(3)]
 
 

@@ -306,15 +306,15 @@ def test_lockstep_runs_equal_each_run_alone(monkeypatch):
 
 
 def test_lockstep_model_calls_are_shared_across_runs(monkeypatch):
-    """Per Newton iteration, one ``ids_batch`` per model group for every
+    """Per Newton iteration, one ``ids_batch`` for every MOSFET of every
     run still iterating: fewer calls than the runs make alone."""
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     calls = {"ids": 0}
     ids_batch = BsimSoi4Lite.ids_batch
 
-    def counted_ids(self, vgs, vds):
+    def counted_ids(self, vgs, vds, devices=None):
         calls["ids"] += 1
-        return ids_batch(self, vgs, vds)
+        return ids_batch(self, vgs, vds, devices=devices)
 
     monkeypatch.setattr(BsimSoi4Lite, "ids_batch", counted_ids)
     transient(nand3_runs(), t_stop=LOCKSTEP_T_STOP, dt=2e-11)
@@ -325,12 +325,12 @@ def test_lockstep_model_calls_are_shared_across_runs(monkeypatch):
     assert lockstep < calls["ids"]
 
 
-def test_mosfet_stamps_once_per_model_group_per_assembly(monkeypatch):
-    """Each assembly of the NAND3X1 lockstep batch lays out each model
-    group's values with one ``Mosfet.stamp_static`` (static) or
+def test_mosfet_stamps_once_per_assembly(monkeypatch):
+    """Each assembly of the NAND3X1 lockstep batch lays out every
+    MOSFET's values with one ``Mosfet.stamp_static`` (static) or
     ``Mosfet.stamp_dynamic`` (dynamic) call, whatever the number of
-    devices and runs; zero calls would be a blind spot of the perf
-    trace, which counts them."""
+    devices, model instances and runs; zero calls would be a blind spot
+    of the perf trace, which counts them."""
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     calls = dict.fromkeys(("assemble_static", "assemble_dynamic",
                            "stamp_static", "stamp_dynamic"), 0)
@@ -352,8 +352,8 @@ def test_mosfet_stamps_once_per_model_group_per_assembly(monkeypatch):
     assert len(circuits) == 3 and len(groups) == 2
     transient(circuits, t_stop=LOCKSTEP_T_STOP, dt=2e-11)
     assert calls["assemble_static"] > 0 and calls["assemble_dynamic"] > 0
-    assert calls["stamp_static"] == 2 * calls["assemble_static"]
-    assert calls["stamp_dynamic"] == 2 * calls["assemble_dynamic"]
+    assert calls["stamp_static"] == calls["assemble_static"]
+    assert calls["stamp_dynamic"] == calls["assemble_dynamic"]
 
 
 #: Fault draws of the lockstep batch: step s (1-based) of run r is draw
