@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compact.subthreshold import soft_plus
+from repro.compact.subthreshold import clip_exponent, soft_plus
 
-_EXP_CLIP = 80.0
+#: ln 2: ``logaddexp(r, -r) - ln 2`` is ``ln cosh r``.
+_LOG_2 = np.log(2.0)
 
 
 # The two preludes below turn parameters into quantities the equations
@@ -45,7 +46,7 @@ def inversion_transition(vg, centre, width) -> np.ndarray:
     """Logistic transition factor f(Vg) in [0, 1] centred at ``centre``
     (Vth + DELVT), ``width`` from :func:`transition_width`."""
     vg = np.asarray(vg, dtype=float)
-    x = np.clip((vg - centre) / width, -_EXP_CLIP, _EXP_CLIP)
+    x = clip_exponent((vg - centre) / width)
     return 1.0 / (1.0 + np.exp(-x))
 
 
@@ -79,7 +80,6 @@ def fringe_charge(vg, fringe, turn_on) -> np.ndarray:
     Antiderivative of ``c * g(v)``: c * (v + CKAPPA ln cosh(v/CKAPPA)) / 2.
     """
     vg = np.asarray(vg, dtype=float)
-    ratio = np.clip(vg / turn_on, -_EXP_CLIP, _EXP_CLIP)
-    anti = 0.5 * (vg + turn_on * (np.logaddexp(ratio, -ratio) -
-                                  np.log(2.0)))
+    ratio = clip_exponent(vg / turn_on)
+    anti = 0.5 * (vg + turn_on * (np.logaddexp(ratio, -ratio) - _LOG_2))
     return fringe * anti

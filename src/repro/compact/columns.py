@@ -20,23 +20,52 @@ scalar: the short-channel shift's ``math.cosh`` runs per device on
 Python floats (:meth:`~repro.compact.threshold.ThresholdModel.sce_shift`),
 and the Coulomb term's ``** UCS`` runs once per UCS group with a
 Python-float exponent (:func:`~repro.compact.mobility.coulomb_groups`).
+
+Two derived sets skip per-call work.  :meth:`DeviceColumns.widened`
+materialises every column to (m, N) for a caller whose bias arrays are
+(m, N), so each ufunc runs one contiguous loop instead of m broadcast
+rows (the MNA assembler's 5·K- and 3·K-point calls).
+:meth:`DeviceColumns.with_rows` gives the R-row set of the extraction's
+rows on one template model, reading every parameter the rows do not
+fit, and every prelude fed only by those, from a table built once per
+template and R.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from math import copysign
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from repro.compact import capacitance as cap_mod
 from repro.compact.mobility import coulomb_groups
-from repro.compact.parameters import PARAMETER_SPECS, ParameterSet
+from repro.compact.parameters import PARAMETER_SPECS, check_bounds
 from repro.compact.threshold import threshold_voltage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compact.model import BsimSoi4Lite
+
+
+#: The constants of a set: a Python float when every device shares it.
+_CONSTANTS = ("sign", "width", "length", "t_ox", "cox", "vt")
+
+#: Every prelude of :class:`DeviceColumns` and the parameters it reads
+#: (besides the constants).
+PRELUDE_PARAMETERS: Dict[str, Tuple[str, ...]] = {
+    "sce": ("DVT0", "DVT1"),
+    "coulomb": ("UD", "UCS"),
+    "cv_centre": ("VTH0", "DVT0", "DVT1", "ETAB", "DELVT"),
+    "cv_width": ("MOIN",),
+    "turn_on": ("CKAPPA",),
+    "channel": (),
+    "static": ("CGSO", "CGDO", "CF"),
+    "fringe": ("CGSL", "CGDL"),
+    "overlap": ("CGSO", "CGDO", "CF"),
+    "inner_fringe": ("CGSL", "CGDL"),
+}
 
 
 class DeviceColumns:
@@ -46,9 +75,6 @@ class DeviceColumns:
     ----------
     models:
         One model instance per device; a model may appear several times.
-    params:
-        Parameter sets replacing the models' own, row by row (the
-        extraction's R rows on one template model repeated R times).
 
     Parameters are (m, 1) columns.  Geometry, thermal voltage, polarity
     and short-channel shift are a Python float when every device has the
@@ -56,22 +82,19 @@ class DeviceColumns:
     result's device axis comes from the parameters.
     """
 
-    def __init__(self, models: Sequence["BsimSoi4Lite"],
-                 params: Optional[Sequence[ParameterSet]] = None):
+    def __init__(self, models: Sequence["BsimSoi4Lite"]):
         self.models = tuple(models)
-        sets = [m.params for m in self.models] if params is None \
-            else params
         # ``ParameterSet.values`` holds every parameter, in spec order.
-        table = np.array([list(s.values.values()) for s in sets],
-                         dtype=float).T.copy()[:, :, None]
+        table = np.array([list(m.params.values.values())
+                          for m in self.models], dtype=float).T.copy()
         #: Parameter name -> (m, 1) column.
-        self.p: Dict[str, Any] = dict(zip(PARAMETER_SPECS, table))
-        # Rows on one template model read its constants once.
-        distinct = {id(m): m for m in self.models}
-        per_device = self.models if len(distinct) > 1 else distinct.values()
+        self.p: Dict[str, Any] = dict(zip(PARAMETER_SPECS,
+                                          table[:, :, None]))
         (self.sign, self.width, self.length, self.t_ox, self.cox,
          self.vt) = (_column(values) for values in zip(
-             *map(_constants, per_device)))
+             *map(_constants, self.models)))
+        #: Widened sets and shared row columns, by (kind, width).
+        self._cache: Dict[Tuple[str, int], Any] = {}
 
     @classmethod
     def alone(cls, model: "BsimSoi4Lite") -> "DeviceColumns":
@@ -82,7 +105,65 @@ class DeviceColumns:
         one.p = model.params.values
         (one.sign, one.width, one.length, one.t_ox, one.cox,
          one.vt) = _constants(model)
+        one._cache = {}
         return one
+
+    def _like(self, models: Tuple["BsimSoi4Lite", ...],
+              p: Dict[str, Any]) -> "DeviceColumns":
+        """A set of ``models`` with columns ``p`` and this set's
+        constants, no prelude computed yet."""
+        other = DeviceColumns.__new__(DeviceColumns)
+        other.__dict__.update({name: getattr(self, name)
+                               for name in _CONSTANTS})
+        other.models, other.p, other._cache = models, p, {}
+        return other
+
+    def widened(self, width: int) -> "DeviceColumns":
+        """This set against (m, ``width``) bias arrays: every (m, 1)
+        column, prelude and Coulomb member mask materialised to (m,
+        ``width``).  A ufunc on (m, ``width``) operands runs one
+        contiguous loop instead of m rows of a broadcast column; its
+        elements see the same operand values, so every result is bit
+        for bit this set's.  Built on first use per width and kept, so
+        every caller shares it (an MNA batch and its ``select``
+        sub-batches)."""
+        wide = self._cache.get(("wide", width))
+        if wide is None:
+            wide = self._cache["wide", width] = self._like(
+                self.models,
+                {name: _wide(v, width) for name, v in self.p.items()})
+            for name in _CONSTANTS + tuple(PRELUDE_PARAMETERS):
+                setattr(wide, name, _wide(getattr(self, name), width))
+        return wide
+
+    def with_rows(self, rows: Sequence[Mapping[str, float]]
+                  ) -> "DeviceColumns":
+        """The R-row set of this one-model set (:meth:`alone`), row r
+        holding the parameter values ``rows[r]`` (every row naming the
+        same parameters, each within its bounds: raises
+        :class:`~repro.errors.ExtractionError` otherwise).
+
+        Row r equals, bit for bit, the model with those values alone.
+        The columns the rows do not name are shared (R, 1) columns of
+        this set's values, built once per R; a prelude that reads none
+        of the named parameters is this set's own, computed once.
+        """
+        names = list(rows[0])
+        values = np.array([[row[name] for name in names] for row in rows],
+                          dtype=float)
+        check_bounds(names, values)
+        shared = self._cache.get(("rows", len(rows)))
+        if shared is None:
+            shared = self._cache["rows", len(rows)] = {
+                name: _read_only(np.full((len(rows), 1), value))
+                for name, value in self.p.items()}
+        fitted = set(names)
+        rowset = self._like(self.models * len(rows), {
+            **shared, **dict(zip(names, values.T.copy()[:, :, None]))})
+        for name, reads in PRELUDE_PARAMETERS.items():
+            if fitted.isdisjoint(reads):
+                setattr(rowset, name, getattr(self, name))
+        return rowset
 
     def _scalars(self, name: str) -> List[float]:
         value = self.p[name]
@@ -163,3 +244,18 @@ def _column(values: Sequence[float]):
            for v in values):
         return first
     return np.array(values, dtype=float).reshape(-1, 1)
+
+
+def _wide(value, width: int):
+    """An (m, 1) column (or a tuple of them, at any depth) repeated to
+    (m, ``width``); anything else as it is."""
+    if isinstance(value, np.ndarray):
+        return np.repeat(value, width, axis=1)
+    if isinstance(value, tuple):
+        return tuple(_wide(v, width) for v in value)
+    return value
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column

@@ -68,9 +68,10 @@ def effective_vds(vds, vdsat) -> np.ndarray:
     diff = vdsat - vds - delta
     root = np.sqrt(diff * diff + 4.0 * delta * vdsat)
     smooth = vdsat - 0.5 * (diff + root)
-    conjugate = 2.0 * vdsat * vds / (vdsat + vds + delta + root)
-    smooth = np.where(np.abs(vds) < VDS_CONJUGATE_SWITCH,
-                      conjugate, smooth)
+    tiny = np.abs(vds) < VDS_CONJUGATE_SWITCH
+    if tiny.any():
+        conjugate = 2.0 * vdsat * vds / (vdsat + vds + delta + root)
+        smooth = np.where(tiny, conjugate, smooth)
     # Exactly zero at vds = 0; negative vds clamps to 0.
     return np.maximum(smooth, 0.0)
 

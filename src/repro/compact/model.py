@@ -17,14 +17,14 @@ simulator and the extraction flow consume:
 Every entry point evaluates a
 :class:`~repro.compact.columns.DeviceColumns` set through the one
 implementation of the equations below: a model alone is the set of one,
-``rows=`` the set of R parameter sets on this model's geometry, and
+``rows=`` the set of R parameter rows on this model's geometry, and
 ``devices=`` a set of several models, n- and p-devices mixed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,6 +93,12 @@ class BsimSoi4Lite:
         """Shorthand parameter accessor."""
         return self.params[name]
 
+    def __getstate__(self) -> Dict:
+        # The column set kept by ``_columns`` is rebuilt on first use.
+        state = dict(self.__dict__)
+        state.pop("_alone", None)
+        return state
+
     def to_dict(self) -> Dict:
         """JSON-compatible representation (for on-disk caching)."""
         return {
@@ -128,21 +134,27 @@ class BsimSoi4Lite:
         return self._threshold.vth(self.p("VTH0"), self.p("DVT0"),
                                    self.p("DVT1"), self.p("ETAB"), vds)
 
-    def _columns(self, rows: Optional[Sequence[ParameterSet]]
+    def _columns(self, rows: Optional[Sequence[Mapping[str, float]]]
                  ) -> DeviceColumns:
-        """This model alone, or with each of R parameter sets."""
-        if rows is None:
-            return DeviceColumns.alone(self)
-        return DeviceColumns((self,) * len(rows), rows)
+        """This model alone, or with each of R parameter rows.  The set
+        of one is built once per parameter set and kept, with its
+        preludes and its tables for rows."""
+        alone = self.__dict__.get("_alone")
+        if alone is None or alone.p is not self.params.values:
+            alone = self._alone = DeviceColumns.alone(self)
+        return alone if rows is None else alone.with_rows(rows)
 
     def ids_magnitude(self, vgs, vds,
-                      rows: Optional[Sequence[ParameterSet]] = None
+                      rows: Optional[Sequence[Mapping[str, float]]] = None
                       ) -> np.ndarray:
         """|I_D| [A] in magnitude space (vectorised, vds >= 0).
 
-        ``rows`` evaluates R parameter sets in one call: the result gains
-        a leading axis of length R whose row r equals, bit for bit, this
-        model with ``params=rows[r]`` evaluated alone.
+        ``rows`` evaluates R rows of parameter values in one call, each
+        row a ``{name: value}`` mapping of the same names, within their
+        bounds (:class:`~repro.errors.ExtractionError` otherwise): the
+        result gains a leading axis of length R whose row r equals, bit
+        for bit, this model with those values (``with_params(rows[r])``)
+        evaluated alone.
         """
         return _ids_magnitude(self._columns(rows), vgs, vds)
 
@@ -180,11 +192,11 @@ class BsimSoi4Lite:
         magnitude = _ids_magnitude(c, vgs_eff, vds_eff)
         return sign * np.where(reverse, -magnitude, magnitude)
 
-    def cgg(self, vg, rows: Optional[Sequence[ParameterSet]] = None
+    def cgg(self, vg, rows: Optional[Sequence[Mapping[str, float]]] = None
             ) -> np.ndarray:
         """Total gate capacitance [F] at Vds = 0, magnitude space.
 
-        ``rows`` evaluates R parameter sets in one call, as in
+        ``rows`` evaluates R rows of parameter values in one call, as in
         :meth:`ids_magnitude`.
         """
         c = self._columns(rows)

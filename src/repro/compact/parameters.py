@@ -16,7 +16,9 @@ coupling, saturation, overlap capacitance) with simplified equations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, Iterable, List, Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import ExtractionError
 
@@ -192,14 +194,8 @@ class ParameterSet:
 
     def updated(self, updates: Mapping[str, float]) -> "ParameterSet":
         """Return a copy with ``updates`` applied (bounds-checked)."""
-        for name, value in updates.items():
-            spec = PARAMETER_SPECS.get(name)
-            if spec is None:
-                raise ExtractionError(f"unknown parameter {name!r}")
-            if not (spec.lower <= value <= spec.upper):
-                raise ExtractionError(
-                    f"{name}={value} outside bounds "
-                    f"[{spec.lower}, {spec.upper}]")
+        check_bounds(list(updates), np.array([list(updates.values())],
+                                             dtype=float))
         # ``values`` already holds every parameter, each checked and a
         # float, so the copy skips __post_init__'s merge and re-check.
         new = object.__new__(ParameterSet)
@@ -214,6 +210,26 @@ class ParameterSet:
     def as_dict(self) -> Dict[str, float]:
         """Full parameter dictionary (copy)."""
         return dict(self.values)
+
+
+def check_bounds(names: Sequence[str], values: np.ndarray) -> None:
+    """Raise :class:`ExtractionError` when a name is not a parameter or
+    a value lies outside its parameter's bounds; ``values`` is (R,
+    len(names)), one row of values per assignment."""
+    specs = []
+    for name in names:
+        spec = PARAMETER_SPECS.get(name)
+        if spec is None:
+            raise ExtractionError(f"unknown parameter {name!r}")
+        specs.append(spec)
+    lower = np.array([spec.lower for spec in specs])
+    upper = np.array([spec.upper for spec in specs])
+    inside = (lower <= values) & (values <= upper)
+    if not inside.all():
+        row, i = np.argwhere(~inside)[0]
+        raise ExtractionError(
+            f"{names[i]}={values[row, i]} outside bounds "
+            f"[{lower[i]}, {upper[i]}]")
 
 
 def default_parameters() -> ParameterSet:

@@ -18,6 +18,12 @@ import numpy as np
 _EXP_CLIP = 80.0
 
 
+def clip_exponent(x: np.ndarray) -> np.ndarray:
+    """``x`` clipped to [-80, 80]: ``np.clip``'s values (NaN and -0.0
+    included) from two ufunc calls, without its Python-level wrapper."""
+    return np.minimum(np.maximum(x, -_EXP_CLIP), _EXP_CLIP)
+
+
 def ideality_factor(cdsc: float, cdscd: float, cox: float, vds) -> np.ndarray:
     """Swing ideality factor n (dimensionless, >= 1)."""
     vds = np.asarray(vds, dtype=float)
@@ -36,7 +42,7 @@ def soft_plus(x: np.ndarray, scale) -> np.ndarray:
     out = np.where(
         ratio > _EXP_CLIP,
         x,
-        scale * np.log1p(np.exp(np.clip(ratio, -_EXP_CLIP, _EXP_CLIP))),
+        scale * np.log1p(np.exp(clip_exponent(ratio))),
     )
     return out
 
@@ -54,5 +60,5 @@ def overdrive_derivative(vgs, vth, n, vt: float) -> np.ndarray:
     vgs = np.asarray(vgs, dtype=float)
     vth = np.asarray(vth, dtype=float)
     n = np.asarray(n, dtype=float)
-    ratio = np.clip((vgs - vth) / (n * vt), -_EXP_CLIP, _EXP_CLIP)
+    ratio = clip_exponent((vgs - vth) / (n * vt))
     return 1.0 / (1.0 + np.exp(-ratio))

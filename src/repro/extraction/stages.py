@@ -25,7 +25,6 @@ from repro.compact.parameters import (
     STAGE_CAPACITANCE,
     STAGE_HIGH_DRAIN,
     STAGE_LOW_DRAIN,
-    ParameterSet,
 )
 from repro.extraction.error import ReferenceCurve
 from repro.extraction.optimizer import RowResidual
@@ -51,20 +50,13 @@ class ExtractionStage:
         return self.residual_builder(model, targets)
 
 
-def _parameter_rows(model: BsimSoi4Lite,
-                    rows: Sequence[Dict[str, float]]) -> List[ParameterSet]:
-    """The template's parameters with each row's updates (bounds-checked)."""
-    return [model.params.updated(values) for values in rows]
-
-
 def _low_drain_builder(model: BsimSoi4Lite,
                        targets: DeviceTargets) -> RowResidual:
     curve = targets.idvg_lin
     reference = ReferenceCurve(curve.i)
 
     def residuals(rows: Sequence[Dict[str, float]]) -> np.ndarray:
-        sim = model.ids_magnitude(curve.v, curve.fixed_bias,
-                                  rows=_parameter_rows(model, rows))
+        sim = model.ids_magnitude(curve.v, curve.fixed_bias, rows=rows)
         return reference.mixed(sim, log_weight=0.6)
 
     return RowResidual(residuals)
@@ -95,8 +87,7 @@ def _high_drain_builder(model: BsimSoi4Lite,
                 for n, v in incoming]
 
     def residuals(rows: Sequence[Dict[str, float]]) -> np.ndarray:
-        sim = model.ids_magnitude(vgs, vds,
-                                  rows=_parameter_rows(model, rows))
+        sim = model.ids_magnitude(vgs, vds, rows=rows)
         curves = [sim[:, a:b] for a, b in zip(edges[:-1], edges[1:])]
         parts = [references[0].mixed(curves[0], log_weight=0.6)]
         # Keep a light anchor on the low-drain curve so the linear region
@@ -117,7 +108,7 @@ def _capacitance_builder(model: BsimSoi4Lite,
     reference = ReferenceCurve(curve.c)
 
     def residuals(rows: Sequence[Dict[str, float]]) -> np.ndarray:
-        sim = model.cgg(curve.v, rows=_parameter_rows(model, rows))
+        sim = model.cgg(curve.v, rows=rows)
         return reference.relative(sim)
 
     return RowResidual(residuals)

@@ -56,28 +56,60 @@ class Mosfet(Element):
                 (r, c, 3 * i + j) for i, r in enumerate(terminals)
                 for j, c in enumerate(terminals))))
 
-    #: Values per device that matrix, rhs, charge and cap ``k`` index.
-    value_counts = (4, 2, 3, 9)
+    # Finite-difference points: offsets added to each device's nominal
+    # (vgs, vds) (axis 0), one point per entry of axis 2, for
+    # :meth:`stamp_static` (the nominal current, then central
+    # differences in vgs and in vds) and :meth:`stamp_dynamic` (the
+    # nominal charges, then forward differences in vgs and in vds).
+    # -0.0 is the exact identity of ``+`` (x + -0.0 is x, -0.0
+    # included), and x + -d is x - d bit for bit.
+    static_offsets = np.array(
+        [[-0.0, FD_DELTA, -FD_DELTA, -0.0, -0.0],
+         [-0.0, -0.0, -0.0, FD_DELTA, -FD_DELTA]]).reshape(2, 1, 5, 1)
+    dynamic_offsets = np.array(
+        [[-0.0, FD_DELTA, -0.0],
+         [-0.0, -0.0, FD_DELTA]]).reshape(2, 1, 3, 1)
 
-    # The MOSFETs' value rows, device after device, for m devices over
-    # K runs; called once per assembly (and counted by benchmarks/perf,
-    # so they stay in this class's own namespace).
+    #: Per target, the value each plan ``k`` indexes, as (array, part,
+    #: sign): part ``part`` of a device's row of array ``array`` of the
+    #: arrays :meth:`stamp_static` (matrix, rhs) or :meth:`stamp_dynamic`
+    #: (charge, cap) return, times ``sign``.
+    value_layout = StampPlan(
+        matrix=((0, 0, 1.0), (0, 0, -1.0), (0, 1, 1.0), (0, 1, -1.0)),
+        rhs=((1, 0, -1.0), (1, 0, 1.0)),
+        charge=((0, 0, 1.0), (0, 3, 1.0), (0, 6, 1.0)),
+        cap=tuple(value for i in range(3) for value in (
+            (1, 2 * i, 1.0), (1, 2 * i + 1, 1.0), (2, i, -1.0))))
+    #: Parts per device of each array of :meth:`stamp_static` and of
+    #: :meth:`stamp_dynamic`.
+    static_parts = (2, 1)
+    dynamic_parts = (9, 6, 3)
+
+    # The MOSFETs' values, for m devices over K runs, from one model
+    # call on their finite-difference points; called once per assembly
+    # (and counted by benchmarks/perf, so they stay in this class's own
+    # namespace).
     @staticmethod
-    def stamp_static(gm: np.ndarray, gds: np.ndarray, ieq: np.ndarray
+    def stamp_static(ids: np.ndarray, vgs: np.ndarray, vds: np.ndarray
                      ) -> Tuple[np.ndarray, np.ndarray]:
-        """Matrix rows ``(gm, -gm, gds, -gds)`` (4m, K) and rhs rows
-        ``(-ieq, ieq)`` (2m, K) from (m, K) arrays."""
-        runs = gm.shape[1]
-        return (np.concatenate((gm, -gm, gds, -gds), 1).reshape(-1, runs),
-                np.concatenate((-ieq, ieq), 1).reshape(-1, runs))
+        """``(gm, gds)`` (m, 2, K) and ``ieq = ids - gm*vgs - gds*vds``
+        (m, K) from the currents ``ids`` (m, 5·K) at the
+        :attr:`static_offsets` points of the nominal (m, K) ``vgs`` and
+        ``vds``."""
+        m, runs = vgs.shape
+        ids = ids.reshape(m, 5, runs)
+        g = (ids[:, 1::2] - ids[:, 2::2]) / (2.0 * FD_DELTA)
+        return g, ids[:, 0] - g[:, 0] * vgs - g[:, 1] * vds
 
     @staticmethod
-    def stamp_dynamic(charges: np.ndarray, jacobian: np.ndarray
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-        """Charge rows ``(qg, qd, qs)`` (3m, K) from (3, m, K) charges
-        and cap rows (9m, K) from the (3, 3, m, K) Jacobian
-        ``dq_i/dv_j``, row-major over (gate, drain, source)."""
-        _, m, runs = charges.shape
-        return (charges.transpose(1, 0, 2).reshape(-1, runs),
-                jacobian.reshape(9, m, runs).transpose(1, 0, 2)
-                .reshape(-1, runs))
+    def stamp_dynamic(charges: Tuple[np.ndarray, np.ndarray, np.ndarray]
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """From the charges ``(qg, qd, qs)``, each (m, 3·K), at the
+        :attr:`dynamic_offsets` points: the charges (m, terminal (g, d,
+        s), point, K), their Jacobian ``dq/dv`` over (gate, drain)
+        (m, terminal, 2, K) and ``dq/dvg + dq/dvd`` (m, terminal, K),
+        which is ``-dq/dvs``."""
+        q = np.concatenate(charges, axis=1)
+        q = q.reshape(len(q), 3, 3, -1)
+        jacobian = (q[:, :, 1:] - q[:, :, :1]) / FD_DELTA
+        return q, jacobian, jacobian[:, :, 0] + jacobian[:, :, 1]

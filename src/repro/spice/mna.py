@@ -11,37 +11,41 @@ are done.  The dense systems are solved with one stacked
 ``np.linalg.solve``, which calls LAPACK once per matrix, exactly as a
 call on that matrix alone does (30 unknowns at most, MUX2X1 2D).
 
-There is one stamping protocol: plans, then flat indices, then one
-scatter.  The constructor turns every element's
-:class:`~repro.spice.elements.base.StampPlan` into one flat index per
-target array — matrix, rhs, charge vector and capacitance matrix — in
-element-and-entry order, offset by ``run·n²`` into the stacked
-matrices and ``run·n`` into the stacked vectors.  An assembly computes
-the values as (rows, K) blocks — linear constants, source values (once
-per ``(time, scale)``; ``scale`` is 1 except in Newton's source
-continuation), capacitor charges and the MOSFETs' rows — gathers them
-into that order and writes each target with one ``np.bincount``.
-``bincount`` adds in input order from zero, as a ``+=`` per entry
-does, so every entry sums its contributions in element order, bit for
-bit.
+There is one stamping protocol: plans, then a scatter plan, then one
+scatter per assembly.  The constructor turns every element's
+:class:`~repro.spice.elements.base.StampPlan` into one scatter plan
+per assembly kind — static (matrix, then rhs) and dynamic (charge
+vector, then capacitance matrix) — listing, in element-and-entry
+order, each entry's value row, its sign and its slot.  An assembly's
+values are (rows, K) blocks, one column per run: linear constants and
+GMIN, source values (once per ``(time, scale)``; ``scale`` is 1
+except in Newton's source continuation), capacitor charges and
+capacitances, and the MOSFETs' arrays.  It concatenates them, gathers
+every entry's value in every run, signs it (x·1.0 is x and x·-1.0 is
+-x, exactly) and writes both targets of every run with one
+``np.bincount``.  ``bincount`` adds in input order from zero, as a
+``+=`` per entry does, so every entry sums its contributions in
+element order, bit for bit.
 
 Every MOSFET of the batch, n- and p-models together, is evaluated by
 one ``ids_batch`` and one ``charges_batch`` call per assembly, on the
 nominal and finite-difference points of every device in every run.
 The constructor reads the models' parameters once, as it reads the
 resistances and capacitances: one
-:class:`~repro.compact.columns.DeviceColumns` in circuit order, whose
-per-device columns broadcast against bias arrays holding one row of
-points (finite-difference points by runs) per device.  The compact
-model is elementwise, so each device's values are bit for bit those of
-its own model called on its own points.
+:class:`~repro.compact.columns.DeviceColumns` in circuit order; each
+batch and sub-batch takes its columns widened to the (m, points·K)
+bias arrays, built once per width.  An assembly gathers every
+terminal voltage difference with one ``take`` and adds the
+finite-difference offsets of :class:`~repro.spice.elements.mosfet.Mosfet`
+by broadcasting.  The compact model is elementwise, so each device's
+values are bit for bit those of its own model called on its own
+points.
 """
 
 from __future__ import annotations
 
 import copy
-from collections import Counter
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -51,7 +55,7 @@ from repro.observe import get_tracer
 from repro.spice.netlist import Circuit
 from repro.spice.elements.base import GROUND, StampPlan
 from repro.spice.elements.capacitor import Capacitor
-from repro.spice.elements.mosfet import FD_DELTA, Mosfet
+from repro.spice.elements.mosfet import Mosfet
 
 #: Leak conductance from every node to ground — keeps cut-off transistor
 #: networks non-singular, as real simulators do.
@@ -61,15 +65,6 @@ GMIN = 1e-12
 def as_runs(x: np.ndarray) -> np.ndarray:
     """``x`` as a (K, n) batch: a 1-D estimate is the batch of one run."""
     return x[None] if x.ndim == 1 else x
-
-
-def _extended(xs: np.ndarray) -> np.ndarray:
-    """The runs' estimates as the columns of an (n + 1, K) array, with
-    one trailing ground row (0 V)."""
-    runs, n = xs.shape
-    x_ext = np.zeros((n + 1, runs))
-    x_ext[:n] = xs.T
-    return x_ext
 
 
 def _topology(circuit: Circuit) -> List[Tuple]:
@@ -85,55 +80,67 @@ def _per_run(rows: List[List[float]]) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(len(rows), -1).T
 
 
-def _pairs(values: np.ndarray) -> np.ndarray:
-    """Rows ``value, -value`` of every row of ``values``, in turn."""
-    return np.concatenate((values, -values), 1).reshape(-1, values.shape[1])
+def _array_rows(base: int, parts: Sequence[int], devices: int,
+                device: int, layout: Sequence[Tuple[int, int, float]]
+                ) -> List[Tuple[int, float]]:
+    """(value row, sign) of each of one MOSFET's values: ``layout``
+    names (array, part, sign) among the (devices, parts[array], K)
+    arrays that follow row ``base``."""
+    starts = np.cumsum((base,) + tuple(devices * p for p in parts))
+    return [(int(starts[a]) + device * parts[a] + part, sign)
+            for a, part, sign in layout]
 
 
-def _companions(devices: DeviceColumns, terminals: np.ndarray,
-                x_ext: np.ndarray
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(gm, gds, ieq) of every MOSFET, each (m, K), from one
-    ``ids_batch`` call, with ``ieq = ids - gm*vgs - gds*vds``; the
-    (3, m) ``terminals`` index the devices' (drain, gate, source) in
-    ``x_ext``.
-
-    Each device's row of 5·K points is the blocks
-    ``[vgs, vgs+d, vgs-d, vgs, vgs]`` against
-    ``[vds, vds, vds, vds+d, vds-d]`` of its K runs: the nominal
-    current, then central differences in vgs (gm) and in vds (gds).
-    """
-    d = FD_DELTA
-    vd, vg, vs = x_ext[terminals]
-    vgs, vds = vg - vs, vd - vs
-    # ids[point, device, run]
-    ids = devices.models[0].ids_batch(
-        np.concatenate((vgs, vgs + d, vgs - d, vgs, vgs), 1),
-        np.concatenate((vds, vds, vds, vds + d, vds - d), 1),
-        devices=devices).reshape(len(vgs), 5, -1).transpose(1, 0, 2)
-    gm, gds = (ids[1::2] - ids[2::2]) / (2.0 * d)
-    return gm, gds, ids[0] - gm * vgs - gds * vds
+def _slot(at: Sequence[int], n: int) -> int:
+    """The raveled slot of a plan's (row, col) or (row) position."""
+    return at[0] * n + at[1] if len(at) == 2 else at[0]
 
 
-def _charges(devices: DeviceColumns, terminals: np.ndarray,
-             x_ext: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Charges q[terminal (g, d, s), device, run] of every MOSFET and
-    their Jacobian [terminal, d/dv of (g, d, s), device, run], from one
-    ``charges_batch`` call on each device's blocks ``[vgs, vgs+d, vgs]``
-    against ``[vds, vds, vds+d]``; dq/dvs = -(dq/dvg + dq/dvd)."""
-    d = FD_DELTA
-    vd, vg, vs = x_ext[terminals]
-    vgs, vds = vg - vs, vd - vs
-    # q[terminal, point, device, run]
-    q = np.array(devices.models[0].charges_batch(
-        np.concatenate((vgs, vgs + d, vgs), 1),
-        np.concatenate((vds, vds, vds + d), 1), devices=devices)
-    ).reshape(3, len(vgs), 3, -1).transpose(0, 2, 1, 3)
-    q0 = q[:, 0]
-    jacobian = np.empty((3,) + q0.shape)
-    jacobian[:, :2] = (q[:, 1:] - q0[:, None]) / d
-    jacobian[:, 2] = -(jacobian[:, 0] + jacobian[:, 1])
-    return q0, jacobian
+class _Plan(NamedTuple):
+    """One assembly's scatter plan: per entry, in write order, its value
+    row and sign, and its output slot as ``unit·K + stride·run +
+    slot`` of a (K·units)-long output."""
+
+    rows: np.ndarray
+    signs: np.ndarray
+    slots: np.ndarray
+    units: np.ndarray
+    strides: np.ndarray
+    size: int
+
+    @classmethod
+    def of(cls, targets: Sequence[Tuple[List[Tuple[int, int, float]],
+                                        int, int]]) -> "_Plan":
+        """The plan writing each ``(entries, unit, stride)`` target in
+        turn, entries being (slot, value row, sign)."""
+        slots, rows, signs, units, strides = np.array(
+            [(slot, row, sign, unit, stride)
+             for listed, unit, stride in targets
+             for slot, row, sign in listed] or np.zeros((0, 5))).T
+        return cls(rows.astype(np.intp), signs, slots.astype(np.intp),
+                   units.astype(np.intp), strides.astype(np.intp),
+                   sum(stride for _, _, stride in targets))
+
+    def flat(self, runs: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                       int]:
+        """For K = ``runs``: every entry-and-run's position in the raveled
+        value rows, its sign, its output position, and the output
+        length."""
+        run = np.arange(runs)
+        gather = self.rows[:, None] * runs + run
+        at = ((self.units * runs + self.slots)[:, None]
+              + self.strides[:, None] * run)
+        return (gather.ravel(), np.repeat(self.signs, runs), at.ravel(),
+                self.size * runs)
+
+
+def _scatter(flat: Tuple, blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Every run's raveled output: the value rows of ``blocks``, each
+    (rows, K) or (devices, parts..., K), gathered in entry order, signed
+    and added up with one ``bincount``."""
+    gather, signs, at, size = flat
+    values = np.concatenate(blocks, axis=None).take(gather) * signs
+    return np.bincount(at, values, size)
 
 
 class MnaAssembler:
@@ -169,8 +176,6 @@ class MnaAssembler:
         self.branch_index = circuit.branch_index()
         n = self.n_unknowns = circuit.n_unknowns
         self.n_nodes = len(self.node_index)
-        #: The node-voltage part of the diagonal of a raveled matrix.
-        self._node_diagonal = slice(0, self.n_nodes * (n + 1), n + 1)
         #: Sub-batch assemblers made by :meth:`select`.
         self._selections: Dict[Tuple[int, ...], MnaAssembler] = {}
         #: Runs among the whole batch's, whose circuits and last
@@ -179,78 +184,117 @@ class MnaAssembler:
         self._all_circuits = self.circuits
         self._sources_at: List = [None, None]
 
-        # Value blocks per target: block 0 for the elements other than
-        # MOSFETs, block 1 for the MOSFETs, each element's values
-        # consecutive rows of its block.  Per target: ``entries`` holds
-        # (slot, block, row) in element-and-entry order, ``self._at``
-        # block 0's element positions; ``used`` counts block rows.
-        targets = StampPlan._fields
-        entries: Dict[str, List[Tuple]] = {target: [] for target in targets}
-        self._at: Dict[str, List[int]] = {target: [] for target in targets}
-        used: Counter = Counter()
-        slots: List[Tuple[int, ...]] = []
-        mosfets: List[int] = []
-        for position, element in enumerate(circuit):
-            rows = tuple(None if node == GROUND else self.node_index[node]
-                         for node in element.nodes)
-            slots.append(tuple(n if r is None else r for r in rows))
-            plan = element.stamp_plan(rows,
-                                      self.branch_index.get(element.name))
-            block, counts = 0, (len(element.matrix_values()),
-                                len(element.rhs_values(0.0, 1.0)), 0, 0)
-            if isinstance(element, Mosfet):
-                mosfets.append(position)
-                block, counts = 1, Mosfet.value_counts
-            elif isinstance(element, Capacitor):
-                counts = (0, 0, 2, 2)
-            for target, plan_entries, count in zip(targets, plan, counts):
-                for *at, k in plan_entries:
-                    slot = at[0] * n + at[1] if len(at) == 2 else at[0]
-                    entries[target].append(
-                        (slot, block, used[target, block] + k))
-                used[target, block] += count
-                if block == 0 and count:
-                    self._at[target].append(position)
+        elements = list(circuit)
+        slots = [tuple(n if node == GROUND else self.node_index[node]
+                       for node in e.nodes) for e in elements]
+        plans = [e.stamp_plan(tuple(None if s == n else s for s in row),
+                              self.branch_index.get(e.name))
+                 for e, row in zip(elements, slots)]
+        mosfets = [p for p, e in enumerate(elements)
+                   if isinstance(e, Mosfet)]
+        #: Element positions whose matrix / rhs values and capacitance
+        #: are read per batch.
+        self._at = {
+            "matrix": [p for p, e in enumerate(elements)
+                       if not isinstance(e, Mosfet) and e.matrix_values()],
+            "rhs": [p for p, e in enumerate(elements)
+                    if not isinstance(e, Mosfet) and e.rhs_values(0.0, 1.0)],
+            "cap": [p for p, e in enumerate(elements)
+                    if isinstance(e, Capacitor)]}
+        m, c = len(mosfets), len(self._at["cap"])
 
-        self._plans: Dict[str, Tuple[np.ndarray, np.ndarray, int]] = {}
-        for target, listed in entries.items():
-            offsets = (0, used[target, 0])
-            self._plans[target] = (
-                np.array([offsets[b] + row for _, b, row in listed],
-                         dtype=np.intp),
-                np.array([slot for slot, _, _ in listed], dtype=np.intp),
-                n * n if target in ("matrix", "cap") else n)
+        # The values of an assembly are (rows, K) blocks, one column per
+        # run.  Static: the linear elements' matrix values, GMIN for
+        # every node diagonal (added after every element), the sources'
+        # rhs values, then the arrays of ``Mosfet.stamp_static``.
+        # Dynamic: the capacitors' charges, their capacitances, then the
+        # arrays of ``Mosfet.stamp_dynamic``.  Per target, the entries
+        # (slot, value row, sign) in element-and-entry order.
+        def count(p: int, target: str) -> int:
+            return len(elements[p].matrix_values() if target == "matrix"
+                       else elements[p].rhs_values(0.0, 1.0))
+
+        gmin_row = sum(count(p, "matrix") for p in self._at["matrix"])
+        row = {"matrix": 0, "rhs": gmin_row + self.n_nodes}
+        mosfet_row = row["rhs"] + sum(count(p, "rhs")
+                                      for p in self._at["rhs"])
+        entries: Dict[str, List[Tuple[int, int, float]]] = {
+            target: [] for target in StampPlan._fields}
+        for p, plan in enumerate(plans):
+            if p in mosfets:
+                device = mosfets.index(p)
+                for target, plan_entries in zip(StampPlan._fields, plan):
+                    static = target in ("matrix", "rhs")
+                    rows = _array_rows(
+                        mosfet_row if static else 2 * c,
+                        Mosfet.static_parts if static
+                        else Mosfet.dynamic_parts,
+                        m, device, getattr(Mosfet.value_layout, target))
+                    entries[target] += [(_slot(at, n),) + rows[k]
+                                        for *at, k in plan_entries]
+                continue
+            if p in self._at["cap"]:
+                capacitor = self._at["cap"].index(p)
+                for target, base in (("charge", 0), ("cap", c)):
+                    entries[target] += [
+                        (_slot(at, n), base + capacitor, (1.0, -1.0)[k])
+                        for *at, k in getattr(plan, target)]
+            for target in ("matrix", "rhs"):
+                entries[target] += [(_slot(at, n), row[target] + k, 1.0)
+                                    for *at, k in getattr(plan, target)]
+                if p in self._at[target]:
+                    row[target] += count(p, target)
+        entries["matrix"] += [(i * n + i, gmin_row + i, 1.0)
+                              for i in range(self.n_nodes)]
+        self._plans = (_Plan.of(((entries["matrix"], 0, n * n),
+                                 (entries["rhs"], n * n, n))),
+                       _Plan.of(((entries["charge"], 0, n),
+                                 (entries["cap"], n, n * n))))
         #: Every MOSFET's model parameters, read once here as one
-        #: column set in circuit order (None without MOSFETs), and the
-        #: devices' (3, m) drain/gate/source slots.
-        self._devices = (DeviceColumns([circuit.elements[p].model
+        #: column set in circuit order (None without MOSFETs).
+        self._devices = (DeviceColumns([elements[p].model
                                         for p in mosfets])
                          if mosfets else None)
-        self._terminals = np.array([slots[p] for p in mosfets],
-                                   dtype=np.intp).reshape(-1, 3).T
-        #: (2, capacitors) terminal slots of every capacitor.
-        self._capacitor_terminals = np.array(
-            [slots[p] for p in self._at["cap"]], dtype=np.intp
-        ).reshape(-1, 2).T
+        #: Slots of the (plus, minus) terminals of every voltage the
+        #: assembly reads: each MOSFET's vgs, then each MOSFET's vds,
+        #: then each capacitor's v1 - v2.
+        self._terminals = np.array(
+            [[slots[p][1] for p in mosfets] + [slots[p][0] for p in mosfets]
+             + [slots[p][0] for p in self._at["cap"]],
+             [slots[p][2] for p in mosfets] * 2
+             + [slots[p][1] for p in self._at["cap"]]],
+            dtype=np.intp).reshape(2, -1)
+        self._capacitor_voltages = slice(2 * m, None)
         self._runs()
 
     def _runs(self) -> None:
         """Per-run constants as (rows, K) blocks, and flat indices."""
-        self._linear = _per_run([[v for p in self._at["matrix"]
-                                  for v in c.elements[p].matrix_values()]
-                                 for c in self.circuits])
+        runs = self.n_runs
+        self._linear = _per_run(
+            [[v for p in self._at["matrix"]
+              for v in c.elements[p].matrix_values()] + [GMIN] * self.n_nodes
+             for c in self.circuits])
         self._capacitance = _per_run([[c.elements[p].capacitance
                                        for p in self._at["cap"]]
                                       for c in self.circuits])
-        self._capacitance_rows = _pairs(self._capacitance)
-        self._index = {
-            target: (slots[:, None] + size * np.arange(self.n_runs)).ravel()
-            for target, (_, slots, size) in self._plans.items()}
+        self._sources: List = [None, None]
+        self._static, self._dynamic = (plan.flat(runs)
+                                       for plan in self._plans)
+        #: Estimates are extended by one ground column (0 V); the
+        #: terminals' positions in the raveled (K, n + 1) extension.
+        self._ground = np.zeros((runs, 1))
+        self._terminal_at = (self._terminals[..., None]
+                             + (self.n_unknowns + 1) * np.arange(runs))
+        if self._devices is not None:
+            self._wide = tuple(
+                self._devices.widened(offsets.shape[2] * runs)
+                for offsets in (Mosfet.static_offsets,
+                                Mosfet.dynamic_offsets))
 
     def select(self, runs: Sequence[int]) -> "MnaAssembler":
         """The assembler of the sub-batch ``runs`` — distinct indices
-        into this batch, in increasing order — sharing this one's plans.
-        The whole batch is this assembler itself."""
+        into this batch, in increasing order — sharing this one's plans
+        and device columns.  The whole batch is this assembler itself."""
         if len(runs) == self.n_runs:
             return self
         key = tuple(runs)
@@ -282,25 +326,36 @@ class MnaAssembler:
                 f"{len(xs)} estimates for a batch of {self.n_runs} runs")
         return xs
 
-    def _scatter(self, target: str, blocks: List) -> np.ndarray:
-        """Every run's raveled ``target`` array, run after run: the rows
-        of the concatenated value blocks gathered in element-and-entry
-        order and added up with one ``bincount``."""
-        order, _, size = self._plans[target]
-        values = np.concatenate(blocks)[order]
-        return np.bincount(self._index[target], values.ravel(),
-                           size * self.n_runs)
+    def _voltages(self, xs: np.ndarray) -> np.ndarray:
+        """Every voltage ``_terminals`` names, (rows, K): one gather from
+        the estimates extended by the ground column, one subtraction."""
+        plus, minus = np.concatenate((xs, self._ground), 1).take(
+            self._terminal_at)
+        return plus - minus
+
+    def _points(self, voltages: np.ndarray, offsets: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every MOSFET's nominal (vgs, vds) (2, m, K) from
+        :meth:`_voltages`, and its finite-difference points at
+        ``offsets`` (2, 1, P, 1) as (2, m, P·K)."""
+        m = len(self._devices.models)
+        nominal = voltages[:2 * m].reshape(2, m, -1)
+        return nominal, (nominal[:, :, None] + offsets).reshape(2, m, -1)
 
     def _source_values(self, time: float, scale: float) -> np.ndarray:
         """Every source's rhs values in every run at ``(time, scale)``,
-        computed for the whole batch once per ``(time, scale)``."""
-        memo = self._sources_at
-        if memo[0] != (time, scale):
-            memo[:] = (time, scale), _per_run(
-                [[v for p in self._at["rhs"]
-                  for v in c.elements[p].rhs_values(time, scale)]
-                 for c in self._all_circuits])
-        return memo[1][:, self._columns]
+        computed for the whole batch once per ``(time, scale)``, and
+        this sub-batch's columns of them once per ``(time, scale)``."""
+        own = self._sources
+        if own[0] != (time, scale):
+            memo = self._sources_at
+            if memo[0] != (time, scale):
+                memo[:] = (time, scale), _per_run(
+                    [[v for p in self._at["rhs"]
+                      for v in c.elements[p].rhs_values(time, scale)]
+                     for c in self._all_circuits])
+            own[:] = (time, scale), memo[1][:, self._columns]
+        return own[1]
 
     def assemble_static(self, x: np.ndarray, time: float,
                         scale: float = 1.0
@@ -309,18 +364,17 @@ class MnaAssembler:
         independent source multiplied by ``scale``."""
         xs = self._batch(x)
         runs, n = xs.shape
-        x_ext = _extended(xs)
-        matrix_blocks = [self._linear]
-        rhs_blocks = [self._source_values(time, scale)]
+        blocks: List[np.ndarray] = [self._linear,
+                                    self._source_values(time, scale)]
         if self._devices is not None:
-            matrix_rows, rhs_rows = Mosfet.stamp_static(
-                *_companions(self._devices, self._terminals, x_ext))
-            matrix_blocks.append(matrix_rows)
-            rhs_blocks.append(rhs_rows)
-        matrix = self._scatter("matrix", matrix_blocks)
-        matrix.reshape(runs, n * n)[:, self._node_diagonal] += GMIN
-        matrix = matrix.reshape(runs, n, n)
-        rhs = self._scatter("rhs", rhs_blocks).reshape(runs, n)
+            (vgs, vds), points = self._points(
+                self._voltages(xs), Mosfet.static_offsets)
+            blocks += Mosfet.stamp_static(
+                self._devices.models[0].ids_batch(
+                    *points, devices=self._wide[0]), vgs, vds)
+        system = _scatter(self._static, blocks)
+        matrix = system[:runs * n * n].reshape(runs, n, n)
+        rhs = system[runs * n * n:].reshape(runs, n)
         return (matrix[0], rhs[0]) if x.ndim == 1 else (matrix, rhs)
 
     def assemble_dynamic(self, x: np.ndarray
@@ -328,18 +382,18 @@ class MnaAssembler:
         """Charge vectors q(x) and capacitance Jacobians C(x) = dq/dx."""
         xs = self._batch(x)
         runs, n = xs.shape
-        x_ext = _extended(xs)
-        t1, t2 = self._capacitor_terminals
-        charge_blocks = [
-            _pairs(self._capacitance * (x_ext[t1] - x_ext[t2]))]
-        cap_blocks = [self._capacitance_rows]
+        voltages = self._voltages(xs)
+        blocks: List[np.ndarray] = [
+            self._capacitance * voltages[self._capacitor_voltages],
+            self._capacitance]
         if self._devices is not None:
-            charge_rows, cap_rows = Mosfet.stamp_dynamic(
-                *_charges(self._devices, self._terminals, x_ext))
-            charge_blocks.append(charge_rows)
-            cap_blocks.append(cap_rows)
-        charge = self._scatter("charge", charge_blocks).reshape(runs, n)
-        cap = self._scatter("cap", cap_blocks).reshape(runs, n, n)
+            _, points = self._points(voltages, Mosfet.dynamic_offsets)
+            blocks += Mosfet.stamp_dynamic(
+                self._devices.models[0].charges_batch(
+                    *points, devices=self._wide[1]))
+        system = _scatter(self._dynamic, blocks)
+        charge = system[:runs * n].reshape(runs, n)
+        cap = system[runs * n:].reshape(runs, n, n)
         return (charge[0], cap[0]) if x.ndim == 1 else (charge, cap)
 
     def solve_system(self, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:

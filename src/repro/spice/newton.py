@@ -2,11 +2,11 @@
 
 Every solve is over a batch of runs (:mod:`repro.spice.mna`); a single
 circuit is the batch of one.  The damped rungs iterate the batch in
-lockstep — one assembly, one grouped device evaluation and one stacked
-linear solve per iteration for every run still iterating — and each
-run leaves the batch at the iteration where its own update falls
-within ``V_TOLERANCE``, so it does exactly the iterations, and the
-arithmetic, it does alone.
+lockstep — one static assembly (one compact-model call for every
+MOSFET of every run still iterating) and one stacked linear solve per
+iteration — and each run leaves the batch at the iteration where its
+own update falls within ``V_TOLERANCE``, so it does exactly the
+iterations, and the arithmetic, it does alone.
 
 The solve is a ladder: each rung only runs after the previous one
 failed, so circuits that converge on the first rung (everything the
@@ -86,15 +86,15 @@ def _damped_batch(assembler: MnaAssembler, x0: np.ndarray, time: float,
     """
     runs = len(x0)
     x = x0.copy()
-    used = [iterations] * runs
-    converged = [False] * runs
-    residual = [float("inf")] * runs
+    used = np.full(runs, iterations)
+    converged = np.zeros(runs, dtype=bool)
+    residual = np.full(runs, np.inf)
     singular: List[Optional[SingularMatrixError]] = [None] * runs
     n = assembler.n_nodes
-    # The runs still iterating, their estimates and last residuals.
-    active, xa, res = np.arange(runs), x0, residual
+    # The runs still iterating, their assembler, estimates and last
+    # residuals.
+    active, batch, xa, res = np.arange(runs), assembler, x0, residual
     for i in range(iterations):
-        batch = assembler.select(active)
         matrix, rhs = batch.assemble_static(xa, time, scale)
         if extra_system is not None:
             extra_system(active, xa, matrix, rhs)
@@ -108,33 +108,33 @@ def _damped_batch(assembler: MnaAssembler, x0: np.ndarray, time: float,
             active, xa, x_new = active[ok], xa[ok], exc.solution[ok]
             if not active.size:
                 break
+            batch = assembler.select(active)
         delta = x_new - xa
-        res = (np.abs(delta).max(axis=1).tolist() if delta.shape[1]
-               else [0.0] * active.size)
+        res = (np.abs(delta).max(axis=1) if delta.shape[1]
+               else np.zeros(active.size))
         # Damp only node voltages; branch currents may move freely.
         nodes = delta[:, :n]
-        np.clip(nodes, -max_step, max_step, out=nodes)
+        np.maximum(nodes, -max_step, out=nodes)
+        np.minimum(nodes, max_step, out=nodes)
         xa = xa + delta
-        done = [value <= V_TOLERANCE for value in res]
-        if any(done):
-            left = []
-            for j, r in enumerate(active.tolist()):
-                if done[j]:
-                    x[r] = x_new[j]
-                    used[r] = i + 1
-                    converged[r] = True
-                    residual[r] = res[j]
-                else:
-                    left.append(j)
-            if not left:
+        done = res <= V_TOLERANCE
+        if done.any():
+            finished = active[done]
+            x[finished] = x_new[done]
+            used[finished] = i + 1
+            converged[finished] = True
+            residual[finished] = res[done]
+            if done.all():
                 break
-            active, xa, res = active[left], xa[left], [res[j] for j in left]
+            left = ~done
+            active, xa, res = active[left], xa[left], res[left]
+            batch = assembler.select(active)
     else:
         # Out of iterations: the runs still iterating did not converge.
-        for j, r in enumerate(active.tolist()):
-            x[r] = xa[j]
-            residual[r] = res[j]
-    return x, used, converged, residual, singular
+        x[active] = xa
+        residual[active] = res
+    return (x, used.tolist(), converged.tolist(), residual.tolist(),
+            singular)
 
 
 def _damped_iteration(assembler: MnaAssembler, x0: np.ndarray, time: float,

@@ -14,10 +14,11 @@ Lockstep runs: :func:`transient` takes one circuit or a batch of runs
 source breakpoints, such as the stimulus runs of one cell — and
 integrates the batch on its one shared time grid.  The t = 0 operating
 points are one batched DC solve, and every step is one batched Newton
-solve (:mod:`repro.spice.newton`): one compact-model call per model
-group and one stacked linear solve per iteration for all runs still
-iterating.  Each run does exactly the arithmetic it does alone, so its
-waveforms are bit for bit those of a transient of that circuit alone.
+solve (:mod:`repro.spice.newton`): per iteration, one static and one
+dynamic assembly (one compact-model call each, for every MOSFET of
+every run still iterating) and one stacked linear solve.  Each run
+does exactly the arithmetic it does alone, so its waveforms are bit
+for bit those of a transient of that circuit alone.
 
 Timestep rejection: when the Newton solve of a run's step fails to
 converge (sharp edges can defeat even the rescue ladder), that run's
@@ -229,17 +230,20 @@ def _transient_traced(circuits: List[Circuit], t_stop: float, dt: float,
         to ``t_to``: the runs that failed, and their errors."""
         h = t_to - float(t_from)
         coeff = 1.0 / h if method == "be" else 2.0 / h
-        q_from, i_from = q_prev[runs], i_prev[runs]
+        # The whole batch is read and written through a slice (views).
+        at = slice(None) if runs.size == len(x) else runs
+        q_from, i_from = q_prev[at], i_prev[at]
         i_hist = coeff * q_from + (i_from if method == "trap" else 0.0)
 
         def charge_companion(rows: np.ndarray, x_est: np.ndarray,
                              matrix: np.ndarray, rhs: np.ndarray) -> None:
-            q, cap = charges_at(runs[rows], x_est)
+            whole = rows.size == runs.size
+            q, cap = charges_at(runs if whole else runs[rows], x_est)
             matrix += coeff * cap
             rhs += coeff * (cap @ x_est[..., None])[..., 0] - (
-                coeff * q - i_hist[rows])
+                coeff * q - (i_hist if whole else i_hist[rows]))
 
-        x_new, errors = solve_runs(assembler.select(runs), x[runs], t_to,
+        x_new, errors = solve_runs(assembler.select(runs), x[at], t_to,
                                    extra_system=charge_companion,
                                    site="transient.newton")
         failed = [j for j, error in enumerate(errors) if error is not None]
@@ -247,14 +251,14 @@ def _transient_traced(circuits: List[Circuit], t_stop: float, dt: float,
         if failed:
             ok = np.ones(runs.size, dtype=bool)
             ok[failed] = False
-            done, x_new, q_old, i_old = (runs[ok], x_new[ok], q_from[ok],
-                                         i_from[ok])
+            at = done = runs[ok]
+            x_new, q_old, i_old = x_new[ok], q_from[ok], i_from[ok]
         if done.size:
             q_new, _ = charges_at(done, x_new)
-            x[done] = x_new
-            i_prev[done] = (coeff * (q_new - q_old) - i_old
-                            if method == "trap" else i_old)
-            q_prev[done] = q_new
+            x[at] = x_new
+            i_prev[at] = (coeff * (q_new - q_old) - i_old
+                          if method == "trap" else i_old)
+            q_prev[at] = q_new
         return runs[failed], [errors[j] for j in failed]
 
     tracer = get_tracer()

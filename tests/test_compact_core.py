@@ -146,6 +146,25 @@ def test_vdseff_clamps_to_vdsat():
     assert float(vdseff) == pytest.approx(0.2, abs=0.02)
 
 
+def test_vdseff_takes_the_conjugate_form_only_below_the_switch():
+    """|Vds| below 1e-12 V gets the conjugate form, exactly, beside
+    ordinary points in the same array, which get the textbook form; the
+    two differ there (the textbook form subtracts nearly equal
+    numbers)."""
+    vds = np.array([1e-13, 0.0, 0.05, 0.5])
+    vdsat = np.array(0.3)
+    got = cur_mod.effective_vds(vds, vdsat)
+    delta = cur_mod.DELTA_VDSEFF
+    diff = vdsat - vds - delta
+    root = np.sqrt(diff * diff + 4.0 * delta * vdsat)
+    conjugate = 2.0 * vdsat * vds / (vdsat + vds + delta + root)
+    textbook = vdsat - 0.5 * (diff + root)
+    assert got[0] == conjugate[0] and got[0] > 0.9e-13
+    assert textbook[0] != conjugate[0]
+    assert got[1] == 0.0
+    assert list(got[2:]) == list(np.maximum(textbook[2:], 0.0))
+
+
 def test_vdsat_subthreshold_floor():
     # Subthreshold (vgsteff ~ 0): vdsat -> esat_l * 2vt / (esat_l + 2vt),
     # the diffusion saturation voltage limited by velocity saturation.

@@ -219,3 +219,125 @@ def test_device_columns_cover_the_exercised_regions():
     ratio = (_VGS - devices.cv_centre) / devices.cv_width
     assert (ratio.max(axis=1) > 80).all() and (ratio.min(axis=1) < -80).all()
     assert (_VGS / devices.turn_on).max() > 80
+
+
+@pytest.mark.parametrize("runs", [1, 2, 3])
+def test_widened_columns_equal_the_column_set_bitwise(runs):
+    """The MNA assembler's widths, 5·K' points for ``ids_batch`` and
+    3·K' for ``charges_batch`` (K' = 1..3 runs): the materialised
+    (m, width) columns give, byte for byte, the (m, 1) set's values."""
+    models = _mixed_devices()
+    devices = DeviceColumns(models)
+    m = len(models)
+    for points, call in ((5, "ids_batch"), (3, "charges_batch")):
+        width = points * runs
+        wide = devices.widened(width)
+        assert wide.models == devices.models
+        assert wide.p["VTH0"].shape == (m, width)
+        assert {ucs for ucs, _ in wide.coulomb} == {2.0, 0.5, 1.37}
+        # Each device its own window of the grid, -0.0 included.
+        at = (np.arange(width) + 7 * np.arange(m)[:, None]) % _VGS.size
+        vgs, vds = _VGS[at], _VDS[at]
+        vgs[0, 0] = vds[1, 0] = -0.0
+        evaluate = getattr(models[0], call)
+        want = evaluate(vgs, vds, devices=devices)
+        got = evaluate(vgs, vds, devices=wide)
+        assert _bits(got) == _bits(want)
+
+
+def test_widened_columns_are_built_once_and_shared_by_sub_batches():
+    """An MNA batch and its ``select`` sub-batches of one size share one
+    widened set per width, built on first use."""
+    from repro.spice import Circuit, dc_source, Resistor
+    from repro.spice.elements.mosfet import Mosfet
+    from repro.spice.mna import MnaAssembler
+
+    n_model, p_model = _mixed_devices()[:3:2]
+
+    def inverter(level):
+        c = Circuit()
+        c.add(dc_source("VDD", "vdd", "0", 1.0))
+        c.add(dc_source("VIN", "in", "0", level))
+        c.add(Mosfet("MP", "out", "in", "vdd", p_model))
+        c.add(Mosfet("MN", "out", "in", "0", n_model))
+        c.add(Resistor("RL", "out", "0", 1e6))
+        return c
+
+    batch = MnaAssembler([inverter(v) for v in (0.0, 0.5, 1.0)])
+    devices = batch._devices
+    assert batch._wide == (devices.widened(15), devices.widened(9))
+    first, second = batch.select((0, 2)), batch.select((1, 2))
+    assert first._wide[0] is second._wide[0] is devices.widened(10)
+    assert first._wide[1] is second._wide[1] is devices.widened(6)
+    one = first.select((1,))
+    assert one._wide[0] is batch.select((0,))._wide[0]
+    assert one._wide[0] is devices.widened(5)
+    assert one._wide[0] is not first._wide[0]
+    # One entry per width: 5·K' and 3·K' for K' = 3, 2 and 1.
+    assert sorted(w for kind, w in devices._cache if kind == "wide") == [
+        3, 5, 6, 9, 10, 15]
+
+
+def _perturbed(params, name):
+    """``params`` with ``name`` moved inside its bounds."""
+    from repro.compact.parameters import PARAMETER_SPECS
+    spec = PARAMETER_SPECS[name]
+    value = params[name]
+    moved = value + 0.25 * (spec.upper - value) if value < spec.upper \
+        else value - 0.25 * (value - spec.lower)
+    return params.updated({name: moved})
+
+
+def test_prelude_parameters_name_every_parameter_a_prelude_reads():
+    """Moving a parameter that a prelude's entry does not list leaves
+    that prelude unchanged: ``with_rows`` may share it."""
+    from repro.compact.columns import PRELUDE_PARAMETERS
+    from repro.compact.parameters import PARAMETER_SPECS
+
+    base = default_parameters().updated({"UD": 0.5, "UCS": 1.5})
+    model = BsimSoi4Lite(params=base, polarity=Polarity.PMOS)
+    reference = DeviceColumns([model])
+    for name in PARAMETER_SPECS:
+        moved = DeviceColumns([BsimSoi4Lite(params=_perturbed(base, name),
+                                            polarity=Polarity.PMOS)])
+        for prelude, reads in PRELUDE_PARAMETERS.items():
+            if name not in reads:
+                assert repr(getattr(moved, prelude)) == repr(
+                    getattr(reference, prelude)), (prelude, name)
+
+
+@pytest.mark.parametrize("names", [
+    ("CDSC", "U0", "UA", "UB", "UD", "UCS", "DVT0", "DVT1"),
+    ("VTH0", "PVAG", "ETAB", "VSAT"),
+    ("CKAPPA", "DELVT", "CF", "CGSO", "CGDO", "MOIN", "CGSL", "CGDL"),
+    ("MOIN",),
+])
+def test_rows_equal_each_row_alone_bitwise(nmos, names):
+    """``rows=`` shares the template's unfitted columns and preludes;
+    each row still equals the model with that row's values alone."""
+    from repro.compact.parameters import PARAMETER_SPECS
+    rng = np.random.default_rng(len(names))
+    rows = [{name: float(rng.uniform(PARAMETER_SPECS[name].lower,
+                                     PARAMETER_SPECS[name].upper))
+             for name in names} for _ in range(4)]
+    if "UD" in names:
+        rows[0]["UD"] = 0.0
+        rows[1]["UCS"] = 2.0
+    vgs = np.linspace(-0.2, 1.2, 15)
+    ids = nmos.ids_magnitude(vgs, 0.05, rows=rows)
+    cgg = nmos.cgg(vgs, rows=rows)
+    again = nmos.ids_magnitude(vgs, 1.0, rows=rows[:2])
+    for r, values in enumerate(rows):
+        alone = nmos.with_params(values)
+        assert _bits(ids[r]) == _bits(alone.ids_magnitude(vgs, 0.05))
+        assert _bits(cgg[r]) == _bits(alone.cgg(vgs))
+        if r < 2:
+            assert _bits(again[r]) == _bits(alone.ids_magnitude(vgs, 1.0))
+
+
+def test_rows_are_bounds_checked(nmos):
+    from repro.errors import ExtractionError
+    with pytest.raises(ExtractionError, match="outside bounds"):
+        nmos.ids_magnitude(0.5, 0.05, rows=[{"U0": 0.02}, {"U0": 1e3}])
+    with pytest.raises(ExtractionError, match="unknown parameter"):
+        nmos.cgg(0.5, rows=[{"NOPE": 1.0}])

@@ -319,15 +319,33 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
+def _with_zeros(rng, x):
+    """``x`` with about a quarter of its entries +0.0 and an eighth
+    -0.0, so that terminal voltage differences are -0.0 as well."""
+    x[rng.random(x.shape) < 0.25] = 0.0
+    x[rng.random(x.shape) < 0.125] = -0.0
+    return x
+
+
+def _negative_zero_biases(assembler, x):
+    """How many MOSFET vgs or vds of one run's ``x`` are -0.0."""
+    voltages = assembler.voltages_from(x)
+    count = 0
+    for element in assembler.circuit:
+        if isinstance(element, Mosfet):
+            vd, vg, vs = _terminal_voltages(element, voltages)
+            count += sum(v == 0.0 and np.signbit(v)
+                         for v in (vg - vs, vd - vs))
+    return count
+
+
 def test_grouped_assembly_equals_per_device_oracle_bitwise():
     assembler = MnaAssembler(nand2_like())
     rng = np.random.default_rng(20231017)
     n = assembler.n_unknowns
-    samples = [np.zeros(n)]
-    for _ in range(63):
-        x = rng.uniform(-0.4, 1.4, n)
-        x[rng.random(n) < 0.25] = 0.0
-        samples.append(x)
+    samples = [np.zeros(n), np.full(n, -0.0)]
+    for _ in range(62):
+        samples.append(_with_zeros(rng, rng.uniform(-0.4, 1.4, n)))
     reverse = {"n": 0, "p": 0}
     for x in samples:
         voltages = assembler.voltages_from(x)
@@ -346,8 +364,10 @@ def test_grouped_assembly_equals_per_device_oracle_bitwise():
         q_ref, cap_ref = _oracle_dynamic(assembler, x)
         assert _bits(q) == _bits(q_ref)
         assert _bits(cap) == _bits(cap_ref)
-    # Both polarities were exercised in reverse mode (vds < 0).
+    # Both polarities were exercised in reverse mode (vds < 0), and
+    # -0.0 biases reached the model.
     assert reverse["n"] > 0 and reverse["p"] > 0
+    assert sum(_negative_zero_biases(assembler, x) for x in samples) > 0
 
 
 def test_oracle_conditions_move_every_source():
@@ -423,11 +443,12 @@ def test_batched_assembly_equals_per_device_oracle_bitwise(selection):
     alone = [MnaAssembler(circuits[r]) for r in runs]
     n = batch.n_unknowns
     rng = np.random.default_rng(20240611)
-    samples = [np.zeros((len(runs), n))]
-    for _ in range(11):
-        xs = rng.uniform(-0.4, 1.4, (len(runs), n))
-        xs[rng.random(xs.shape) < 0.25] = 0.0
-        samples.append(xs)
+    samples = [np.zeros((len(runs), n)), np.full((len(runs), n), -0.0)]
+    for _ in range(10):
+        samples.append(_with_zeros(rng, rng.uniform(-0.4, 1.4,
+                                                    (len(runs), n))))
+    assert sum(_negative_zero_biases(alone[j], xs[j])
+               for xs in samples for j in range(len(runs))) > 0
     for t, scale in ((0.0, 1.0), (MID_EDGE, 1.0), (MID_EDGE, 0.5)):
         # One (time, scale) over several estimates: the memoised
         # source values are reused.
