@@ -7,8 +7,6 @@ ring-gate stretch) remain — i.e. the MIV-transistor would be strictly
 worse, confirming the coupling is the load-bearing mechanism.
 """
 
-import pytest
-
 import repro.tcad.device as device_mod
 from repro.geometry.transistor_layout import ChannelCount
 from repro.tcad.device import Polarity, design_for_variant

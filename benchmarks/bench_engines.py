@@ -19,7 +19,6 @@ import pytest
 from repro.compact.model import BsimSoi4Lite
 from repro.compact.parameters import default_parameters
 from repro.spice import Capacitor, Circuit, Mosfet, dc_source, pulse_source, transient
-from repro.tcad.device import Polarity
 from repro.tcad.poisson1d import Poisson1D, StackSpec
 
 

@@ -43,11 +43,3 @@ def first_sensitizing_assignment(spec: CellSpec,
         raise CellLibraryError(
             f"{spec.name}: input {input_name!r} cannot be sensitised")
     return options[0]
-
-
-def is_inverting_path(spec: CellSpec, input_name: str,
-                      assignment: Dict[str, bool]) -> bool:
-    """True when a rising input produces a falling output under the
-    given side assignment."""
-    high = spec.evaluate({**assignment, input_name: True})
-    return not high

@@ -8,7 +8,7 @@ Compound cells chain stages through intermediate nets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import CellLibraryError
 
@@ -160,15 +160,6 @@ class CellSpec:
         for stage in self.stages:
             state[stage.output] = stage.evaluate(state)
         return state[self.output]
-
-    def logic_function(self) -> Callable[..., bool]:
-        """The cell as a positional boolean function (testing oracle)."""
-        def fn(*args: bool) -> bool:
-            if len(args) != len(self.inputs):
-                raise CellLibraryError(
-                    f"{self.name}: expected {len(self.inputs)} args")
-            return self.evaluate(dict(zip(self.inputs, args)))
-        return fn
 
     @property
     def transistor_count(self) -> int:

@@ -55,11 +55,6 @@ class StimulusPlan:
     cell_name: str
     runs: Tuple[StimulusRun, ...]
 
-    @property
-    def n_edges(self) -> int:
-        """Total measured edges (two per run)."""
-        return 2 * len(self.runs)
-
 
 def stimulus_plan_for(spec: CellSpec) -> StimulusPlan:
     """Build the per-input sensitised stimulus plan of a cell."""

@@ -19,7 +19,7 @@ from repro.compact.parameters import (
     default_parameters,
 )
 from repro.compact.model import BsimSoi4Lite
-from repro.compact.cards import parse_model_card, render_model_card
+from repro.compact.cards import render_model_card
 
 __all__ = [
     "ParameterSpec",
@@ -29,5 +29,4 @@ __all__ = [
     "EXTRACTION_STAGE_PARAMETERS",
     "BsimSoi4Lite",
     "render_model_card",
-    "parse_model_card",
 ]

@@ -1,22 +1,13 @@
-""".model card rendering and parsing.
+""".model card rendering.
 
-The extraction flow emits HSPICE-style level-70 model cards; this module
-round-trips them so extracted devices can be stored as plain text, the
-way a real PDK ships its transistor models.
+The extraction flow emits HSPICE-style level-70 model cards, the way a
+real PDK ships its transistor models.
 """
 
 from __future__ import annotations
 
-import re
-from typing import Dict, Tuple
-
-from repro.errors import ExtractionError
 from repro.compact.model import BsimSoi4Lite
-from repro.compact.parameters import (
-    LEVEL70_CONSTANTS,
-    PARAMETER_SPECS,
-    ParameterSet,
-)
+from repro.compact.parameters import LEVEL70_CONSTANTS, PARAMETER_SPECS
 from repro.tcad.device import Polarity
 
 
@@ -34,51 +25,3 @@ def render_model_card(model: BsimSoi4Lite) -> str:
     for name in sorted(PARAMETER_SPECS):
         lines.append(f"+ {name.lower()}={model.p(name):.6g}")
     return "\n".join(lines) + "\n"
-
-
-_MODEL_RE = re.compile(r"^\.model\s+(\S+)\s+(nmos|pmos)\s*$", re.IGNORECASE)
-_ASSIGN_RE = re.compile(r"([A-Za-z0-9_]+)\s*=\s*([-+0-9.eE]+)")
-
-
-def parse_model_card(text: str) -> BsimSoi4Lite:
-    """Parse a card produced by :func:`render_model_card`."""
-    lines = [line.strip() for line in text.strip().splitlines() if line.strip()]
-    if not lines:
-        raise ExtractionError("empty model card")
-    header = _MODEL_RE.match(lines[0])
-    if header is None:
-        raise ExtractionError(f"bad model header: {lines[0]!r}")
-    name = header.group(1)
-    polarity = (Polarity.NMOS if header.group(2).lower() == "nmos"
-                else Polarity.PMOS)
-
-    assignments: Dict[str, float] = {}
-    for line in lines[1:]:
-        if not line.startswith("+"):
-            raise ExtractionError(f"bad continuation line: {line!r}")
-        for key, value in _ASSIGN_RE.findall(line):
-            assignments[key.upper()] = float(value)
-
-    extractable = {k: v for k, v in assignments.items()
-                   if k in PARAMETER_SPECS}
-    params = ParameterSet(extractable)
-    return BsimSoi4Lite(
-        params=params,
-        polarity=polarity,
-        width=assignments.get("W", LEVEL70_CONSTANTS["W"]),
-        length=assignments.get("L", 24e-9),
-        t_si=assignments.get("TSI", LEVEL70_CONSTANTS["TSI"]),
-        t_ox=assignments.get("TOX", LEVEL70_CONSTANTS["TOX"]),
-        name=name,
-    )
-
-
-def card_roundtrip_equal(a: BsimSoi4Lite, b: BsimSoi4Lite,
-                         tol: float = 1e-9) -> Tuple[bool, str]:
-    """Compare two models parameter-by-parameter (testing helper)."""
-    for name in PARAMETER_SPECS:
-        if abs(a.p(name) - b.p(name)) > tol * max(1.0, abs(a.p(name))):
-            return False, name
-    if a.polarity is not b.polarity:
-        return False, "polarity"
-    return True, ""

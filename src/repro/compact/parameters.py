@@ -16,7 +16,7 @@ coupling, saturation, overlap capacitance) with simplified equations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
@@ -202,10 +202,6 @@ class ParameterSet:
         new.values = dict(self.values)
         new.values.update({k: float(v) for k, v in updates.items()})
         return new
-
-    def subset(self, names: Iterable[str]) -> Dict[str, float]:
-        """Extract a {name: value} dict for the given names."""
-        return {name: self[name] for name in names}
 
     def as_dict(self) -> Dict[str, float]:
         """Full parameter dictionary (copy)."""

@@ -53,12 +53,3 @@ def effective_overdrive(vgs, vth, n, vt: float) -> np.ndarray:
     vth = np.asarray(vth, dtype=float)
     n = np.asarray(n, dtype=float)
     return soft_plus(vgs - vth, n * vt)
-
-
-def overdrive_derivative(vgs, vth, n, vt: float) -> np.ndarray:
-    """d(Vgsteff)/d(Vgs) — the logistic transition factor in [0, 1]."""
-    vgs = np.asarray(vgs, dtype=float)
-    vth = np.asarray(vth, dtype=float)
-    n = np.asarray(n, dtype=float)
-    ratio = clip_exponent((vgs - vth) / (n * vt))
-    return 1.0 / (1.0 + np.exp(-ratio))

@@ -323,8 +323,3 @@ class PoolBackend(ExecutionBackend):
     def shutdown(self) -> None:
         _shutdown_workers(self._workers)
         self._finalizer.detach()
-
-    #: Pids of the currently live workers (observability/debugging).
-    @property
-    def worker_pids(self) -> List[int]:
-        return [w.pid for w in self._workers if w.process.is_alive()]

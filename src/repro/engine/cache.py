@@ -292,10 +292,6 @@ class ArtifactCache:
             tracer.event("engine.cache.lock_timeout", stage=stage_name,
                          key=key)
 
-    def contains(self, key: str) -> bool:
-        """True when the key is resident in the memory layer."""
-        return key in self._memory
-
     # ------------------------------------------------------------------
     # quarantine
     # ------------------------------------------------------------------
@@ -395,10 +391,6 @@ class ArtifactCache:
         """Release a claim from :meth:`begin_flight` (idempotent)."""
         if flight is not None:
             flight.release()
-
-    def clear_memory(self) -> None:
-        """Drop the in-process layer (the disk layer is untouched)."""
-        self._memory.clear()
 
     @property
     def remote_degraded(self) -> bool:

@@ -116,12 +116,6 @@ class RunJournal:
             self._handle.close()
             self._handle = None
 
-    def __enter__(self) -> "RunJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 def replay_journal(path: os.PathLike) -> List[Dict[str, Any]]:
     """Records of a journal file: the longest consistent prefix.

@@ -51,7 +51,6 @@ from typing import Any, Dict, Optional, Tuple
 from repro.config import resolve_float, resolve_int
 from repro.errors import (
     RemoteCacheError,
-    RemoteCacheIntegrityError,
     RemoteCacheTimeout,
     RemoteCacheUnavailable,
 )

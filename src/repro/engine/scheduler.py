@@ -40,7 +40,6 @@ from repro.engine.backends.base import (
     ExecutionBackend,
     RESULT_CRASHED,
     RESULT_DONE,
-    RESULT_ERROR,
     TaskExecution,
     TaskResult,
 )

@@ -76,17 +76,3 @@ def relative_errors(simulated, reference,
 def region_error_percent(simulated, reference) -> float:
     """The Table III regional error: mean relative error in percent."""
     return float(np.mean(relative_errors(simulated, reference))) * 100.0
-
-
-def log_residuals(simulated, reference) -> np.ndarray:
-    """log10-space residuals with a floor (subthreshold fitting)."""
-    simulated = np.asarray(simulated, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    return _log10_current(simulated) - _log10_current(reference)
-
-
-def mixed_current_residuals(simulated, reference,
-                            log_weight: float = 0.5) -> np.ndarray:
-    """Concatenated log-space and relative residuals for current curves."""
-    simulated = _checked(simulated, reference)
-    return ReferenceCurve(reference).mixed(simulated, log_weight)

@@ -36,11 +36,6 @@ class ExtractedDevice:
     errors: Dict[str, float] = field(default_factory=dict)
     stage_rms: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def label(self) -> str:
-        """Device label (variant + polarity)."""
-        return self.targets.label or self.model.name
-
     def max_error(self) -> float:
         """Worst regional error percent (paper claims < 10 everywhere)."""
         return max(self.errors.values())

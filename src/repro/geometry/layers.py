@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.errors import ReproError
 from repro.geometry.process import ProcessParameters
@@ -85,10 +85,6 @@ class LayerStack:
             if layer.name == name:
                 return layer
         raise ReproError(f"no layer named {name!r}")
-
-    def tier_layers(self, tier: int) -> List[Layer]:
-        """All layers belonging to one tier, bottom-to-top."""
-        return [layer for layer in self.layers if layer.tier == tier]
 
     def z_of(self, name: str) -> float:
         """Height of the bottom face of layer ``name`` above the stack base."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from repro.errors import LayoutError
 from repro.geometry.primitives import Rect
 from repro.geometry.process import ProcessParameters
-from repro.materials import COPPER, SILICON_DIOXIDE
+from repro.materials import COPPER
 
 
 class MivRole(enum.Enum):
@@ -105,14 +105,3 @@ class MivGeometry:
             raise LayoutError(f"MIV span must be positive, got {span}")
         area = self.side ** 2
         return COPPER.resistivity * span / area
-
-    def liner_capacitance(self, span: float) -> float:
-        """Capacitance [F] between MIV and surrounding silicon over ``span``.
-
-        Treats the liner as a parallel plate wrapped around the four sides —
-        the same first-order model the MIS gate of the MIV-transistor uses.
-        """
-        if span <= 0:
-            raise LayoutError(f"MIV span must be positive, got {span}")
-        perimeter = 4.0 * self.side
-        return SILICON_DIOXIDE.permittivity * perimeter * span / self.liner_thickness

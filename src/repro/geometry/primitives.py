@@ -43,11 +43,6 @@ class Rect:
         """Area [m^2]."""
         return self.width * self.height
 
-    def translated(self, dx: float, dy: float) -> "Rect":
-        """Return a copy shifted by (dx, dy)."""
-        return Rect(self.x0 + dx, self.y0 + dy,
-                    self.x1 + dx, self.y1 + dy, self.label)
-
     def expanded(self, margin: float) -> "Rect":
         """Return a copy grown by ``margin`` on every side (keep-out zones)."""
         if margin < 0 and (self.width < -2 * margin or self.height < -2 * margin):

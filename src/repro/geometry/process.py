@@ -80,11 +80,5 @@ class ProcessParameters:
             "L_G [nm]": self.l_gate / nm(1),
         }
 
-    @property
-    def gate_pitch(self) -> float:
-        """Gate length plus one spacer on either side [m]."""
-        return self.l_gate + 2.0 * self.t_spacer
-
-
 #: The paper's nominal process (Table I).
 DEFAULT_PROCESS = ProcessParameters()

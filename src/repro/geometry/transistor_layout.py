@@ -37,11 +37,6 @@ class ChannelCount(enum.Enum):
     FOUR = 4
 
     @property
-    def n_channels(self) -> int:
-        """Number of parallel channels (traditional counts as one)."""
-        return 1 if self is ChannelCount.TRADITIONAL else self.value
-
-    @property
     def uses_miv_gate(self) -> bool:
         """True when the MIV itself is (part of) the gate."""
         return self is not ChannelCount.TRADITIONAL

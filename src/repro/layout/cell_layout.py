@@ -69,10 +69,6 @@ class CellAreaModel:
             for variant in DeviceVariant
         }
 
-    def geometry(self, variant: DeviceVariant) -> RowGeometry:
-        """Row geometry of one variant."""
-        return self._geometry[variant]
-
     def layout(self, spec: CellSpec,
                variant: DeviceVariant) -> CellLayoutResult:
         """Areas of one cell in one implementation."""
@@ -95,20 +91,3 @@ class CellAreaModel:
             bottom_width=bot_w,
             bottom_height=geo.bottom_height,
         )
-
-    def reduction_vs_2d(self, spec: CellSpec, variant: DeviceVariant,
-                        metric: str = "cell") -> float:
-        """Fractional area reduction of ``variant`` vs the 2-D baseline.
-
-        ``metric`` selects ``"cell"`` (Figure 5c), ``"substrate"`` (sum of
-        layers) or ``"top"`` (top layer only).
-        """
-        baseline = self.layout(spec, DeviceVariant.TWO_D)
-        candidate = self.layout(spec, variant)
-        attr = {"cell": "cell_area", "substrate": "substrate_area",
-                "top": "top_area"}.get(metric)
-        if attr is None:
-            raise LayoutError(f"unknown metric {metric!r}")
-        base = getattr(baseline, attr)
-        cand = getattr(candidate, attr)
-        return 1.0 - cand / base

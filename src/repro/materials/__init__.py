@@ -13,13 +13,10 @@ from repro.materials.material import (
 )
 from repro.materials.library import (
     COPPER,
-    MATERIALS,
     SILICON,
     SILICON_DIOXIDE,
     SILICON_NITRIDE,
-    get_material,
 )
-from repro.materials.doping import DopantType, DopingProfile, uniform_doping
 
 __all__ = [
     "Material",
@@ -30,9 +27,4 @@ __all__ = [
     "SILICON_DIOXIDE",
     "SILICON_NITRIDE",
     "COPPER",
-    "MATERIALS",
-    "get_material",
-    "DopantType",
-    "DopingProfile",
-    "uniform_doping",
 ]

@@ -7,10 +7,7 @@ and copper for the gate, MIV and interconnect layers.
 
 from __future__ import annotations
 
-from typing import Dict
-
-from repro.errors import MaterialError
-from repro.materials.material import Conductor, Insulator, Material, Semiconductor
+from repro.materials.material import Conductor, Insulator, Semiconductor
 
 #: Thin-film silicon (undoped channel; S/D doped separately).
 SILICON = Semiconductor(
@@ -35,17 +32,3 @@ SILICON_NITRIDE = Insulator(name="Si3N4", eps_r=7.5, breakdown_field=1e9)
 #: Copper — gate, MIV, M1/M2 and via metal.  The workfunction is set to
 #: near-midgap (4.65 eV) which is the usual choice for metal-gate FDSOI.
 COPPER = Conductor(name="Cu", eps_r=1.0, resistivity=1.72e-8, workfunction=4.65)
-
-MATERIALS: Dict[str, Material] = {
-    material.name: material
-    for material in (SILICON, SILICON_DIOXIDE, SILICON_NITRIDE, COPPER)
-}
-
-
-def get_material(name: str) -> Material:
-    """Look up a material by name, raising :class:`MaterialError` if unknown."""
-    try:
-        return MATERIALS[name]
-    except KeyError:
-        known = ", ".join(sorted(MATERIALS))
-        raise MaterialError(f"unknown material {name!r}; known: {known}") from None

@@ -99,13 +99,6 @@ class Insulator(Material):
                 f"{self.name}: breakdown_field must be positive, "
                 f"got {self.breakdown_field}")
 
-    def capacitance_per_area(self, thickness: float) -> float:
-        """Parallel-plate capacitance per unit area [F/m^2]."""
-        if thickness <= 0:
-            raise MaterialError(
-                f"{self.name}: thickness must be positive, got {thickness}")
-        return self.permittivity / thickness
-
 
 @dataclass(frozen=True)
 class Conductor(Material):

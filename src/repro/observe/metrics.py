@@ -212,6 +212,3 @@ class MetricsRegistry:
             else:
                 raise ReproError(f"unknown instrument type {kind!r} "
                                  f"for {name!r}")
-
-    def is_empty(self) -> bool:
-        return not (self._counters or self._gauges or self._histograms)

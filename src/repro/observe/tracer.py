@@ -303,10 +303,6 @@ class Tracer:
     # ------------------------------------------------------------------
     # exports (implemented in repro.observe.export)
     # ------------------------------------------------------------------
-    def chrome_trace(self) -> Dict[str, Any]:
-        from repro.observe.export import chrome_trace
-        return chrome_trace(self)
-
     def write_chrome_trace(self, path: os.PathLike) -> Path:
         from repro.observe.export import write_chrome_trace
         return write_chrome_trace(self, path)

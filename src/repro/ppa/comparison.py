@@ -60,13 +60,6 @@ class PpaComparison:
                    for c in self.cell_names]
         return sum(changes) / len(changes)
 
-    def extreme_change_percent(self, variant: DeviceVariant,
-                               metric: str, best: bool = True) -> float:
-        """Most negative (best) or most positive (worst) change."""
-        changes = [self.change_percent(c, variant, metric)
-                   for c in self.cell_names]
-        return min(changes) if best else max(changes)
-
     # ------------------------------------------------------------------
     # rendering
     # ------------------------------------------------------------------

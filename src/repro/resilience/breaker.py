@@ -166,11 +166,3 @@ class CircuitBreaker:
         self._probe_inflight = False
         self._consecutive_failures = self.failure_threshold
         self.opened_total += 1
-
-    def reset(self) -> None:
-        """Force the breaker closed (tests / manual re-attach)."""
-        with self._lock:
-            self._state = STATE_CLOSED
-            self._consecutive_failures = 0
-            self._probe_inflight = False
-            self._opened_at = None

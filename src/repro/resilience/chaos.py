@@ -109,10 +109,6 @@ class FlowOutcome:
         """True when the process died on a signal (e.g. SIGKILL)."""
         return self.returncode < 0
 
-    @property
-    def signal(self) -> Optional[int]:
-        return -self.returncode if self.returncode < 0 else None
-
 
 def spawn_flow(argv: Sequence[str],
                env: Dict[str, str]) -> subprocess.Popen:

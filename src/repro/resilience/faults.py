@@ -66,7 +66,7 @@ from __future__ import annotations
 import os
 import random
 import signal
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import InjectedFault, ReproError

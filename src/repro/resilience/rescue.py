@@ -11,7 +11,7 @@ that walk; its one caller is Newton's source-continuation rung
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.errors import ConvergenceError
 

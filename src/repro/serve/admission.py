@@ -156,11 +156,6 @@ class AdmissionController:
         #: (feeds the health ladder's overload detection).
         self.consecutive_sheds = 0
 
-    @property
-    def depth(self) -> int:
-        """Requests currently holding a queue slot."""
-        return self.inflight
-
     def admit(self) -> AdmissionTicket:
         """Take a queue slot or shed with an honest Retry-After."""
         with self._lock:

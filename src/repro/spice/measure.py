@@ -1,4 +1,4 @@
-""".measure-style post-processing: delays, transitions, power, PDP."""
+""".measure-style post-processing: propagation delays and average power."""
 
 from __future__ import annotations
 
@@ -58,16 +58,6 @@ def propagation_delays(input_wf: Waveform, output_wf: Waveform,
     return measurements
 
 
-def average_propagation_delay(input_wf: Waveform, output_wf: Waveform,
-                              vdd: float, settle: float = 0.0) -> float:
-    """Mean 50%-to-50% propagation delay [s] over all paired edges."""
-    measurements = propagation_delays(input_wf, output_wf, vdd,
-                                      settle=settle)
-    if not measurements:
-        raise SimulationError("no input/output edge pairs found")
-    return sum(m.delay for m in measurements) / len(measurements)
-
-
 def average_power(supply_current: Waveform, vdd: float,
                   t0: Optional[float] = None,
                   t1: Optional[float] = None) -> float:
@@ -83,16 +73,3 @@ def average_power(supply_current: Waveform, vdd: float,
         wf = wf.window(t0 if t0 is not None else wf.t[0],
                        t1 if t1 is not None else wf.t[-1])
     return -vdd * wf.mean()
-
-
-def energy(supply_current: Waveform, vdd: float, t0: float,
-           t1: float) -> float:
-    """Energy [J] drawn from the supply over a window."""
-    return average_power(supply_current, vdd, t0, t1) * (t1 - t0)
-
-
-def power_delay_product(power: float, delay: float) -> float:
-    """PDP [J] — the paper's summary figure of merit."""
-    if power < 0 or delay < 0:
-        raise SimulationError("power and delay must be non-negative")
-    return power * delay

@@ -314,11 +314,6 @@ class MnaAssembler:
         """Node-voltage dict from one run's solution vector."""
         return {node: float(x[i]) for node, i in self.node_index.items()}
 
-    def branch_current(self, x: np.ndarray, element_name: str) -> float:
-        """Branch current of a voltage source from one run's solution
-        vector."""
-        return float(x[self.branch_index[element_name]])
-
     def _batch(self, x: np.ndarray) -> np.ndarray:
         xs = as_runs(x)
         if len(xs) != self.n_runs:

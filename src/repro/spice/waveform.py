@@ -77,16 +77,6 @@ class Waveform:
             out.append(float(self.t[i] + frac * (self.t[i + 1] - self.t[i])))
         return out
 
-    def first_crossing_after(self, time: float, level: float,
-                             direction: Optional[str] = None) -> float:
-        """First crossing strictly after ``time``; raises if none."""
-        for crossing in self.crossings(level, direction):
-            if crossing > time:
-                return crossing
-        raise SimulationError(
-            f"{self.name or 'waveform'}: no {direction or 'any'} crossing "
-            f"of {level:g} after t={time:g}")
-
     # ------------------------------------------------------------------
     # integrals / statistics
     # ------------------------------------------------------------------
@@ -105,21 +95,3 @@ class Waveform:
     def maximum(self) -> float:
         """Largest sample value."""
         return float(np.max(self.v))
-
-    # ------------------------------------------------------------------
-    # algebra
-    # ------------------------------------------------------------------
-    def scaled(self, factor: float) -> "Waveform":
-        """Return factor * v(t)."""
-        return Waveform(self.t, self.v * factor, self.name)
-
-    def shifted(self, offset: float) -> "Waveform":
-        """Return v(t) + offset."""
-        return Waveform(self.t, self.v + offset, self.name)
-
-    def __add__(self, other: "Waveform") -> "Waveform":
-        if not isinstance(other, Waveform):
-            return NotImplemented
-        if self.t.shape == other.t.shape and np.allclose(self.t, other.t):
-            return Waveform(self.t, self.v + other.v, self.name)
-        return Waveform(self.t, self.v + other.value(self.t), self.name)

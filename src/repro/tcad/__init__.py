@@ -6,9 +6,6 @@ BOX stack (Newton iteration, Boltzmann carriers), integrates drain current
 with the Pao-Sah / charge-sheet formulation (with velocity saturation and
 characteristic-length short-channel corrections), models SRH leakage and
 produces the Id-Vg / Id-Vd / C-V characteristics the extraction flow needs.
-
-A 2-D finite-difference Poisson solver is included for electrostatic
-potential maps around the MIV (used by examples and validation tests).
 """
 
 from repro.tcad.mesh import Mesh1D, Region

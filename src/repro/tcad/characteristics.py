@@ -56,16 +56,6 @@ class IVCurve:
         if not np.all(np.diff(self.v) > 0):
             raise SimulationError("voltage axis must be strictly increasing")
 
-    def interpolate(self, v_query) -> np.ndarray:
-        """Linear interpolation of the current at arbitrary voltages."""
-        return np.interp(np.asarray(v_query, dtype=float), self.v, self.i)
-
-    def resampled(self, v_new) -> "IVCurve":
-        """Return a copy resampled on a new voltage axis."""
-        v_new = _as_array(np.asarray(v_new, dtype=float), "v_new")
-        return IVCurve(v_new, self.interpolate(v_new), self.fixed_bias,
-                       self.kind, self.label)
-
     def to_dict(self) -> Dict:
         """JSON-compatible representation."""
         return {
@@ -97,11 +87,6 @@ class IdVdFamily:
             if curve.kind != "idvd":
                 raise SimulationError("family curves must be idvd kind")
 
-    @property
-    def gate_biases(self) -> List[float]:
-        """The fixed V_GS of each member curve."""
-        return [curve.fixed_bias for curve in self.curves]
-
     def to_dict(self) -> Dict:
         """JSON-compatible representation."""
         return {"curves": [c.to_dict() for c in self.curves],
@@ -129,10 +114,6 @@ class CVCurve:
             raise SimulationError("v and c must have equal length")
         if not np.all(np.diff(self.v) > 0):
             raise SimulationError("voltage axis must be strictly increasing")
-
-    def interpolate(self, v_query) -> np.ndarray:
-        """Linear interpolation of the capacitance."""
-        return np.interp(np.asarray(v_query, dtype=float), self.v, self.c)
 
     def to_dict(self) -> Dict:
         """JSON-compatible representation."""

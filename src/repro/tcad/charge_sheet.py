@@ -177,20 +177,6 @@ class ChargeSheetModel:
         extraction); an array of ``vgs`` is one stacked solve."""
         return self.poisson.gate_capacitance(vgs, delta)
 
-    def transconductance(self, vgs: float, vds: float,
-                         delta: float = 2e-3) -> float:
-        """g_m [S] by central differencing."""
-        hi, lo = self.drain_currents([vgs + delta, vgs - delta], [vds, vds])
-        return (hi - lo) / (2.0 * delta)
-
-    def output_conductance(self, vgs: float, vds: float,
-                           delta: float = 2e-3) -> float:
-        """g_ds [S] by central differencing; one-sided below ``delta``,
-        where the lower point clamps to V_DS = 0."""
-        v_hi, v_lo = vds + delta, max(vds - delta, 0.0)
-        hi, lo = self.drain_currents([vgs, vgs], [v_hi, v_lo])
-        return (hi - lo) / (v_hi - v_lo)
-
     def subthreshold_swing(self, vds: float = 0.05,
                            vg_low: float = 0.05, vg_high: float = 0.20) -> float:
         """Subthreshold swing [V/decade] between two weak-inversion biases."""

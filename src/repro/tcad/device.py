@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from numpy.typing import ArrayLike
 
@@ -131,20 +131,6 @@ class DeviceDesign:
         intrinsic = per_area * self.width * self.l_gate
         return (intrinsic + self.overlap_cap_source + self.overlap_cap_drain +
                 self.miv_fringe_cap)
-
-    def describe(self) -> Dict[str, float]:
-        """Summary of the derived design quantities (for reports/tests)."""
-        return {
-            "width_nm": self.width * 1e9,
-            "l_gate_nm": self.l_gate * 1e9,
-            "l_eff_nm": self.engine.l_eff * 1e9,
-            "t_ox_eff_nm": self.engine.poisson.stack.t_ox * 1e9,
-            "sd_resistance_ohm": self.sd_resistance,
-            "overlap_cap_fF": (self.overlap_cap_source +
-                               self.overlap_cap_drain) * 1e15,
-            "miv_fringe_cap_fF": self.miv_fringe_cap * 1e15,
-            "n_channels": float(self.layout.n_channels),
-        }
 
 
 def _coupling_vth_shift(layout: DeviceLayout,

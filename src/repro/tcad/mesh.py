@@ -113,13 +113,3 @@ class Mesh1D:
                 return (self.x >= x0 - tol) & (self.x <= x1 + tol)
             x0 = x1
         raise MeshError(f"no region named {name!r}")
-
-    def region_span(self, name: str) -> Tuple[float, float]:
-        """(x0, x1) of a region."""
-        x0 = 0.0
-        for region in self.regions:
-            x1 = x0 + region.thickness
-            if region.name == name:
-                return x0, x1
-            x0 = x1
-        raise MeshError(f"no region named {name!r}")

@@ -64,7 +64,3 @@ class ShortChannelModel:
     def vth_rolloff(self, l_gate: float, built_in: float = 0.55) -> float:
         """Threshold-voltage reduction [V] from charge sharing."""
         return self.rolloff_prefactor * built_in * self.decay(l_gate)
-
-    def swing_degradation(self, l_gate: float) -> float:
-        """Multiplicative subthreshold-swing degradation factor (>= 1)."""
-        return 1.0 + self.swing_prefactor * self.decay(l_gate)

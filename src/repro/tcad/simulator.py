@@ -75,14 +75,6 @@ class TcadSimulator:
         self.device = device
         self.spec = spec or SweepSpec()
 
-    def id_vg(self, vds: float) -> IVCurve:
-        """Transfer curve |I_D|(|V_GS|) at fixed |V_DS|."""
-        if vds <= 0:
-            raise SimulationError(f"vds must be positive, got {vds}")
-        vg = self.spec.vg_axis
-        currents = self.device.engine.drain_currents(vg, np.full(vg.size, vds))
-        return self._idvg_curve(vds, currents)
-
     def iv_sweeps(self) -> Tuple[IVCurve, IVCurve, IdVdFamily]:
         """The I-V plan in one stacked call: the low- and high-drain
         transfer curves, then the output family (in the paper V_DS =

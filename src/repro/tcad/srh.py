@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.constants import Q
 
 
@@ -37,21 +35,6 @@ class SrhParameters:
             raise ValueError("SRH lifetimes must be positive")
         if min(self.n1, self.p1) <= 0:
             raise ValueError("SRH trap densities must be positive")
-
-
-def srh_rate(n: np.ndarray, p: np.ndarray, ni: float,
-             params: SrhParameters) -> np.ndarray:
-    """Net SRH recombination rate U [m^-3 s^-1].
-
-    Positive U means recombination (np > ni^2); negative means generation
-    (depleted regions), which is the leakage-relevant regime.
-    """
-    n = np.asarray(n, dtype=float)
-    p = np.asarray(p, dtype=float)
-    numerator = n * p - ni * ni
-    denominator = (params.tau_p * (n + params.n1) +
-                   params.tau_n * (p + params.p1))
-    return numerator / denominator
 
 
 def generation_leakage(volume: float, ni: float,

@@ -41,12 +41,3 @@ def fermi_correction(n: np.ndarray, nc: float) -> np.ndarray:
     """
     n = np.asarray(n, dtype=float)
     return 1.0 / (1.0 + n / (8.0 * nc))
-
-
-def built_in_potential(n_doping: float, ni: float, vt: float) -> float:
-    """Built-in potential [V] of an n+/intrinsic junction at doping
-    ``n_doping`` [m^-3] — used for the S/D barrier and short-channel
-    charge-sharing estimates."""
-    if n_doping <= 0 or ni <= 0:
-        raise ValueError("densities must be positive")
-    return vt * float(np.log(n_doping / ni))

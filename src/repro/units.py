@@ -9,81 +9,12 @@ from __future__ import annotations
 #: One nanometre [m].
 NM = 1e-9
 
-#: One micrometre [m].
-UM = 1e-6
-
-#: One femtofarad [F].
-FF = 1e-15
-
-#: One picosecond [s].
-PS = 1e-12
-
-#: One nanosecond [s].
-NS = 1e-9
-
 
 def nm(value: float) -> float:
     """Convert nanometres to metres."""
     return value * NM
 
 
-def um(value: float) -> float:
-    """Convert micrometres to metres."""
-    return value * UM
-
-
-def to_nm(value: float) -> float:
-    """Convert metres to nanometres."""
-    return value / NM
-
-
 def per_cm3(value: float) -> float:
     """Convert a cm^-3 density to m^-3."""
     return value * 1e6
-
-
-def to_per_cm3(value: float) -> float:
-    """Convert a m^-3 density to cm^-3."""
-    return value / 1e6
-
-
-def fF(value: float) -> float:
-    """Convert femtofarads to farads."""
-    return value * FF
-
-
-def ps(value: float) -> float:
-    """Convert picoseconds to seconds."""
-    return value * PS
-
-
-def ns(value: float) -> float:
-    """Convert nanoseconds to seconds."""
-    return value * NS
-
-
-_SI_PREFIXES = (
-    (1e-15, "f"),
-    (1e-12, "p"),
-    (1e-9, "n"),
-    (1e-6, "u"),
-    (1e-3, "m"),
-    (1.0, ""),
-    (1e3, "k"),
-    (1e6, "M"),
-    (1e9, "G"),
-)
-
-
-def eng_format(value: float, unit: str = "", digits: int = 3) -> str:
-    """Format a value with an engineering SI prefix, e.g. 2.5e-11 -> '25p'."""
-    if value == 0:
-        return f"0{unit}"
-    magnitude = abs(value)
-    chosen_scale, chosen_prefix = _SI_PREFIXES[-1]
-    for scale, prefix in _SI_PREFIXES:
-        if magnitude < scale * 1000.0:
-            chosen_scale, chosen_prefix = scale, prefix
-            break
-    scaled = value / chosen_scale
-    return f"{scaled:.{digits}g}{chosen_prefix}{unit}"

@@ -156,12 +156,6 @@ class GoldenStore:
         """True when the golden has been generated and committed."""
         return self.path(name).is_file()
 
-    def names(self) -> List[str]:
-        """Sorted names of every stored golden."""
-        if not self.root.is_dir():
-            return []
-        return sorted(p.stem for p in self.root.glob("*.json"))
-
     def load(self, name: str) -> Dict[str, Any]:
         """Load one golden document."""
         path = self.path(name)

@@ -13,8 +13,6 @@ numbers still look plausible.
 
 Checks
 ------
-* ``poisson2d`` — manufactured ``sin x sin y`` solution with the
-  matching volume charge; second-order finite differences.
 * ``poisson1d`` — Richardson self-convergence of the gate-stack solve
   (no closed form exists for the nonlinear carrier terms).
 * ``spice.transient`` — RC response to a voltage ramp against the
@@ -27,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 
 @dataclass
@@ -100,43 +96,6 @@ def _result(name: str, resolutions: Sequence[float],
         name=name, resolutions=list(resolutions), errors=list(errors),
         observed=pairwise[-1] if pairwise else float("nan"),
         bounds=bounds, detail=detail, pairwise=pairwise)
-
-
-# ----------------------------------------------------------------------
-# 2-D Poisson: true MMS
-# ----------------------------------------------------------------------
-def poisson2d_mms(sizes: Sequence[int] = (9, 17, 33),
-                  ) -> ConvergenceResult:
-    """Manufactured ``sin(pi x/W) sin(pi y/H)`` solution.
-
-    With uniform permittivity the charge that manufactures it is
-    ``rho = eps pi^2 (W^-2 + H^-2) psi``; all four edges are pinned to
-    the exact (zero) boundary values.  The 5-point stencil must show
-    second-order L-infinity convergence.
-    """
-    from repro.tcad.poisson2d import Grid2D, Poisson2D
-    width = height = 1.0
-    eps = 2.5
-    factor = eps * math.pi ** 2 * (1.0 / width ** 2 +
-                                   1.0 / height ** 2)
-    errors = []
-    for n in sizes:
-        grid = Grid2D(width=width, height=height, nx=n, ny=n)
-        solver = Poisson2D(grid)
-        solver.eps[:, :] = eps
-        xv, yv = np.meshgrid(grid.x, grid.y)
-        exact = np.sin(math.pi * xv / width) * \
-            np.sin(math.pi * yv / height)
-        solver.rho[:, :] = factor * exact
-        solver.add_electrode(0.0, 0.0, width, 0.0, 0.0)
-        solver.add_electrode(0.0, height, width, height, 0.0)
-        solver.add_electrode(0.0, 0.0, 0.0, height, 0.0)
-        solver.add_electrode(width, 0.0, width, height, 0.0)
-        psi = solver.solve()
-        errors.append(float(np.max(np.abs(psi - exact))))
-    return _result("mms.poisson2d", list(sizes), errors,
-                   bounds=(1.8, 2.2),
-                   detail="manufactured sin*sin solution")
 
 
 # ----------------------------------------------------------------------
@@ -230,13 +189,11 @@ def all_mms_checks(fast: bool = False) -> List[ConvergenceResult]:
     """
     if fast:
         return [
-            poisson2d_mms(sizes=(9, 17, 33)),
             poisson1d_convergence(factors=(1, 2, 4, 8)),
             transient_order("trap"),
             transient_order("be"),
         ]
     return [
-        poisson2d_mms(sizes=(9, 17, 33, 65)),
         poisson1d_convergence(factors=(1, 2, 4, 8, 16)),
         transient_order("trap", dts=(8e-11, 4e-11, 2e-11, 1e-11)),
         transient_order("be", dts=(8e-11, 4e-11, 2e-11, 1e-11)),

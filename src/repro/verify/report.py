@@ -28,7 +28,7 @@ class CheckResult:
     ----------
     name:
         Stable check identifier, dotted by family
-        (``golden.compact_model``, ``mms.poisson2d.order``,
+        (``golden.compact_model``, ``mms.poisson1d``,
         ``gate.fig5.delay.2-ch``, ``parity.parallel-cold``).
     status:
         ``pass`` / ``fail`` / ``skip``.

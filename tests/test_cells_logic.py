@@ -5,7 +5,6 @@ import pytest
 from repro.cells.library import get_cell
 from repro.cells.logic import (
     first_sensitizing_assignment,
-    is_inverting_path,
     sensitizing_assignments,
 )
 from repro.errors import CellLibraryError
@@ -54,13 +53,6 @@ def test_first_assignment_deterministic():
 def test_unknown_input_raises():
     with pytest.raises(CellLibraryError):
         sensitizing_assignments(get_cell("INV1X1"), "z")
-
-
-def test_inverting_path_detection():
-    nand = get_cell("NAND2X1")
-    assert is_inverting_path(nand, "a", {"b": True})
-    and2 = get_cell("AND2X1")
-    assert not is_inverting_path(and2, "a", {"b": True})
 
 
 def test_aoi_sensitization_of_c():

@@ -6,9 +6,7 @@ from repro.cells.library import get_cell
 from repro.cells.netlist_builder import Parasitics, build_cell_circuit
 from repro.cells.variants import DeviceVariant
 from repro.spice import solve_dc
-from repro.spice.elements.capacitor import Capacitor
 from repro.spice.elements.mosfet import Mosfet
-from repro.spice.elements.resistor import Resistor
 
 
 @pytest.fixture(scope="module")

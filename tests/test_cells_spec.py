@@ -95,12 +95,3 @@ def test_cell_missing_input_raises():
                     stages=(GateStage("y", inp("a")),))
     with pytest.raises(CellLibraryError):
         cell.evaluate({})
-
-
-def test_logic_function_positional():
-    cell = CellSpec(name="inv", inputs=("a",), output="y",
-                    stages=(GateStage("y", inp("a")),))
-    fn = cell.logic_function()
-    assert fn(False) is True
-    with pytest.raises(CellLibraryError):
-        fn(True, False)

@@ -111,14 +111,6 @@ def test_gate_capacitance_positive_and_bounded(engine):
     assert 0 < c <= cox
 
 
-def test_transconductance_positive_above_threshold(engine):
-    assert engine.transconductance(0.8, 1.0) > 0
-
-
-def test_output_conductance_positive(engine):
-    assert engine.output_conductance(1.0, 0.9) > 0
-
-
 def test_invalid_construction_rejected():
     poisson = Poisson1D(StackSpec(t_ox=1e-9, t_si=7e-9, t_box=100e-9))
     with pytest.raises(SimulationError):
@@ -160,12 +152,3 @@ def test_drain_currents_equal_one_point_calls_bitwise(engine):
 def test_drain_currents_reject_mismatched_lengths(engine):
     with pytest.raises(SimulationError):
         engine.drain_currents([0.5, 0.6], [1.0])
-
-
-def test_output_conductance_is_one_sided_below_delta(engine):
-    # The lower point clamps to V_DS = 0, so the span is vds + delta.
-    vds, delta = 1e-3, 2e-3
-    expected = (engine.drain_current(0.8, vds + delta) -
-                engine.drain_current(0.8, 0.0)) / (vds + delta)
-    assert engine.output_conductance(0.8, vds, delta) == \
-        pytest.approx(expected, rel=1e-12)

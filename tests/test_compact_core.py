@@ -12,7 +12,6 @@ from repro.compact import mobility as mob_mod
 from repro.compact.subthreshold import (
     effective_overdrive,
     ideality_factor,
-    overdrive_derivative,
     soft_plus,
 )
 from repro.compact.threshold import ThresholdModel
@@ -89,12 +88,6 @@ def test_overdrive_subthreshold_exponential():
     v1 = float(effective_overdrive(0.1, 0.35, 1.0, VT))
     v2 = float(effective_overdrive(0.1 + VT * np.log(10), 0.35, 1.0, VT))
     assert v2 / v1 == pytest.approx(10.0, rel=0.05)
-
-
-def test_overdrive_derivative_is_logistic():
-    assert float(overdrive_derivative(0.35, 0.35, 1.0, VT)) == pytest.approx(0.5)
-    assert float(overdrive_derivative(1.0, 0.35, 1.0, VT)) == pytest.approx(
-        1.0, abs=1e-6)
 
 
 def test_overdrive_never_exceeds_huge_argument():

@@ -75,12 +75,6 @@ def test_updated_bounds_checked():
         default_parameters().updated({"VTH0": 99.0})
 
 
-def test_subset():
-    params = default_parameters()
-    sub = params.subset(["U0", "UA"])
-    assert set(sub) == {"U0", "UA"}
-
-
 def test_as_dict_is_copy():
     params = default_parameters()
     d = params.as_dict()

@@ -201,13 +201,3 @@ def test_empty_env_disables_disk_layer(monkeypatch):
     cache.put("k1", stage, {"value": 1.0})  # must not raise
     hit, layer = cache.get("k1", stage)
     assert layer == "memory"
-
-
-def test_clear_memory_keeps_disk(tmp_path):
-    stage = _stage()
-    cache = ArtifactCache(cache_dir=tmp_path)
-    cache.put("k1", stage, {"value": 1.0})
-    cache.clear_memory()
-    hit, layer = cache.get("k1", stage)
-    assert layer == "disk"
-    assert hit == {"value": 1.0}

@@ -13,7 +13,6 @@ from repro.cells.variants import DeviceVariant, ModelSet
 from repro.engine import default_engine
 from repro.engine.pipeline import (
     cell_ppa_tasks,
-    extraction_tasks,
     merge_tasks,
     model_set_tasks,
     targets_task,

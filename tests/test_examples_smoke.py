@@ -4,8 +4,6 @@ import importlib.util
 import pathlib
 import sys
 
-import pytest
-
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 
@@ -29,13 +27,6 @@ def test_layout_area_study_runs(capsys):
     out = capsys.readouterr().out
     assert "Figure 5(c)" in out
     assert "2-ch" in out
-
-
-def test_miv_electrostatics_runs(capsys):
-    module = _load("miv_electrostatics.py")
-    module.main()
-    out = capsys.readouterr().out
-    assert "Peak field" in out
 
 
 def test_device_characterization_runs(capsys):

@@ -5,8 +5,7 @@ import pytest
 
 from repro.errors import ExtractionError
 from repro.extraction.error import (
-    log_residuals,
-    mixed_current_residuals,
+    ReferenceCurve,
     region_error_percent,
     relative_errors,
 )
@@ -42,26 +41,26 @@ def test_zero_reference_rejected():
 
 
 def test_log_residuals_decades():
-    res = log_residuals(np.array([1e-6]), np.array([1e-8]))
-    assert res[0] == pytest.approx(2.0)
+    res = ReferenceCurve(np.array([1e-8])).mixed(np.array([1e-6]), 1.0)
+    assert res[1] == pytest.approx(2.0)
 
 
 def test_log_residuals_floored():
-    res = log_residuals(np.array([0.0]), np.array([1e-14]))
-    assert np.isfinite(res[0])
+    res = ReferenceCurve(np.array([1e-14])).mixed(np.array([0.0]), 1.0)
+    assert np.isfinite(res[1])
 
 
 def test_mixed_residuals_concatenates():
     ref = np.array([1.0, 2.0])
     sim = np.array([1.1, 2.2])
-    res = mixed_current_residuals(sim, ref, log_weight=0.5)
+    res = ReferenceCurve(ref).mixed(sim, log_weight=0.5)
     assert res.size == 4
 
 
 def test_mixed_residuals_weighting():
     ref = np.array([1.0])
     sim = np.array([10.0])
-    res0 = mixed_current_residuals(sim, ref, log_weight=0.0)
-    res1 = mixed_current_residuals(sim, ref, log_weight=1.0)
+    res0 = ReferenceCurve(ref).mixed(sim, log_weight=0.0)
+    res1 = ReferenceCurve(ref).mixed(sim, log_weight=1.0)
     assert res0[1] == 0.0
     assert res1[1] == pytest.approx(1.0)

@@ -8,7 +8,6 @@ from repro.extraction.results import ExtractionReport
 from repro.extraction.stages import (
     capacitance_stage,
     default_stage_sequence,
-    high_drain_stage,
     low_drain_stage,
 )
 from repro.geometry.transistor_layout import ChannelCount

@@ -22,11 +22,6 @@ def test_rect_zero_area_allowed():
     assert Rect(1, 1, 1, 1).area == 0
 
 
-def test_translated():
-    r = Rect(0, 0, 1, 1).translated(5, -2)
-    assert (r.x0, r.y0, r.x1, r.y1) == (5, -2, 6, -1)
-
-
 def test_expanded_grows_all_sides():
     r = Rect(0, 0, 2, 2).expanded(1)
     assert (r.x0, r.y0, r.x1, r.y1) == (-1, -1, 3, 3)

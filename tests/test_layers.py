@@ -34,13 +34,6 @@ def test_layers_ordered_bottom_to_top(stack):
     assert stack.z_of("m1") < stack.z_of("m2")
 
 
-def test_tier_partition(stack):
-    bottom = stack.tier_layers(0)
-    top = stack.tier_layers(1)
-    assert len(bottom) + len(top) == len(stack.layers)
-    assert all(l.tier == 0 for l in bottom)
-
-
 def test_miv_span_positive_and_submicron(stack):
     span = stack.miv_span()
     assert 0 < span < 1e-6

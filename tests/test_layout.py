@@ -91,12 +91,6 @@ def test_substrate_area_is_sum_of_layers(model):
         result.top_area + result.bottom_area)
 
 
-def test_reduction_metric_validation(model):
-    with pytest.raises(LayoutError):
-        model.reduction_vs_2d(get_cell("INV1X1"), DeviceVariant.MIV_1CH,
-                              metric="volume")
-
-
 # ---------------------------------------------------------------------------
 # Figure 5(c) claims
 # ---------------------------------------------------------------------------

@@ -10,24 +10,9 @@ from repro.materials import (
     SILICON_DIOXIDE,
     SILICON_NITRIDE,
     Conductor,
-    DopantType,
     Insulator,
     Semiconductor,
-    get_material,
-    uniform_doping,
 )
-
-
-def test_library_lookup():
-    assert get_material("Si") is SILICON
-    assert get_material("SiO2") is SILICON_DIOXIDE
-    assert get_material("Si3N4") is SILICON_NITRIDE
-    assert get_material("Cu") is COPPER
-
-
-def test_unknown_material_raises():
-    with pytest.raises(MaterialError):
-        get_material("GaAs")
 
 
 def test_silicon_permittivity():
@@ -45,17 +30,6 @@ def test_nitride_higher_k_than_oxide():
 def test_silicon_intrinsic_density_reasonable():
     ni = SILICON.intrinsic_density(300.0)
     assert 3e15 < ni < 3e16
-
-
-def test_oxide_capacitance_per_area_1nm():
-    # Table I gate liner: 1 nm SiO2 -> ~3.45e-2 F/m^2.
-    cox = SILICON_DIOXIDE.capacitance_per_area(1e-9)
-    assert cox == pytest.approx(3.45e-2, rel=0.01)
-
-
-def test_capacitance_rejects_bad_thickness():
-    with pytest.raises(MaterialError):
-        SILICON_DIOXIDE.capacitance_per_area(0.0)
 
 
 def test_copper_wire_resistance():
@@ -83,24 +57,3 @@ def test_invalid_semiconductor_rejected():
 def test_invalid_conductor_rejected():
     with pytest.raises(MaterialError):
         Conductor(name="bad", eps_r=1.0, resistivity=0.0)
-
-
-def test_uniform_doping_matches_table1():
-    profile = uniform_doping(DopantType.DONOR, 1e19)
-    assert profile.net_doping(0.0) == pytest.approx(1e25)
-    assert profile.net_doping(5e-9) == pytest.approx(1e25)
-
-
-def test_acceptor_doping_is_negative_net():
-    profile = uniform_doping(DopantType.ACCEPTOR, 1e19)
-    assert profile.net_doping(0.0) == pytest.approx(-1e25)
-
-
-def test_doping_signs():
-    assert DopantType.DONOR.sign == 1
-    assert DopantType.ACCEPTOR.sign == -1
-
-
-def test_negative_concentration_rejected():
-    with pytest.raises(MaterialError):
-        uniform_doping(DopantType.DONOR, -1.0)

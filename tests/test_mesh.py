@@ -56,18 +56,10 @@ def test_charge_mask_covers_film_including_interfaces():
     assert not charged[1]
 
 
-def test_region_span():
-    mesh = two_region_mesh()
-    assert mesh.region_span("film") == (pytest.approx(1e-9),
-                                        pytest.approx(8e-9))
-
-
 def test_unknown_region_raises():
     mesh = two_region_mesh()
     with pytest.raises(MeshError):
         mesh.region_node_mask("box")
-    with pytest.raises(MeshError):
-        mesh.region_span("box")
 
 
 def test_invalid_region_parameters():

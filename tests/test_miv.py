@@ -71,9 +71,3 @@ def test_resistance_scales_with_span():
 def test_resistance_rejects_bad_span():
     with pytest.raises(LayoutError):
         MivGeometry(DEFAULT_PROCESS).resistance(0.0)
-
-
-def test_liner_capacitance_positive_small():
-    miv = MivGeometry(DEFAULT_PROCESS)
-    c = miv.liner_capacitance(7e-9)  # film-thickness span
-    assert 0 < c < 1e-15

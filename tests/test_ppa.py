@@ -110,15 +110,3 @@ def test_comparison_render():
     text = comp.render_metric("delay", scale=1e12, unit="ps")
     assert "C" in text
     assert "avg vs 2D" in text
-
-
-def test_extreme_change():
-    rows = [CellPPA("A", DeviceVariant.TWO_D, 10e-12, 1e-6, 1e-14, 2e-14),
-            CellPPA("A", DeviceVariant.MIV_4CH, 11e-12, 1e-6, 1e-14, 2e-14),
-            CellPPA("B", DeviceVariant.TWO_D, 10e-12, 1e-6, 1e-14, 2e-14),
-            CellPPA("B", DeviceVariant.MIV_4CH, 9e-12, 1e-6, 1e-14, 2e-14)]
-    comp = PpaComparison.from_results(rows)
-    assert comp.extreme_change_percent(
-        DeviceVariant.MIV_4CH, "delay", best=True) == pytest.approx(-10.0)
-    assert comp.extreme_change_percent(
-        DeviceVariant.MIV_4CH, "delay", best=False) == pytest.approx(10.0)

@@ -25,11 +25,6 @@ def test_si_units_internally():
     assert DEFAULT_PROCESS.n_src == pytest.approx(1e25)
 
 
-def test_gate_pitch():
-    # L_G + 2 spacers = 24 + 20 = 44 nm.
-    assert DEFAULT_PROCESS.gate_pitch == pytest.approx(44e-9)
-
-
 def test_with_updates_returns_new_object():
     thicker = DEFAULT_PROCESS.with_updates(t_si=10e-9)
     assert thicker.t_si == pytest.approx(10e-9)

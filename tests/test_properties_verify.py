@@ -1,65 +1,19 @@
 """Property-based tests riding with the verification subsystem:
-units round-trips, fingerprint stability/distinctness, and compact-
-model I-V continuity across operating-region boundaries."""
+fingerprint stability/distinctness and compact-model I-V continuity
+across operating-region boundaries."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import units
 from repro.compact.model import BsimSoi4Lite
 from repro.compact.parameters import default_parameters
 from repro.engine.fingerprint import canonicalize, fingerprint
 from repro.tcad.device import Polarity
-
-finite = st.floats(min_value=1e-30, max_value=1e30,
-                   allow_nan=False, allow_infinity=False)
-
-
-# ----------------------------------------------------------------------
-# units round-trips
-# ----------------------------------------------------------------------
-@given(x=finite)
-@settings(max_examples=80, deadline=None)
-def test_nm_roundtrip(x):
-    assert units.to_nm(units.nm(x)) == pytest.approx(x, rel=1e-12)
-    assert units.nm(units.to_nm(x)) == pytest.approx(x, rel=1e-12)
-
-
-@given(x=finite)
-@settings(max_examples=80, deadline=None)
-def test_per_cm3_roundtrip(x):
-    assert units.to_per_cm3(units.per_cm3(x)) == \
-        pytest.approx(x, rel=1e-12)
-
-
-@given(x=finite)
-@settings(max_examples=80, deadline=None)
-def test_scale_helpers_are_linear(x):
-    for helper, scale in ((units.um, units.UM), (units.fF, units.FF),
-                          (units.ps, units.PS), (units.ns, units.NS)):
-        assert helper(x) == x * scale
-        assert helper(2.0 * x) == pytest.approx(2.0 * helper(x),
-                                                rel=1e-12)
-
-
-@given(x=st.floats(min_value=1e-14, max_value=1e9,
-                   allow_nan=False, allow_infinity=False))
-@settings(max_examples=80, deadline=None)
-def test_eng_format_always_parses_back(x):
-    text = units.eng_format(x, digits=6)
-    suffixes = {"f": 1e-15, "p": 1e-12, "n": 1e-9, "u": 1e-6,
-                "m": 1e-3, "k": 1e3, "M": 1e6, "G": 1e9}
-    if text and text[-1] in suffixes:
-        value = float(text[:-1]) * suffixes[text[-1]]
-    else:
-        value = float(text)
-    assert value == pytest.approx(x, rel=2e-5)
 
 
 # ----------------------------------------------------------------------

@@ -38,11 +38,6 @@ def test_vth_rolloff_positive_and_small(model):
     assert 0.0 < rolloff < 0.05
 
 
-def test_swing_degradation_above_unity(model):
-    assert model.swing_degradation(24e-9) > 1.0
-    assert model.swing_degradation(100e-9) == pytest.approx(1.0, abs=0.01)
-
-
 def test_long_channel_limit(model):
     assert model.dibl(1e-6) == pytest.approx(0.0, abs=1e-12)
 

@@ -32,21 +32,6 @@ def test_settle_skips_early_edges():
     assert measure.propagation_delays(inp, out, 1.0, settle=2e-9) == []
 
 
-def test_average_delay_over_both_edges():
-    t = np.array([0.0, 0.99e-9, 1.01e-9, 2.99e-9, 3.01e-9, 4e-9])
-    vin = Waveform(t, np.array([0, 0, 1, 1, 0, 0]))
-    vout = Waveform(t + 0.04e-9, np.array([1, 1, 0, 0, 1, 1]))
-    avg = measure.average_propagation_delay(vin, vout, 1.0)
-    assert avg == pytest.approx(0.04e-9, rel=0.05)
-
-
-def test_no_pairs_raises():
-    inp = edge(1e-9)
-    flat = Waveform(np.array([0.0, 4e-9]), np.array([0.0, 0.0]))
-    with pytest.raises(SimulationError):
-        measure.average_propagation_delay(inp, flat, 1.0)
-
-
 def test_output_after_next_input_edge_not_paired():
     # Output responds only after the second input edge: the first input
     # edge must not claim it.
@@ -77,16 +62,3 @@ def test_average_power_validation():
     wf = Waveform(t, np.zeros_like(t))
     with pytest.raises(SimulationError):
         measure.average_power(wf, 0.0)
-
-
-def test_energy():
-    t = np.linspace(0.0, 1e-9, 11)
-    wf = Waveform(t, np.full_like(t, -1e-3))
-    e = measure.energy(wf, 1.0, 0.0, 1e-9)
-    assert e == pytest.approx(1e-12)
-
-
-def test_power_delay_product():
-    assert measure.power_delay_product(1e-6, 1e-11) == pytest.approx(1e-17)
-    with pytest.raises(SimulationError):
-        measure.power_delay_product(-1.0, 1.0)

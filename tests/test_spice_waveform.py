@@ -46,15 +46,6 @@ def test_crossings_both_directions():
     assert crossings[1] == pytest.approx(1.5)
 
 
-def test_first_crossing_after():
-    t = np.array([0.0, 1.0, 2.0, 3.0])
-    v = np.array([0.0, 1.0, 0.0, 1.0])
-    wf = Waveform(t, v)
-    assert wf.first_crossing_after(1.0, 0.5, "rise") == pytest.approx(2.5)
-    with pytest.raises(SimulationError):
-        wf.first_crossing_after(3.0, 0.5)
-
-
 def test_bad_direction_rejected():
     with pytest.raises(SimulationError):
         ramp().crossings(0.5, "sideways")
@@ -85,19 +76,3 @@ def test_window_validation():
         ramp().window(0.5, 0.4)
     with pytest.raises(SimulationError):
         ramp().window(-1.0, 0.5)
-
-
-def test_scaled_and_shifted():
-    wf = ramp().scaled(2.0).shifted(1.0)
-    assert float(wf.value(0.5)) == pytest.approx(2.0)
-
-
-def test_addition_same_axis():
-    total = ramp() + ramp()
-    assert float(total.value(0.5)) == pytest.approx(1.0)
-
-
-def test_addition_different_axis_resamples():
-    other = Waveform(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
-    total = ramp() + other
-    assert float(total.value(0.5)) == pytest.approx(1.5)

@@ -1,34 +1,11 @@
 """SRH recombination model."""
 
-import numpy as np
 import pytest
 
 from repro.constants import Q
-from repro.tcad.srh import SrhParameters, generation_leakage, srh_rate
+from repro.tcad.srh import SrhParameters, generation_leakage
 
 NI = 1e16
-
-
-def test_equilibrium_has_zero_net_rate():
-    params = SrhParameters(n1=NI, p1=NI)
-    assert srh_rate(NI, NI, NI, params) == pytest.approx(0.0, abs=1e-20)
-
-
-def test_excess_carriers_recombine():
-    params = SrhParameters(n1=NI, p1=NI)
-    assert srh_rate(1e20, 1e20, NI, params) > 0
-
-
-def test_depletion_generates():
-    params = SrhParameters(n1=NI, p1=NI)
-    assert srh_rate(1e10, 1e10, NI, params) < 0
-
-
-def test_full_depletion_generation_rate_limit():
-    # n, p -> 0: U -> -ni / (tau_n + tau_p) for midgap traps.
-    params = SrhParameters(tau_n=1e-7, tau_p=1e-7, n1=NI, p1=NI)
-    rate = srh_rate(0.0, 0.0, NI, params)
-    assert rate == pytest.approx(-NI / 2e-7, rel=1e-6)
 
 
 def test_generation_leakage_scales_with_volume():
@@ -44,15 +21,6 @@ def test_leakage_magnitude_is_small():
     params = SrhParameters()
     volume = 192e-9 * 24e-9 * 7e-9
     assert generation_leakage(volume, NI, params) < 1e-12
-
-
-def test_vectorised_rate():
-    params = SrhParameters()
-    n = np.array([1e10, 1e16, 1e20])
-    p = np.array([1e10, 1e16, 1e20])
-    rates = srh_rate(n, p, NI, params)
-    assert rates.shape == (3,)
-    assert rates[0] < 0 < rates[2]
 
 
 def test_invalid_parameters_rejected():

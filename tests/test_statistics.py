@@ -6,7 +6,6 @@ import pytest
 from repro.tcad.statistics import (
     boltzmann_n,
     boltzmann_p,
-    built_in_potential,
     fermi_correction,
 )
 
@@ -59,15 +58,3 @@ def test_fermi_correction_negligible_at_low_density():
 
 def test_fermi_correction_reduces_high_density():
     assert fermi_correction(2.86e25, 2.86e25) < 1.0
-
-
-def test_built_in_potential():
-    # 1e19 cm^-3 donor vs intrinsic: ~kT ln(Nd/ni) ~ 0.53 V.
-    vbi = built_in_potential(1e25, 1e16, 0.0259)
-    assert vbi == pytest.approx(0.0259 * np.log(1e9), rel=1e-6)
-    assert 0.5 < vbi < 0.6
-
-
-def test_built_in_potential_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        built_in_potential(-1.0, 1e16, 0.0259)

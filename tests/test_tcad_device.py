@@ -86,14 +86,6 @@ def test_four_channel_extra_sd_resistance(devices):
             devices[ChannelCount.TRADITIONAL].sd_resistance)
 
 
-def test_describe_keys(devices):
-    info = devices[ChannelCount.TWO].describe()
-    for key in ("width_nm", "l_gate_nm", "l_eff_nm", "sd_resistance_ohm",
-                "n_channels"):
-        assert key in info
-    assert info["n_channels"] == 2.0
-
-
 def test_miv_fringe_cap_scales_with_faces(devices):
     c1 = devices[ChannelCount.ONE].miv_fringe_cap
     c2 = devices[ChannelCount.TWO].miv_fringe_cap
