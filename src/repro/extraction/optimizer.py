@@ -9,13 +9,13 @@ Residuals are evaluated over parameter *rows*: a :class:`RowResidual`
 maps R parameter mappings to an (R, m) matrix in one call, so a stage
 makes one compact-model call for all R.  The solver's own evaluations
 are single rows.  Its Jacobian is a 2-point finite difference whose k
-step points run, with x itself, as one (k+1)-row batch: scipy's
-``approx_derivative`` (relative step 1e-4, bounds [0, 1]) still picks
-the step points -- flipping a step that would leave the box -- and
-assembles J, so the fit follows exactly the path scipy's built-in
-``'2-point'`` Jacobian takes on the installed scipy; only the
-evaluation is batched.  A plain ``residual_fn(values) -> array`` is
-lifted to rows by a loop.
+step points run, with x itself, as one (k+1)-row batch.  The steps
+follow scipy's ``'2-point'`` rule (relative step 1e-4, bounds [0, 1]):
+the same step sizes, the same flip of a step that would leave the box
+and the same arithmetic and memory layout of J, so the fit takes
+exactly the path of scipy's built-in ``'2-point'`` Jacobian.  The
+tests pin that rule against scipy's ``approx_derivative`` bit for bit.
+A plain ``residual_fn(values) -> array`` is lifted to rows by a loop.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.optimize._numdiff import approx_derivative
 
 from repro.errors import ExtractionError
 from repro.compact.parameters import PARAMETER_SPECS, ParameterSet
@@ -37,8 +36,8 @@ RowsFn = Callable[[Sequence[Dict[str, float]]], np.ndarray]
 #: Relative finite-difference step of the Jacobian (scipy ``rel_step``).
 JACOBIAN_REL_STEP = 1e-4
 
-#: What the step-recording pass of :meth:`UnitBoxObjective.jac` returns.
-_NO_RESIDUAL = np.zeros(1)
+#: scipy's fallback relative step for '2-point' differences of float64.
+_FALLBACK_REL_STEP = np.finfo(np.float64).eps ** 0.5
 
 
 @dataclass(frozen=True)
@@ -111,24 +110,25 @@ class UnitBoxObjective:
     def jac(self, x: np.ndarray) -> np.ndarray:
         """2-point Jacobian at ``x``: one batch of x and its k steps.
 
-        A first ``approx_derivative`` pass only records the step points
-        scipy chooses; the second assembles J from the batch's rows, in
-        the order the first pass asked for them.
+        The steps are scipy's ``'2-point'`` rule restricted to the unit
+        box: ``1e-4 * x``, ``sqrt(eps)`` where that step vanishes in
+        floating point (x = 0), and flipped where it would pass 1.
+        (With x in [0, 1] scipy's sign is +1, its ``max(1, |x|)`` is 1
+        and a step of at most 1e-4 always fits the other way.)
         """
+        if np.any((x < 0.0) | (x > 1.0)):
+            raise ValueError("`x0` violates bound constraints.")
         self.jacobians += 1
-        steps: List[np.ndarray] = []
+        h = JACOBIAN_REL_STEP * x
+        h = np.where((x + h) - x == 0, _FALLBACK_REL_STEP, h)
+        h[x + h > 1.0] *= -1
 
-        def record(point: np.ndarray) -> np.ndarray:
-            steps.append(np.array(point))
-            return _NO_RESIDUAL
-
-        options = dict(method="2-point", rel_step=JACOBIAN_REL_STEP,
-                       bounds=self.bounds)
-        approx_derivative(record, x, f0=_NO_RESIDUAL, **options)
-        residuals = self.evaluate(np.vstack([x] + steps))
-        stepped = iter(residuals[1:])
-        return approx_derivative(lambda _: next(stepped), x,
-                                 f0=residuals[0], **options)
+        points = np.repeat(x[np.newaxis], len(x) + 1, axis=0)
+        diagonal = np.arange(len(x))
+        points[diagonal + 1, diagonal] = x + h
+        residuals = self.evaluate(points)
+        dx = (x + h) - x
+        return ((residuals[1:] - residuals[0]) / dx[:, np.newaxis]).T
 
 
 def fit_parameters(base: ParameterSet, names: List[str],

@@ -82,10 +82,15 @@ class PpaComparison:
         return "\n".join(lines)
 
     def summary(self) -> Dict[str, float]:
-        """The paper's headline numbers, as percent changes vs 2-D."""
+        """The paper's headline numbers, as percent changes vs 2-D, for
+        each MIV variant the comparison holds."""
+        present = {v for by_variant in self.results.values()
+                   for v in by_variant}
         out: Dict[str, float] = {}
         for variant in (DeviceVariant.MIV_1CH, DeviceVariant.MIV_2CH,
                         DeviceVariant.MIV_4CH):
+            if variant not in present:
+                continue
             for metric in ("delay", "power", "area", "pdp"):
                 key = f"{variant.value}:{metric}"
                 out[key] = self.average_change_percent(variant, metric)

@@ -11,17 +11,22 @@ electron quasi-Fermi potential equals the local channel potential ``V``
 (0 at source, V_DS at drain) while holes stay at the source reference.
 
 The solver uses a damped Newton iteration on the finite-volume
-discretisation; the Jacobian is tridiagonal and solved with the banded
-LAPACK routine.  Outputs are the potential profile, the sheet inversion
-charge (integral of the minority carrier density over the film) and the
-gate charge per unit area (displacement field at the gate boundary), from
-which C-V curves are differentiated.
+discretisation; the Jacobian is tridiagonal and solved by LAPACK's
+``gtsv`` (the routine ``scipy.linalg.solve_banded`` dispatches to for one
+band on each side), called directly.  Carrier densities are evaluated on
+the film nodes only -- the oxide and BOX carry no charge -- and written
+into zeroed charge rows.  Outputs are the potential profile, the sheet
+inversion charge (integral of the minority carrier density over the
+film) and the gate charge per unit area (displacement field at the gate
+boundary), from which C-V curves are differentiated.
 
 :meth:`Poisson1D.solve` takes one bias point or a stack of ``B`` of them.
 A stack runs as one Newton: each iteration places the active rows'
 Jacobians on the diagonal of one block-diagonal tridiagonal system (the
 couplings between blocks are zero) and solves it with a single LAPACK
-call, and a row leaves the active set once its own update has converged.
+call (the constant off-diagonal bands are tiled once per solve and
+sliced to the active rows), and a row leaves the active set once its own
+update has converged.
 Every row does exactly the arithmetic of a solve on its own, so stacking
 changes no bit of any result; it only removes the per-call overhead that
 dominates at 65 nodes.  The Newton is inexact (the density derivative
@@ -38,7 +43,8 @@ from typing import Optional, Union
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy.linalg import solve_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from repro.constants import Q, thermal_voltage
 from repro.errors import ConvergenceError
@@ -119,23 +125,23 @@ def _stacked_tridiagonal_solve(lower: np.ndarray, diag: np.ndarray,
                                rhs: np.ndarray) -> np.ndarray:
     """Solve ``k`` independent tridiagonal systems in one LAPACK call.
 
-    Inputs are ``(k, n)`` blocks: ``diag[s, i]`` is ``A_s[i, i]``,
-    ``upper[s, i]`` is ``A_s[i, i+1]`` (``upper[:, -1]`` unused, must
-    be 0) and ``lower[s, i]`` is ``A_s[i, i-1]`` (``lower[:, 0]``
-    unused, must be 0).  Stacking the systems along the diagonal keeps
-    the compound matrix tridiagonal — the cross-block couplings are the
-    unused zero entries — so one banded factorisation of size ``k*n``
-    does exactly the per-block elimination, with a Python/LAPACK call
-    count independent of ``k``.
+    ``diag`` and ``rhs`` are ``(k, n)`` blocks: ``diag[s, i]`` is
+    ``A_s[i, i]``.  Stacking the systems along the diagonal keeps the
+    compound matrix of size ``k*n`` tridiagonal, and ``lower`` / ``upper``
+    (length ``k*n - 1``) are its sub- and super-diagonals: zero at every
+    cross-block coupling, so one ``gtsv`` factorisation does exactly the
+    per-block elimination, with a call count independent of ``k``.
+    ``diag`` and ``rhs`` are overwritten.  As ``solve_banded``, a
+    non-finite entry raises ``ValueError`` and a singular system
+    ``LinAlgError``.
     """
-    k, n = diag.shape
-    up = upper.reshape(k * n)
-    lo = lower.reshape(k * n)
-    ab = np.zeros((3, k * n))
-    ab[0, 1:] = up[:-1]
-    ab[1, :] = diag.reshape(k * n)
-    ab[2, :-1] = lo[1:]
-    return solve_banded((1, 1), ab, rhs.reshape(k * n)).reshape(k, n)
+    if not (np.isfinite(diag).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    _, _, _, x, info = dgtsv(lower, diag.reshape(-1), upper,
+                             rhs.reshape(-1), overwrite_d=1, overwrite_b=1)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return x.reshape(diag.shape)
 
 
 class Poisson1D:
@@ -170,6 +176,8 @@ class Poisson1D:
                    SILICON_DIOXIDE.permittivity),
         ])
         self._film_mask = self.mesh.node_charged
+        film_nodes = np.flatnonzero(self._film_mask)
+        self._film = slice(int(film_nodes[0]), int(film_nodes[-1]) + 1)
         self._volumes = self.mesh.node_volumes
         self._surface_index = int(np.argmax(self.mesh.region_node_mask("film")))
         # Edge conductances [F/m^2] and the Jacobian's off-diagonals:
@@ -229,13 +237,21 @@ class Poisson1D:
         cond = self._cond
         volumes = self._volumes[1:-1]
         coupling = -(cond[1:] + cond[:-1])
+        film = self._film
+        # Off-diagonals of the compound system of all rows; the first
+        # k*n - 1 entries are those of the first k rows.
+        lower = np.tile(self._lower, rows)[1:]
+        upper = np.tile(self._upper, rows)[:-1]
         iterations = np.zeros(rows, dtype=int)
         active = np.arange(rows)
         for iteration in range(1, self.MAX_ITERATIONS + 1):
             sub = psi[active]
-            n, p, dn, dp = self._carriers(sub, v_channel[active, None])
-            rho = Q * (p - n + self.stack.net_doping) * self._film_mask
-            drho = Q * (dp - dn) * self._film_mask
+            n, p, dn, dp = self._carriers(sub[:, film],
+                                          v_channel[active, None])
+            rho = np.zeros_like(sub)
+            rho[:, film] = Q * (p - n + self.stack.net_doping)
+            drho = np.zeros_like(sub)
+            drho[:, film] = Q * (dp - dn)
 
             # Residual F_i and tridiagonal Jacobian for interior nodes;
             # the Dirichlet rows keep F = 0 and a unit diagonal.
@@ -245,10 +261,11 @@ class Poisson1D:
             diag = np.ones_like(sub)
             diag[:, 1:-1] = coupling + drho[:, 1:-1] * volumes
 
-            delta = _stacked_tridiagonal_solve(
-                np.broadcast_to(self._lower, sub.shape), diag,
-                np.broadcast_to(self._upper, sub.shape), -f)
-            sub += np.clip(delta, -self.MAX_UPDATE, self.MAX_UPDATE)
+            size = sub.size - 1
+            delta = _stacked_tridiagonal_solve(lower[:size], diag,
+                                               upper[:size], -f)
+            sub += np.minimum(np.maximum(delta, -self.MAX_UPDATE),
+                              self.MAX_UPDATE)
             psi[active] = sub
             residual = np.max(np.abs(delta), axis=1)
             done = residual < self.TOLERANCE

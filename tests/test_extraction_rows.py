@@ -8,7 +8,9 @@ a percent):
   a model per set, one model call per curve, the error formulas
   applied curve by curve;
 * scipy's own ``approx_derivative`` with the settings of the built-in
-  ``'2-point'`` Jacobian (relative step 1e-4, bounds [0, 1]).
+  ``'2-point'`` Jacobian (relative step 1e-4, bounds [0, 1]): the
+  objective writes scipy's step rule out, and these tests pin it to the
+  installed scipy.
 """
 
 import numpy as np
@@ -190,6 +192,19 @@ def test_jacobian_of_lifted_scalar_residual_matches_scipy():
                                  rel_step=JACOBIAN_REL_STEP, bounds=(0, 1),
                                  f0=objective(x))
         assert _same_bits(objective.jac(x), want)
+
+
+def test_jacobian_rejects_points_outside_the_box():
+    objective = UnitBoxObjective(["VTH0", "U0"],
+                                 lambda values: np.array([values["VTH0"]]))
+    for x in (np.array([0.5, 1.0 + 1e-12]), np.array([-1e-300, 0.5])):
+        with pytest.raises(ValueError):
+            approx_derivative(objective, x, method="2-point",
+                              rel_step=JACOBIAN_REL_STEP, bounds=(0, 1),
+                              f0=np.zeros(1))
+        with pytest.raises(ValueError):
+            objective.jac(x)
+    assert objective.rows == 0 and objective.jacobians == 0
 
 
 @pytest.mark.parametrize("stage_name", sorted(STAGES))

@@ -5,7 +5,11 @@ import pytest
 
 from repro.errors import ConvergenceError
 from repro.materials import SILICON_DIOXIDE
-from repro.tcad.poisson1d import Poisson1D, StackSpec
+from repro.tcad.poisson1d import (
+    Poisson1D,
+    StackSpec,
+    _stacked_tridiagonal_solve,
+)
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +201,118 @@ def test_tracer_counts_rows_and_per_row_iterations(solver):
         int(stacked.iterations.sum())
     assert snapshot["tcad.poisson1d.iterations_per_solve"]["count"] == \
         STACK_GATES.size
+
+
+# ----------------------------------------------------------------------
+# the Newton kernels: direct LAPACK gtsv, carriers on film nodes only
+# ----------------------------------------------------------------------
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def _banded(lower, diag, upper):
+    """The (1, 1) ``ab`` layout of ``scipy.linalg.solve_banded``."""
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = upper
+    ab[1, :] = diag.reshape(-1)
+    ab[2, :-1] = lower
+    return ab
+
+
+def _gtsv_against_solve_banded(lower, diag, upper, rhs):
+    from scipy.linalg import solve_banded
+    want = solve_banded((1, 1), _banded(lower, diag, upper),
+                        rhs.reshape(-1)).reshape(diag.shape)
+    got = _stacked_tridiagonal_solve(lower, diag.copy(), upper, rhs.copy())
+    assert got.shape == diag.shape
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_gtsv_matches_solve_banded_on_newton_jacobians(solver, monkeypatch):
+    import repro.tcad.poisson1d as module
+    active_rows = []
+
+    def checked(lower, diag, upper, rhs):
+        active_rows.append(diag.shape[0])
+        _gtsv_against_solve_banded(lower, diag, upper, rhs)
+        return _stacked_tridiagonal_solve(lower, diag, upper, rhs)
+
+    monkeypatch.setattr(module, "_stacked_tridiagonal_solve", checked)
+    solver.solve(STACK_GATES, STACK_CHANNELS)
+    # Rows leave the stack as they converge: the systems shrink.
+    assert active_rows[0] == STACK_GATES.size
+    assert len(set(active_rows)) > 2
+
+
+def test_gtsv_matches_solve_banded_on_random_systems():
+    rng = np.random.default_rng(11)
+    for k, n in [(1, 2), (1, 65), (3, 65), (7, 9)]:
+        lower = rng.normal(size=k * n - 1)
+        upper = rng.normal(size=k * n - 1)
+        # Diagonally dominant either sign, so no pivot is ever tiny.
+        diag = (np.abs(lower).max() + np.abs(upper).max() + 1.0 +
+                rng.uniform(size=(k, n))) * rng.choice([-1.0, 1.0], (k, n))
+        _gtsv_against_solve_banded(lower, diag, upper,
+                                   rng.normal(size=(k, n)))
+
+
+def test_gtsv_rejects_non_finite_and_singular_systems():
+    from scipy.linalg import LinAlgError
+    k, n = 2, 5
+    lower, upper = np.full(k * n - 1, 0.5), np.full(k * n - 1, 0.5)
+    for field in ("diag", "rhs"):
+        diag, rhs = np.full((k, n), 3.0), np.ones((k, n))
+        {"diag": diag, "rhs": rhs}[field][1, 2] = np.nan
+        with pytest.raises(ValueError):
+            _stacked_tridiagonal_solve(lower, diag, upper, rhs)
+    # Second block's first row is all zero: exactly singular.
+    diag = np.full((k, n), 3.0)
+    diag[1, 0] = 0.0
+    lower[n - 1] = upper[n] = 0.0
+    with pytest.raises(LinAlgError):
+        _stacked_tridiagonal_solve(lower, diag, upper, np.ones((k, n)))
+
+
+def _full_row_reference(solver, v_gate, v_channel, psi0=None):
+    """One row's Newton with carriers on every node masked to the film,
+    ``solve_banded`` and ``np.clip``: the arithmetic the stacked,
+    film-only ``gtsv`` solve must reproduce bit for bit."""
+    from scipy.linalg import solve_banded
+    from repro.constants import Q
+    n_nodes = solver.mesh.n_nodes
+    psi_top = v_gate - solver.stack.flatband
+    psi = (np.linspace(psi_top, 0.0, n_nodes) if psi0 is None
+           else np.array(psi0, dtype=float))
+    psi[0], psi[-1] = psi_top, 0.0
+    cond, mask = solver._cond, solver._film_mask
+    volumes = solver._volumes[1:-1]
+    coupling = -(cond[1:] + cond[:-1])
+    for iteration in range(1, solver.MAX_ITERATIONS + 1):
+        n, p, dn, dp = solver._carriers(psi, v_channel)
+        rho = Q * (p - n + solver.stack.net_doping) * mask
+        drho = Q * (dp - dn) * mask
+        flux = cond * (psi[1:] - psi[:-1])
+        f = np.zeros(n_nodes)
+        f[1:-1] = flux[1:] - flux[:-1] + rho[1:-1] * volumes
+        diag = np.ones(n_nodes)
+        diag[1:-1] = coupling + drho[1:-1] * volumes
+        delta = solve_banded((1, 1), _banded(solver._lower[1:], diag,
+                                             solver._upper[:-1]), -f)
+        psi = psi + np.clip(delta, -solver.MAX_UPDATE, solver.MAX_UPDATE)
+        if np.max(np.abs(delta)) < solver.TOLERANCE:
+            return psi, iteration
+    raise AssertionError("reference Newton did not converge")
+
+
+@pytest.mark.parametrize("start", ["cold", "warm"])
+def test_film_only_carriers_equal_full_row_reference(solver, start):
+    v_gate = STACK_GATES if start == "cold" else STACK_GATES + 0.01
+    psi0 = (None if start == "cold"
+            else solver.solve(STACK_GATES, STACK_CHANNELS).psi)
+    stacked = solver.solve(v_gate, STACK_CHANNELS, psi0=psi0)
+    for i, (vg, vc) in enumerate(zip(v_gate.tolist(),
+                                     STACK_CHANNELS.tolist())):
+        psi, iterations = _full_row_reference(
+            solver, vg, vc, psi0=None if psi0 is None else psi0[i])
+        assert np.array_equal(_bits(stacked.psi[i]), _bits(psi))
+        assert stacked.iterations[i] == iterations

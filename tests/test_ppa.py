@@ -110,3 +110,30 @@ def test_comparison_render():
     text = comp.render_metric("delay", scale=1e12, unit="ps")
     assert "C" in text
     assert "avg vs 2D" in text
+
+
+def test_comparison_summary_keys_and_signs():
+    # Two cells, 2-D and 2-ch: the 2-ch rows are faster, smaller and
+    # burn more power, by the same share in both cells.
+    rows = []
+    for cell in ("A", "B"):
+        rows.append(CellPPA(cell, DeviceVariant.TWO_D, delay=10e-12,
+                            power=1e-6, area=2e-14, substrate=4e-14))
+        rows.append(CellPPA(cell, DeviceVariant.MIV_2CH, delay=9e-12,
+                            power=1.2e-6, area=1.7e-14, substrate=3.4e-14))
+    summary = PpaComparison.from_results(rows).summary()
+    assert sorted(summary) == ["2-ch:area", "2-ch:delay", "2-ch:pdp",
+                               "2-ch:power"]
+    assert summary["2-ch:delay"] == pytest.approx(-10.0)
+    assert summary["2-ch:area"] == pytest.approx(-15.0)
+    assert summary["2-ch:power"] == pytest.approx(20.0)
+    assert summary["2-ch:pdp"] == pytest.approx(8.0)  # 0.9 * 1.2 - 1
+
+
+def test_comparison_summary_covers_every_miv_variant():
+    rows = [CellPPA("C", v, 1e-11, 1e-6, 1e-14, 2e-14)
+            for v in DeviceVariant]
+    summary = PpaComparison.from_results(rows).summary()
+    assert len(summary) == 12
+    assert {key.split(":")[0] for key in summary} == {"1-ch", "2-ch", "4-ch"}
+    assert all(change == 0.0 for change in summary.values())

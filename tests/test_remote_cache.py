@@ -6,6 +6,8 @@ actual socket layer, not a mocked transport.
 """
 
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.engine.remote import (
     resolve_remote_cache,
 )
 from repro.engine.stages import StageDef
+from repro.observe import Tracer, activate
 from repro.resilience.breaker import CircuitBreaker
 
 #: An unroutable loopback endpoint (port 9 = discard; nothing listens).
@@ -141,6 +144,51 @@ class TestDegradation:
         assert remote["bytes_stored"] > 0
         assert remote["degraded"] is False
         assert remote["breaker_state"] == "closed"
+
+
+@pytest.fixture()
+def refusing_server():
+    """A stub endpoint answering GET with 403 and PUT with 409."""
+    class Refusing(BaseHTTPRequestHandler):
+        def _answer(self, status):
+            self.send_response(status)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+
+        def do_GET(self):
+            self._answer(403)
+
+        def do_PUT(self):
+            self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            self._answer(409)
+
+        def log_message(self, *args):
+            pass
+
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), Refusing)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{httpd.server_address[1]}"
+    httpd.shutdown()
+    httpd.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+class TestUnexpectedStatus:
+    def test_non_5xx_answers_count_as_errors(self, refusing_server):
+        # Below 500 a status is an answer, not a transport failure: it
+        # reaches the error count without a retry or a breaker trip.
+        remote = _client(refusing_server)
+        tracer = Tracer()
+        with activate(tracer):
+            assert remote.fetch("toy", "k1") is None
+            assert remote.store("toy", "k1", b"{}") is False
+        assert remote.errors == 2
+        assert remote.hits == remote.misses == remote.stores == 0
+        assert not remote.degraded
+        snapshot = tracer.metrics.snapshot()
+        assert snapshot["engine.cache.remote.errors"]["value"] == 2
 
 
 class TestIntegrity:
