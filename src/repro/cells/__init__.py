@@ -18,7 +18,7 @@ from repro.cells.spec import (
 from repro.cells.library import CELL_NAMES, all_cells, get_cell
 from repro.cells.variants import DeviceVariant, ModelSet, extracted_model_set
 from repro.cells.netlist_builder import CellNetlist, Parasitics, build_cell_circuit
-from repro.cells.logic import sensitizing_assignments, truth_table
+from repro.cells.logic import sensitizing_assignments
 from repro.cells.vectors import StimulusPlan, stimulus_plan_for
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "Parasitics",
     "CellNetlist",
     "build_cell_circuit",
-    "truth_table",
     "sensitizing_assignments",
     "StimulusPlan",
     "stimulus_plan_for",

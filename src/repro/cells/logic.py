@@ -1,20 +1,12 @@
-"""Boolean analysis of cells: truth tables and input sensitization."""
+"""Boolean analysis of cells: input sensitization."""
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.errors import CellLibraryError
 from repro.cells.spec import CellSpec
-
-
-def truth_table(spec: CellSpec) -> List[Tuple[Tuple[bool, ...], bool]]:
-    """All (input assignment, output) rows in binary counting order."""
-    rows = []
-    for bits in itertools.product((False, True), repeat=len(spec.inputs)):
-        rows.append((bits, spec.evaluate(dict(zip(spec.inputs, bits)))))
-    return rows
 
 
 def sensitizing_assignments(spec: CellSpec,

@@ -26,16 +26,16 @@ materialises every column to (m, N) for a caller whose bias arrays are
 (m, N), so each ufunc runs one contiguous loop instead of m broadcast
 rows (the MNA assembler's 5·K- and 3·K-point calls).
 :meth:`DeviceColumns.with_rows` gives the R-row set of the extraction's
-rows on one template model, reading every parameter the rows do not
-fit, and every prelude fed only by those, from a table built once per
-template and R.
+(R, k) parameter values on one template model, reading every parameter
+the rows do not fit, and every prelude fed only by those, from a table
+built once per template and R.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from math import copysign
-from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
+from typing import (TYPE_CHECKING, Any, Dict, List, Optional,
                     Sequence, Tuple)
 
 import numpy as np
@@ -136,11 +136,11 @@ class DeviceColumns:
                 setattr(wide, name, _wide(getattr(self, name), width))
         return wide
 
-    def with_rows(self, rows: Sequence[Mapping[str, float]]
+    def with_rows(self, names: Sequence[str], values: np.ndarray
                   ) -> "DeviceColumns":
         """The R-row set of this one-model set (:meth:`alone`), row r
-        holding the parameter values ``rows[r]`` (every row naming the
-        same parameters, each within its bounds: raises
+        holding ``values[r]``, an (R, k) array of the k parameters
+        ``names`` (each within its bounds: raises
         :class:`~repro.errors.ExtractionError` otherwise).
 
         Row r equals, bit for bit, the model with those values alone.
@@ -148,17 +148,15 @@ class DeviceColumns:
         this set's values, built once per R; a prelude that reads none
         of the named parameters is this set's own, computed once.
         """
-        names = list(rows[0])
-        values = np.array([[row[name] for name in names] for row in rows],
-                          dtype=float)
         check_bounds(names, values)
-        shared = self._cache.get(("rows", len(rows)))
+        count = len(values)
+        shared = self._cache.get(("rows", count))
         if shared is None:
-            shared = self._cache["rows", len(rows)] = {
-                name: _read_only(np.full((len(rows), 1), value))
+            shared = self._cache["rows", count] = {
+                name: _read_only(np.full((count, 1), value))
                 for name, value in self.p.items()}
         fitted = set(names)
-        rowset = self._like(self.models * len(rows), {
+        rowset = self._like(self.models * count, {
             **shared, **dict(zip(names, values.T.copy()[:, :, None]))})
         for name, reads in PRELUDE_PARAMETERS.items():
             if fitted.isdisjoint(reads):

@@ -17,14 +17,15 @@ simulator and the extraction flow consume:
 Every entry point evaluates a
 :class:`~repro.compact.columns.DeviceColumns` set through the one
 implementation of the equations below: a model alone is the set of one,
-``rows=`` the set of R parameter rows on this model's geometry, and
-``devices=`` a set of several models, n- and p-devices mixed.
+``rows=(names, values)`` the set of R parameter rows on this model's
+geometry, and ``devices=`` a set of several models, n- and p-devices
+mixed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +44,9 @@ from repro.compact.parameters import (
 from repro.compact.subthreshold import effective_overdrive, ideality_factor
 from repro.compact.threshold import ThresholdModel, threshold_voltage
 from repro.tcad.device import Polarity
+
+#: R parameter rows: k parameter names and their (R, k) values.
+Rows = Tuple[Sequence[str], np.ndarray]
 
 
 @dataclass
@@ -134,27 +138,26 @@ class BsimSoi4Lite:
         return self._threshold.vth(self.p("VTH0"), self.p("DVT0"),
                                    self.p("DVT1"), self.p("ETAB"), vds)
 
-    def _columns(self, rows: Optional[Sequence[Mapping[str, float]]]
-                 ) -> DeviceColumns:
+    def _columns(self, rows: Optional[Rows]) -> DeviceColumns:
         """This model alone, or with each of R parameter rows.  The set
         of one is built once per parameter set and kept, with its
         preludes and its tables for rows."""
         alone = self.__dict__.get("_alone")
         if alone is None or alone.p is not self.params.values:
             alone = self._alone = DeviceColumns.alone(self)
-        return alone if rows is None else alone.with_rows(rows)
+        return alone if rows is None else alone.with_rows(*rows)
 
-    def ids_magnitude(self, vgs, vds,
-                      rows: Optional[Sequence[Mapping[str, float]]] = None
+    def ids_magnitude(self, vgs, vds, rows: Optional[Rows] = None
                       ) -> np.ndarray:
         """|I_D| [A] in magnitude space (vectorised, vds >= 0).
 
-        ``rows`` evaluates R rows of parameter values in one call, each
-        row a ``{name: value}`` mapping of the same names, within their
-        bounds (:class:`~repro.errors.ExtractionError` otherwise): the
-        result gains a leading axis of length R whose row r equals, bit
-        for bit, this model with those values (``with_params(rows[r])``)
-        evaluated alone.
+        ``rows = (names, values)`` evaluates R rows of parameter values
+        in one call: ``values`` is (R, k), column j the values of
+        ``names[j]``, within its bounds
+        (:class:`~repro.errors.ExtractionError` otherwise).  The result
+        gains a leading axis of length R whose row r equals, bit for
+        bit, this model with those values
+        (``with_params(dict(zip(names, values[r])))``) evaluated alone.
         """
         return _ids_magnitude(self._columns(rows), vgs, vds)
 
@@ -192,8 +195,7 @@ class BsimSoi4Lite:
         magnitude = _ids_magnitude(c, vgs_eff, vds_eff)
         return sign * np.where(reverse, -magnitude, magnitude)
 
-    def cgg(self, vg, rows: Optional[Sequence[Mapping[str, float]]] = None
-            ) -> np.ndarray:
+    def cgg(self, vg, rows: Optional[Rows] = None) -> np.ndarray:
         """Total gate capacitance [F] at Vds = 0, magnitude space.
 
         ``rows`` evaluates R rows of parameter values in one call, as in

@@ -1,13 +1,12 @@
 """Physical constants used throughout the device and circuit models.
 
-All values are in SI units.  Temperature-dependent quantities are provided
-as functions of absolute temperature so that every consumer agrees on the
-same physics (the paper uses TNOM = 25 C, i.e. 298.15 K).
+All values are in SI units.  The thermal voltage is a function of
+absolute temperature so that every consumer agrees on the same physics
+(the paper uses TNOM = 25 C, i.e. 298.15 K).  Material properties
+(bandgap, densities of states) live in :mod:`repro.materials`.
 """
 
 from __future__ import annotations
-
-import math
 
 #: Elementary charge [C].
 Q = 1.602176634e-19
@@ -18,23 +17,8 @@ K_B = 1.380649e-23
 #: Vacuum permittivity [F/m].
 EPS_0 = 8.8541878128e-12
 
-#: Planck constant [J s].
-H_PLANCK = 6.62607015e-34
-
-#: Electron rest mass [kg].
-M_0 = 9.1093837015e-31
-
 #: Nominal temperature used by the paper (TNOM = 25 C) [K].
 T_NOM = 298.15
-
-#: Silicon bandgap at 300 K [eV].
-EG_SI_300 = 1.12
-
-#: Silicon effective density of states, conduction band at 300 K [m^-3].
-NC_SI_300 = 2.86e25
-
-#: Silicon effective density of states, valence band at 300 K [m^-3].
-NV_SI_300 = 2.66e25
 
 
 def thermal_voltage(temperature: float = T_NOM) -> float:
@@ -42,29 +26,3 @@ def thermal_voltage(temperature: float = T_NOM) -> float:
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     return K_B * temperature / Q
-
-
-def silicon_bandgap(temperature: float = T_NOM) -> float:
-    """Silicon bandgap [eV] with the Varshni temperature dependence."""
-    if temperature < 0:
-        raise ValueError(f"temperature must be non-negative, got {temperature}")
-    alpha = 4.73e-4  # eV/K
-    beta = 636.0  # K
-    return 1.17 - alpha * temperature * temperature / (temperature + beta)
-
-
-def silicon_intrinsic_density(temperature: float = T_NOM) -> float:
-    """Intrinsic carrier density of silicon [m^-3].
-
-    Uses the effective densities of states scaled with T^{3/2} and the
-    Varshni bandgap.  At 300 K this evaluates to ~1e16 m^-3 (1e10 cm^-3),
-    the textbook value.
-    """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    scale = (temperature / 300.0) ** 1.5
-    nc = NC_SI_300 * scale
-    nv = NV_SI_300 * scale
-    eg = silicon_bandgap(temperature)
-    vt = thermal_voltage(temperature)
-    return math.sqrt(nc * nv) * math.exp(-eg / (2.0 * vt))

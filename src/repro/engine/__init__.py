@@ -5,9 +5,10 @@ extraction, cell transient simulation) is produced by a *task*: a pure
 function identified by a stage name, a JSON-canonical payload and the
 tasks it depends on.  The engine
 
-* fingerprints each task from its stage version, payload and dependency
-  fingerprints (content addressing — two tasks with identical inputs
-  share one artefact, two tasks differing anywhere get distinct ones);
+* fingerprints each task from its stage name, a digest of the package
+  source, its payload and its dependency fingerprints (content
+  addressing — two tasks with identical inputs share one artefact, two
+  tasks differing anywhere, code included, get distinct ones);
 * caches artefacts in memory and, via each stage's codec, in an on-disk
   JSON store (default ``~/.cache/repro``, overridable with the
   ``REPRO_CACHE_DIR`` environment variable), optionally backed by a
@@ -74,7 +75,6 @@ from repro.engine.executor import (
     default_engine,
     reset_default_engine,
     resolve_worker_count,
-    set_default_engine,
 )
 from repro.engine.fingerprint import canonicalize, fingerprint
 from repro.engine.locks import FileLock, resolve_lock_timeout
@@ -142,6 +142,5 @@ __all__ = [
     "resolve_shutdown_grace",
     "resolve_worker_count",
     "run_dir",
-    "set_default_engine",
     "unregister_stage",
 ]

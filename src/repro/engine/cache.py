@@ -127,7 +127,6 @@ class ArtifactCache:
                         and isinstance(record, dict)
                         and record.get("format") == STORE_FORMAT
                         and record.get("stage") == stage.name
-                        and record.get("version") == stage.version
                         and "artifact" in record):
                     try:
                         artifact = stage.decode(record["artifact"])
@@ -146,8 +145,7 @@ class ArtifactCache:
         if self.remote is not None and stage.persistent:
             record = self.remote.fetch(stage.name, key)
             if (record is not None
-                    and record.get("format") == STORE_FORMAT
-                    and record.get("version") == stage.version):
+                    and record.get("format") == STORE_FORMAT):
                 try:
                     artifact = stage.decode(record["artifact"])
                 except Exception:
@@ -210,7 +208,6 @@ class ArtifactCache:
         record = {
             "format": STORE_FORMAT,
             "stage": stage.name,
-            "version": stage.version,
             "key": key,
             "artifact": stage.encode(artifact),
         }

@@ -9,7 +9,7 @@ artefact is content-addressed, the journal does not need to carry data
 longest consistent record prefix (a torn final line is discarded), and
 a resumed run simply re-executes the same graph: completed entries are
 *trusted only through the content-addressed disk cache* (the journal
-says what finished; the cache's fingerprint/format/version validation
+says what finished; the cache's fingerprint and format validation
 says whether the bytes are still good), everything else is recomputed.
 At most the in-flight tasks of the killed process are lost.
 

@@ -1,8 +1,9 @@
 """The engine facade: task graphs in, artefacts out.
 
 ``Engine.run`` takes a list of :class:`Task` descriptions, fingerprints
-them (stage version + payload + dependency fingerprints, so content
-addressing composes through the graph), serves whatever it can from the
+them (stage name + package code digest + payload + dependency
+fingerprints, so content addressing composes through the graph and no
+artefact outlives the code that made it), serves whatever it can from the
 :class:`~repro.engine.cache.ArtifactCache`, and hands the rest to the
 :class:`~repro.engine.scheduler.Scheduler`, which drives a pluggable
 :class:`~repro.engine.backends.ExecutionBackend`:
@@ -59,7 +60,11 @@ from repro.engine.backends import (
 )
 from repro.engine.cache import ArtifactCache
 from repro.engine.durability import CancellationToken, RunJournal
-from repro.engine.fingerprint import combine_fingerprints, fingerprint
+from repro.engine.fingerprint import (
+    code_digest,
+    combine_fingerprints,
+    fingerprint,
+)
 from repro.engine.manifest import RunManifest, TaskFailure
 from repro.engine.scheduler import Scheduler
 from repro.engine.stages import get_stage
@@ -270,12 +275,18 @@ class Engine:
         return order
 
     def task_keys(self, tasks: Sequence[Task]) -> Dict[str, str]:
-        """Content-addressed fingerprint of every task in the graph."""
+        """Content-addressed fingerprint of every task in the graph.
+
+        A key covers the stage, the package source
+        (:func:`~repro.engine.fingerprint.code_digest`), the payload and
+        the dependencies' keys.
+        """
+        code = code_digest()
         keys: Dict[str, str] = {}
         for task in self._topological_order(tasks):
-            stage = get_stage(task.stage)
+            get_stage(task.stage)  # an unknown stage fails before any work
             keys[task.id] = combine_fingerprints(
-                task.stage, str(stage.version), fingerprint(task.payload),
+                task.stage, code, fingerprint(task.payload),
                 *[keys[dep] for dep in task.deps])
         return keys
 
@@ -397,14 +408,15 @@ def default_engine() -> Engine:
     return _DEFAULT_ENGINE
 
 
-def set_default_engine(engine: Optional[Engine]) -> Optional[Engine]:
-    """Swap the default engine (returns the previous one)."""
+def reset_default_engine(engine: Optional[Engine] = None,
+                         ) -> Optional[Engine]:
+    """Swap in ``engine`` as the default and return the previous one.
+
+    With no argument the default is dropped, so the next
+    :func:`default_engine` call builds a fresh one that resolves the
+    environment variables anew.
+    """
     global _DEFAULT_ENGINE
     previous = _DEFAULT_ENGINE
     _DEFAULT_ENGINE = engine
     return previous
-
-
-def reset_default_engine() -> None:
-    """Drop the default engine (a fresh one resolves env vars anew)."""
-    set_default_engine(None)

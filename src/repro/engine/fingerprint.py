@@ -10,6 +10,10 @@ and hashing the compact JSON encoding.
 Floats are serialised through ``repr`` (what :mod:`json` does), which
 round-trips every finite IEEE-754 double exactly — two processes that
 differ in the 17th digit fingerprint differently, as they must.
+
+The code is an input too: :func:`code_digest` hashes the ``repro``
+package source, and every task key folds it in, so an edit anywhere in
+the package makes every cached artefact a miss.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ import enum
 import hashlib
 import json
 import math
+from functools import lru_cache
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -80,4 +86,25 @@ def combine_fingerprints(*parts: str) -> str:
     for part in parts:
         digest.update(part.encode("utf-8"))
         digest.update(b"\x1f")
+    return digest.hexdigest()
+
+
+@lru_cache(maxsize=None)
+def code_digest() -> str:
+    """SHA-256 over the path and bytes of every ``repro`` source file.
+
+    Paths are relative to the package root, so two checkouts of the same
+    code share one digest (and one remote cache).  Computed once per
+    process, on first use.
+    """
+    package = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        relative = path.relative_to(package)
+        if "__pycache__" in relative.parts:
+            continue
+        source = path.read_bytes()
+        digest.update(f"{relative.as_posix()}\0{len(source)}\0"
+                      .encode("utf-8"))
+        digest.update(source)
     return digest.hexdigest()

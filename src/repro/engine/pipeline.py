@@ -182,13 +182,13 @@ def _decode_cell_ppa(data: Dict):
     return CellPPA.from_dict(data)
 
 
-register_stage(STAGE_TARGETS, version=1, compute=_compute_targets,
+register_stage(STAGE_TARGETS, compute=_compute_targets,
                encode=_encode_targets, decode=_decode_targets)
-register_stage(STAGE_EXTRACTION, version=1, compute=_compute_extraction,
+register_stage(STAGE_EXTRACTION, compute=_compute_extraction,
                encode=_encode_extraction, decode=_decode_extraction)
-register_stage(STAGE_MODEL_SET, version=1, compute=_compute_model_set,
+register_stage(STAGE_MODEL_SET, compute=_compute_model_set,
                encode=_encode_model_set, decode=_decode_model_set)
-register_stage(STAGE_CELL_PPA, version=1, compute=_compute_cell_ppa,
+register_stage(STAGE_CELL_PPA, compute=_compute_cell_ppa,
                encode=_encode_cell_ppa, decode=_decode_cell_ppa)
 
 

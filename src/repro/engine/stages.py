@@ -1,4 +1,4 @@
-"""The stage registry: named, versioned artefact producers.
+"""The stage registry: named artefact producers.
 
 A :class:`StageDef` bundles everything the engine needs to compute,
 cache and restore one kind of artefact:
@@ -8,9 +8,10 @@ cache and restore one kind of artefact:
   to their (already materialised) artefacts.
 * ``encode`` / ``decode`` — the JSON codec for the on-disk store.  A
   stage without a codec still caches in memory but is never persisted.
-* ``version`` — bump whenever the compute function (or any physics it
-  calls into) changes behaviour, so stale on-disk artefacts from older
-  code can never be mistaken for current ones.
+
+A stage carries no version of its own: task keys fold in
+:func:`~repro.engine.fingerprint.code_digest`, so any change to the
+package source retires every cached artefact.
 
 Stages register at import time; worker processes re-register them by
 importing the defining module (see ``backends.pool._pool_worker_main``).
@@ -33,10 +34,13 @@ class StageDef:
     """One registered artefact producer."""
 
     name: str
-    version: int
     compute: ComputeFn
     encode: Optional[EncodeFn] = None
     decode: Optional[DecodeFn] = None
+
+    #: Retired slot, always ``None``: the layer trace of the perf
+    #: benchmark reads it and hands it back to :func:`register_stage`.
+    version = None
 
     @property
     def persistent(self) -> bool:
@@ -47,22 +51,30 @@ class StageDef:
 _REGISTRY: Dict[str, StageDef] = {}
 
 
-def register_stage(name: str, version: int, compute: ComputeFn,
+def register_stage(name: str, compute: ComputeFn,
                    encode: Optional[EncodeFn] = None,
                    decode: Optional[DecodeFn] = None,
+                   *retired: Optional[DecodeFn],
                    replace: bool = False) -> StageDef:
     """Register a stage definition under ``name``.
 
     Re-registering an identical name is an error unless ``replace`` is
-    set (used by tests that stub stages out).
+    set (used by tests that stub stages out).  A ``None`` in the
+    ``compute`` place is the retired ``(name, version, compute, encode,
+    decode)`` call shape the perf benchmark's layer trace still uses;
+    the arguments after it shift into place.
     """
+    if compute is None and len(retired) == 1:
+        compute, encode, decode = encode, decode, retired[0]
+    elif retired:
+        raise ReproError(f"stage {name!r}: too many positional arguments")
     if (encode is None) != (decode is None):
         raise ReproError(f"stage {name!r} must define both encode and decode "
                          f"or neither")
     if name in _REGISTRY and not replace:
         raise ReproError(f"stage {name!r} already registered")
-    stage = StageDef(name=name, version=version, compute=compute,
-                     encode=encode, decode=decode)
+    stage = StageDef(name=name, compute=compute, encode=encode,
+                     decode=decode)
     _REGISTRY[name] = stage
     return stage
 

@@ -6,16 +6,18 @@ even though the raw parameters span fifteen orders of magnitude
 (CDSC ~ 1e-4 F/m^2 vs UB ~ 1e-18 m^2/V^2).
 
 Residuals are evaluated over parameter *rows*: a :class:`RowResidual`
-maps R parameter mappings to an (R, m) matrix in one call, so a stage
-makes one compact-model call for all R.  The solver's own evaluations
-are single rows.  Its Jacobian is a 2-point finite difference whose k
-step points run, with x itself, as one (k+1)-row batch.  The steps
+maps the parameter names and an (R, k) array of their values to an
+(R, m) matrix in one call, so a stage makes one compact-model call for
+all R.  The solver's own evaluations are single rows.  Its Jacobian is
+a 2-point finite difference whose k step points run, with x itself, as
+one (k+1)-row batch.  The steps
 follow scipy's ``'2-point'`` rule (relative step 1e-4, bounds [0, 1]):
 the same step sizes, the same flip of a step that would leave the box
 and the same arithmetic and memory layout of J, so the fit takes
 exactly the path of scipy's built-in ``'2-point'`` Jacobian.  The
 tests pin that rule against scipy's ``approx_derivative`` bit for bit.
-A plain ``residual_fn(values) -> array`` is lifted to rows by a loop.
+A plain ``residual_fn({name: value}) -> array`` is lifted to rows by a
+loop.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.compact.parameters import PARAMETER_SPECS, ParameterSet
 from repro.observe import EVALUATION_BUCKETS, get_tracer
 
 ResidualFn = Callable[[Dict[str, float]], np.ndarray]
-RowsFn = Callable[[Sequence[Dict[str, float]]], np.ndarray]
+RowsFn = Callable[[Sequence[str], np.ndarray], np.ndarray]
 
 #: Relative finite-difference step of the Jacobian (scipy ``rel_step``).
 JACOBIAN_REL_STEP = 1e-4
@@ -42,24 +44,18 @@ _FALLBACK_REL_STEP = np.finfo(np.float64).eps ** 0.5
 
 @dataclass(frozen=True)
 class RowResidual:
-    """A residual over parameter rows: R value mappings -> (R, m) array.
-
-    Calling it with one mapping evaluates that single row, so it also
-    serves wherever a plain residual function does.
-    """
+    """A residual over parameter rows: ``rows(names, values)`` maps the
+    (R, k) values of the k parameters ``names`` to an (R, m) array."""
 
     rows: RowsFn
-
-    def __call__(self, values: Dict[str, float]) -> np.ndarray:
-        return self.rows([values])[0]
 
 
 def _lifted(residual_fn: ResidualFn) -> RowsFn:
     """A plain residual function evaluated row by row."""
-    def rows(values: Sequence[Dict[str, float]]) -> np.ndarray:
-        return np.array([np.atleast_1d(np.asarray(residual_fn(v),
-                                                  dtype=float))
-                         for v in values])
+    def rows(names: Sequence[str], values: np.ndarray) -> np.ndarray:
+        return np.array([np.atleast_1d(np.asarray(
+            residual_fn(dict(zip(names, row))), dtype=float))
+            for row in values])
     return rows
 
 
@@ -96,8 +92,7 @@ class UnitBoxObjective:
     def evaluate(self, xs: np.ndarray) -> np.ndarray:
         """Residual rows, shape (R, m), at R normalised points (R, k)."""
         self.rows += len(xs)
-        residuals = self._rows([dict(zip(self.names, row))
-                                for row in self.values(xs)])
+        residuals = self._rows(self.names, self.values(xs))
         if not np.all(np.isfinite(residuals)):
             # Penalise non-finite model output instead of crashing TRF.
             residuals = np.nan_to_num(residuals, nan=1e3,

@@ -15,7 +15,7 @@ residual vector from the relevant target curves:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -33,21 +33,17 @@ from repro.extraction.targets import DeviceTargets
 
 @dataclass(frozen=True)
 class ExtractionStage:
-    """One stage: a name, its fit parameters, and a residual builder."""
+    """One stage: a name, its fit parameters, and its residuals.
+
+    ``residual_fn(template, targets)`` binds the stage residuals to a
+    model template and targets: a :class:`RowResidual` mapping R rows of
+    values of the fit parameters to an (R, m) residual matrix with one
+    model call.
+    """
 
     name: str
     parameter_names: List[str]
-    residual_builder: Callable[[BsimSoi4Lite, DeviceTargets], RowResidual]
-
-    def residual_fn(self, model: BsimSoi4Lite,
-                    targets: DeviceTargets) -> RowResidual:
-        """Bind the stage residuals to a model template and targets.
-
-        The result maps R ``{name: value}`` updates of the template's
-        parameters to an (R, m) residual matrix with one model call;
-        called with a single mapping it returns that row.
-        """
-        return self.residual_builder(model, targets)
+    residual_fn: Callable[[BsimSoi4Lite, DeviceTargets], RowResidual]
 
 
 def _low_drain_builder(model: BsimSoi4Lite,
@@ -55,8 +51,9 @@ def _low_drain_builder(model: BsimSoi4Lite,
     curve = targets.idvg_lin
     reference = ReferenceCurve(curve.i)
 
-    def residuals(rows: Sequence[Dict[str, float]]) -> np.ndarray:
-        sim = model.ids_magnitude(curve.v, curve.fixed_bias, rows=rows)
+    def residuals(names: Sequence[str], values: np.ndarray) -> np.ndarray:
+        sim = model.ids_magnitude(curve.v, curve.fixed_bias,
+                                  rows=(names, values))
         return reference.mixed(sim, log_weight=0.6)
 
     return RowResidual(residuals)
@@ -82,12 +79,13 @@ def _high_drain_builder(model: BsimSoi4Lite,
     incoming = [(name, model.p(name)) for name in ("U0", "UA")
                 if model.p(name) > 0]
 
-    def tether(values: Dict[str, float]) -> List[float]:
-        return [2.0 * np.log(max(values.get(n, v), 1e-12) / max(v, 1e-12))
+    def tether(names: Sequence[str], row: np.ndarray) -> List[float]:
+        return [2.0 * np.log(max(row[names.index(n)] if n in names else v,
+                                 1e-12) / max(v, 1e-12))
                 for n, v in incoming]
 
-    def residuals(rows: Sequence[Dict[str, float]]) -> np.ndarray:
-        sim = model.ids_magnitude(vgs, vds, rows=rows)
+    def residuals(names: Sequence[str], values: np.ndarray) -> np.ndarray:
+        sim = model.ids_magnitude(vgs, vds, rows=(names, values))
         curves = [sim[:, a:b] for a, b in zip(edges[:-1], edges[1:])]
         parts = [references[0].mixed(curves[0], log_weight=0.6)]
         # Keep a light anchor on the low-drain curve so the linear region
@@ -95,8 +93,8 @@ def _high_drain_builder(model: BsimSoi4Lite,
         parts.append(0.5 * references[1].relative(curves[1]))
         parts.extend(reference.relative(curve) for reference, curve
                      in zip(references[2:], curves[2:]))
-        parts.append(np.reshape([tether(values) for values in rows],
-                                (len(rows), len(incoming))))
+        parts.append(np.reshape([tether(names, row) for row in values],
+                                (len(values), len(incoming))))
         return np.concatenate(parts, axis=1)
 
     return RowResidual(residuals)
@@ -107,8 +105,8 @@ def _capacitance_builder(model: BsimSoi4Lite,
     curve = targets.cv
     reference = ReferenceCurve(curve.c)
 
-    def residuals(rows: Sequence[Dict[str, float]]) -> np.ndarray:
-        sim = model.cgg(curve.v, rows=rows)
+    def residuals(names: Sequence[str], values: np.ndarray) -> np.ndarray:
+        sim = model.cgg(curve.v, rows=(names, values))
         return reference.relative(sim)
 
     return RowResidual(residuals)

@@ -34,6 +34,15 @@ class PpaComparison:
         """Cells present, sorted."""
         return sorted(self.results)
 
+    @property
+    def miv_variants(self) -> List[DeviceVariant]:
+        """MIV variants present in any cell, in :class:`DeviceVariant`
+        order (the 2-D baseline is never among them)."""
+        present = {v for by_variant in self.results.values()
+                   for v in by_variant}
+        return [v for v in DeviceVariant
+                if v in present and v is not DeviceVariant.TWO_D]
+
     def value(self, cell: str, variant: DeviceVariant, metric: str) -> float:
         """Raw metric value."""
         if metric not in METRICS:
@@ -65,9 +74,9 @@ class PpaComparison:
     # ------------------------------------------------------------------
     def render_metric(self, metric: str, scale: float = 1.0,
                       unit: str = "") -> str:
-        """Per-cell table of one metric across implementations."""
-        order = (DeviceVariant.TWO_D, DeviceVariant.MIV_1CH,
-                 DeviceVariant.MIV_2CH, DeviceVariant.MIV_4CH)
+        """Per-cell table of one metric: the 2-D baseline, then each MIV
+        variant present."""
+        order = [DeviceVariant.TWO_D] + self.miv_variants
         lines = ["\t".join(["Cell"] + [v.value for v in order] +
                            [f"({unit})" if unit else ""])]
         for cell in self.cell_names:
@@ -76,7 +85,7 @@ class PpaComparison:
                 row.append(f"{self.value(cell, variant, metric) * scale:.4g}")
             lines.append("\t".join(row))
         avg = ["avg vs 2D", "-"]
-        for variant in order[1:]:
+        for variant in self.miv_variants:
             avg.append(f"{self.average_change_percent(variant, metric):+.1f}%")
         lines.append("\t".join(avg))
         return "\n".join(lines)
@@ -84,13 +93,8 @@ class PpaComparison:
     def summary(self) -> Dict[str, float]:
         """The paper's headline numbers, as percent changes vs 2-D, for
         each MIV variant the comparison holds."""
-        present = {v for by_variant in self.results.values()
-                   for v in by_variant}
         out: Dict[str, float] = {}
-        for variant in (DeviceVariant.MIV_1CH, DeviceVariant.MIV_2CH,
-                        DeviceVariant.MIV_4CH):
-            if variant not in present:
-                continue
+        for variant in self.miv_variants:
             for metric in ("delay", "power", "area", "pdp"):
                 key = f"{variant.value}:{metric}"
                 out[key] = self.average_change_percent(variant, metric)

@@ -201,32 +201,6 @@ def run_concurrent_flows(argvs: Sequence[Sequence[str]],
                 proc.wait()
 
 
-def wait_for_journal(cache_dir: os.PathLike, run_id: str,
-                     min_tasks: int = 0,
-                     timeout: float = DEFAULT_TIMEOUT_S,
-                     proc: Optional[subprocess.Popen] = None) -> bool:
-    """Wait until a run's journal exists with >= ``min_tasks`` records.
-
-    The way a chaos test synchronises signal delivery with run
-    progress: "SIGTERM it once task 2 has landed" is deterministic,
-    "SIGTERM it after 2.5 seconds" races interpreter start-up.
-    Returns False on timeout or when ``proc`` exits first.
-    """
-    from repro.engine.durability import (JournalState, RunJournal,
-                                         replay_journal, run_dir)
-    path = run_dir(cache_dir, run_id) / RunJournal.FILENAME
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if proc is not None and proc.poll() is not None:
-            return False
-        if path.is_file():
-            state = JournalState.from_records(replay_journal(path))
-            if state.begun and len(state.tasks) >= min_tasks:
-                return True
-        time.sleep(0.02)
-    return False
-
-
 def terminate_gracefully(proc: subprocess.Popen,
                          after_s: float = 0.0,
                          sig: int = signal.SIGTERM,
@@ -254,90 +228,6 @@ class ChaosReport:
     @property
     def completed(self) -> bool:
         return bool(self.outcomes) and self.outcomes[-1].returncode == 0
-
-
-# ----------------------------------------------------------------------
-# server chaos: drive real ``python -m repro.serve`` subprocesses
-# ----------------------------------------------------------------------
-def serve_argv(port: int,
-               queue: Optional[int] = None,
-               workers: Optional[int] = None,
-               tenant_rps: Optional[float] = None,
-               tenant_burst: Optional[float] = None,
-               grace: Optional[float] = None,
-               extra: Sequence[str] = ()) -> List[str]:
-    """``python -m repro.serve ...`` argv for a chaos server."""
-    argv = [sys.executable, "-m", "repro.serve", "--port", str(port)]
-    if queue is not None:
-        argv += ["--queue", str(queue)]
-    if workers is not None:
-        argv += ["--workers", str(workers)]
-    if tenant_rps is not None:
-        argv += ["--tenant-rps", str(tenant_rps)]
-    if tenant_burst is not None:
-        argv += ["--tenant-burst", str(tenant_burst)]
-    if grace is not None:
-        argv += ["--grace", str(grace)]
-    argv += list(extra)
-    return argv
-
-
-def spawn_server(argv: Sequence[str],
-                 env: Dict[str, str]) -> subprocess.Popen:
-    """Start a service invocation (same stream/session handling as
-    :func:`spawn_flow`); pair with :func:`wait_for_server`."""
-    return spawn_flow(argv, env)
-
-
-def wait_for_server(port: int,
-                    proc: Optional[subprocess.Popen] = None,
-                    host: str = "127.0.0.1",
-                    timeout: float = 30.0) -> bool:
-    """Poll ``/healthz`` until the server answers (False on timeout
-    or when ``proc`` exits first)."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if proc is not None and proc.poll() is not None:
-            return False
-        try:
-            status, _, _ = http_request(
-                "GET", f"http://{host}:{port}/healthz", timeout=1.0)
-            if status == 200:
-                return True
-        except OSError:
-            pass
-        time.sleep(0.05)
-    return False
-
-
-def http_request(method: str, url: str,
-                 body: Optional[dict] = None,
-                 headers: Optional[Dict[str, str]] = None,
-                 timeout: float = DEFAULT_TIMEOUT_S):
-    """One JSON request -> ``(status, payload, headers)``.
-
-    Error statuses (4xx/5xx) are returned, not raised — chaos tests
-    assert on them.  Connection-level failures raise ``OSError``.
-    """
-    import json
-    import urllib.error
-    import urllib.request
-
-    data = None
-    if body is not None:
-        data = json.dumps(body).encode("utf-8")
-    request = urllib.request.Request(url, data=data, method=method,
-                                     headers=dict(headers or {}))
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as resp:
-            return resp.status, json.load(resp), dict(resp.headers)
-    except urllib.error.HTTPError as exc:
-        with exc:
-            try:
-                payload = json.load(exc)
-            except ValueError:
-                payload = {}
-        return exc.code, payload, dict(exc.headers or {})
 
 
 def run_until_complete(make_argv, env: Dict[str, str],

@@ -1,4 +1,4 @@
-"""Shared fixtures.
+"""Shared fixtures and helpers.
 
 Expensive artefacts (TCAD characterisation, extraction, cell transients)
 are session-scoped and shared across test modules; everything else is
@@ -7,6 +7,11 @@ cheap enough to build per test.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import time
+from typing import Optional
+
 import pytest
 
 pytest_plugins = ("repro.verify.plugin",)
@@ -14,11 +19,42 @@ pytest_plugins = ("repro.verify.plugin",)
 from repro.cells.variants import DeviceVariant, extracted_model_set
 from repro.engine import reset_default_engine
 from repro.engine.cache import CACHE_DIR_ENV
+from repro.engine.durability import (
+    JournalState,
+    RunJournal,
+    replay_journal,
+    run_dir,
+)
 from repro.extraction.flow import ExtractionFlow
 from repro.extraction.targets import cached_targets
 from repro.geometry.process import DEFAULT_PROCESS
 from repro.geometry.transistor_layout import ChannelCount
+from repro.resilience.chaos import DEFAULT_TIMEOUT_S
 from repro.tcad.device import Polarity, design_for_variant
+
+
+def wait_for_journal(cache_dir: os.PathLike, run_id: str,
+                     min_tasks: int = 0,
+                     timeout: float = DEFAULT_TIMEOUT_S,
+                     proc: Optional[subprocess.Popen] = None) -> bool:
+    """Wait until a run's journal exists with >= ``min_tasks`` records.
+
+    The way a chaos test synchronises signal delivery with run
+    progress: "SIGTERM it once task 2 has landed" is deterministic,
+    "SIGTERM it after 2.5 seconds" races interpreter start-up.
+    Returns False on timeout or when ``proc`` exits first.
+    """
+    path = run_dir(cache_dir, run_id) / RunJournal.FILENAME
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if proc is not None and proc.poll() is not None:
+            return False
+        if path.is_file():
+            state = JournalState.from_records(replay_journal(path))
+            if state.begun and len(state.tasks) >= min_tasks:
+                return True
+        time.sleep(0.02)
+    return False
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -29,7 +65,6 @@ def _hermetic_engine_cache(tmp_path_factory):
     to) the user-level ``~/.cache/repro`` store, while the disk layer
     itself still gets exercised.
     """
-    import os
     previous = os.environ.get(CACHE_DIR_ENV)
     os.environ[CACHE_DIR_ENV] = str(tmp_path_factory.mktemp("engine-cache"))
     reset_default_engine()

@@ -81,4 +81,4 @@ def test_backend_env_selects_backend(monkeypatch, recwarn):
 
 
 def test_version_bumped():
-    assert repro.__version__ == "1.21.0"
+    assert repro.__version__ == "1.22.0"

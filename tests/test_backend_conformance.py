@@ -53,10 +53,10 @@ def _stages(monkeypatch):
     monkeypatch.delenv("REPRO_TASK_RETRIES", raising=False)
     monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
     clear_faults()
-    register_stage("conf_add", version=1, compute=_add,
+    register_stage("conf_add", compute=_add,
                    encode=lambda a: a, decode=lambda d: d, replace=True)
-    register_stage("conf_fail", version=1, compute=_fail, replace=True)
-    register_stage("conf_nap", version=1, compute=_nap, replace=True)
+    register_stage("conf_fail", compute=_fail, replace=True)
+    register_stage("conf_nap", compute=_nap, replace=True)
     yield
     clear_faults()
     unregister_stage("conf_add")

@@ -11,8 +11,8 @@ from repro.engine.locks import HAVE_LOCKS
 from repro.engine.stages import StageDef
 
 
-def _stage(name="toy", version=1):
-    return StageDef(name=name, version=version,
+def _stage(name="toy"):
+    return StageDef(name=name,
                     compute=lambda payload, deps: None,
                     encode=lambda art: {"value": art["value"]},
                     decode=lambda data: {"value": data["value"]})

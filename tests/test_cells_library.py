@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from repro.cells.library import CELL_NAMES, all_cells, get_cell
-from repro.cells.logic import truth_table
 from repro.errors import CellLibraryError
 
 #: Reference logic functions (positional args in cell input order).
@@ -51,6 +50,13 @@ def test_truth_table_matches_reference(name):
         expected = bool(reference(*bits))
         measured = cell.evaluate(dict(zip(cell.inputs, bits)))
         assert measured == expected, f"{name}{bits}"
+
+
+def truth_table(spec):
+    """All (input assignment, output) rows in binary counting order."""
+    return [(bits, spec.evaluate(dict(zip(spec.inputs, bits))))
+            for bits in itertools.product((False, True),
+                                          repeat=len(spec.inputs))]
 
 
 @pytest.mark.parametrize("name", CELL_NAMES)

@@ -21,6 +21,7 @@ from repro.engine.manifest import (
 )
 from repro.flows.durable import MANIFEST_FILENAME
 from repro.resilience import chaos
+from tests.conftest import wait_for_journal
 
 pytestmark = [pytest.mark.chaos, pytest.mark.slow]
 
@@ -91,8 +92,8 @@ def test_sigterm_drains_and_exits_75(tmp_path):
                           extra={"REPRO_SHUTDOWN_GRACE": "5.0"})
     proc = chaos.spawn_flow(chaos.flow_argv(run_id=run_id, workers=1),
                             env)
-    assert chaos.wait_for_journal(tmp_path, run_id, min_tasks=2,
-                                  proc=proc), "flow never reached task 2"
+    assert wait_for_journal(tmp_path, run_id, min_tasks=2,
+                            proc=proc), "flow never reached task 2"
     outcome = chaos.terminate_gracefully(proc)
     assert outcome.returncode == EXIT_INTERRUPTED, outcome.stderr
     assert "resume" in outcome.stderr  # the hint names the run id

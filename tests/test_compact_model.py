@@ -317,18 +317,18 @@ def test_rows_equal_each_row_alone_bitwise(nmos, names):
     each row still equals the model with that row's values alone."""
     from repro.compact.parameters import PARAMETER_SPECS
     rng = np.random.default_rng(len(names))
-    rows = [{name: float(rng.uniform(PARAMETER_SPECS[name].lower,
-                                     PARAMETER_SPECS[name].upper))
-             for name in names} for _ in range(4)]
+    values = np.array([[rng.uniform(PARAMETER_SPECS[name].lower,
+                                    PARAMETER_SPECS[name].upper)
+                        for name in names] for _ in range(4)])
     if "UD" in names:
-        rows[0]["UD"] = 0.0
-        rows[1]["UCS"] = 2.0
+        values[0, names.index("UD")] = 0.0
+        values[1, names.index("UCS")] = 2.0
     vgs = np.linspace(-0.2, 1.2, 15)
-    ids = nmos.ids_magnitude(vgs, 0.05, rows=rows)
-    cgg = nmos.cgg(vgs, rows=rows)
-    again = nmos.ids_magnitude(vgs, 1.0, rows=rows[:2])
-    for r, values in enumerate(rows):
-        alone = nmos.with_params(values)
+    ids = nmos.ids_magnitude(vgs, 0.05, rows=(names, values))
+    cgg = nmos.cgg(vgs, rows=(names, values))
+    again = nmos.ids_magnitude(vgs, 1.0, rows=(names, values[:2]))
+    for r in range(len(values)):
+        alone = nmos.with_params(dict(zip(names, values[r])))
         assert _bits(ids[r]) == _bits(alone.ids_magnitude(vgs, 0.05))
         assert _bits(cgg[r]) == _bits(alone.cgg(vgs))
         if r < 2:
@@ -338,6 +338,7 @@ def test_rows_equal_each_row_alone_bitwise(nmos, names):
 def test_rows_are_bounds_checked(nmos):
     from repro.errors import ExtractionError
     with pytest.raises(ExtractionError, match="outside bounds"):
-        nmos.ids_magnitude(0.5, 0.05, rows=[{"U0": 0.02}, {"U0": 1e3}])
+        nmos.ids_magnitude(0.5, 0.05,
+                           rows=(["U0"], np.array([[0.02], [1e3]])))
     with pytest.raises(ExtractionError, match="unknown parameter"):
-        nmos.cgg(0.5, rows=[{"NOPE": 1.0}])
+        nmos.cgg(0.5, rows=(["NOPE"], np.array([[1.0]])))

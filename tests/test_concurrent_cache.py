@@ -30,7 +30,7 @@ def compute(payload, deps):
     COMPUTED.append(payload["value"])
     return payload["value"] * 2
 
-register_stage("toy_conc", version=1, compute=compute,
+register_stage("toy_conc", compute=compute,
                encode=lambda a: a, decode=lambda d: d, replace=True)
 
 cache_dir, out_path = sys.argv[1], sys.argv[2]

@@ -1,7 +1,5 @@
 """Physical-constants sanity."""
 
-import math
-
 import pytest
 
 from repro import constants
@@ -28,47 +26,7 @@ def test_thermal_voltage_rejects_nonpositive_temperature():
         constants.thermal_voltage(-10.0)
 
 
-def test_silicon_bandgap_at_300k():
-    assert constants.silicon_bandgap(300.0) == pytest.approx(1.12, abs=0.01)
-
-
-def test_silicon_bandgap_decreases_with_temperature():
-    assert (constants.silicon_bandgap(400.0) <
-            constants.silicon_bandgap(300.0))
-
-
-def test_silicon_bandgap_at_zero_kelvin():
-    assert constants.silicon_bandgap(0.0) == pytest.approx(1.17)
-
-
-def test_intrinsic_density_at_300k_is_textbook():
-    ni = constants.silicon_intrinsic_density(300.0)
-    # ~1e10 cm^-3 = 1e16 m^-3 within a factor ~2 of the textbook value.
-    assert 3e15 < ni < 3e16
-
-
-def test_intrinsic_density_strongly_increases_with_temperature():
-    ratio = (constants.silicon_intrinsic_density(350.0) /
-             constants.silicon_intrinsic_density(300.0))
-    assert ratio > 10
-
-
-def test_intrinsic_density_rejects_bad_temperature():
-    with pytest.raises(ValueError):
-        constants.silicon_intrinsic_density(-1.0)
-
-
 def test_fundamental_constants_values():
     assert constants.Q == pytest.approx(1.602e-19, rel=1e-3)
     assert constants.K_B == pytest.approx(1.381e-23, rel=1e-3)
     assert constants.EPS_0 == pytest.approx(8.854e-12, rel=1e-3)
-
-
-def test_intrinsic_density_consistent_with_bandgap():
-    # n_i^2 = Nc Nv exp(-Eg/kT) at 300 K.
-    ni = constants.silicon_intrinsic_density(300.0)
-    vt = constants.thermal_voltage(300.0)
-    eg = constants.silicon_bandgap(300.0)
-    expected = math.sqrt(constants.NC_SI_300 * constants.NV_SI_300) * \
-        math.exp(-eg / (2 * vt))
-    assert ni == pytest.approx(expected, rel=1e-6)

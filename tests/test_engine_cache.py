@@ -1,18 +1,23 @@
 """The two-layer artifact cache: memory identity, disk round-trips,
-version invalidation and directory resolution."""
+entry validation and directory resolution."""
 
 import json
 
 import pytest
 
-from repro.engine.cache import CACHE_DIR_ENV, ArtifactCache, resolve_cache_dir
+from repro.engine.cache import (
+    CACHE_DIR_ENV,
+    STORE_FORMAT,
+    ArtifactCache,
+    resolve_cache_dir,
+)
 from repro.engine.stages import StageDef
 
 
-def _stage(version=1, persistent=True):
+def _stage(persistent=True):
     codec = dict(encode=lambda art: {"value": art["value"]},
                  decode=lambda data: {"value": data["value"]})
-    return StageDef(name="toy", version=version,
+    return StageDef(name="toy",
                     compute=lambda payload, deps: None,
                     **(codec if persistent else {}))
 
@@ -37,14 +42,6 @@ def test_disk_layer_roundtrips_across_instances(tmp_path):
     again, layer2 = fresh.get("k1", stage)
     assert layer2 == "memory"
     assert again is hit
-
-
-def test_stage_version_bump_invalidates_disk_artifacts(tmp_path):
-    ArtifactCache(cache_dir=tmp_path).put("k1", _stage(version=1),
-                                          {"value": 1.0})
-    hit, layer = ArtifactCache(cache_dir=tmp_path).get("k1",
-                                                       _stage(version=2))
-    assert hit is None and layer is None
 
 
 def test_corrupt_disk_entry_is_a_miss_not_an_error(tmp_path):
@@ -116,11 +113,15 @@ def test_unreadable_entry_is_miss_without_quarantine_crash(tmp_path):
 
 
 def test_stale_version_entry_is_quarantined_once(tmp_path):
-    path = _write_entry(tmp_path)
+    # An entry of an older store-format version is stale: one lookup
+    # quarantines it, the next is a clean miss.
+    path = _write_entry(tmp_path, format=STORE_FORMAT - 1)
     cache = ArtifactCache(cache_dir=tmp_path)
-    hit, layer = cache.get("k1", _stage(version=2))
+    hit, layer = cache.get("k1", _stage())
     assert hit is None and layer is None
     assert not path.exists()
+    assert cache.corrupt == 1
+    assert cache.get("k1", _stage()) == (None, None)
     assert cache.corrupt == 1
 
 
@@ -160,10 +161,8 @@ def test_disk_store_is_valid_json_with_metadata(tmp_path):
     stage = _stage()
     ArtifactCache(cache_dir=tmp_path).put("deadbeef", stage, {"value": 2.5})
     record = json.loads((tmp_path / "toy" / "deadbeef.json").read_text())
-    assert record["stage"] == "toy"
-    assert record["version"] == 1
-    assert record["key"] == "deadbeef"
-    assert record["artifact"] == {"value": 2.5}
+    assert record == {"format": STORE_FORMAT, "stage": "toy",
+                      "key": "deadbeef", "artifact": {"value": 2.5}}
 
 
 def test_stats_counters(tmp_path):

@@ -10,7 +10,6 @@ from repro.engine import (
     register_stage,
     reset_default_engine,
     resolve_worker_count,
-    set_default_engine,
     unregister_stage,
 )
 from repro.errors import ReproError
@@ -26,9 +25,9 @@ def _fail(payload, deps):
 
 @pytest.fixture(autouse=True)
 def _toy_stages():
-    register_stage("toy_add", version=1, compute=_add,
+    register_stage("toy_add", compute=_add,
                    encode=lambda a: a, decode=lambda d: d, replace=True)
-    register_stage("toy_fail", version=1, compute=_fail, replace=True)
+    register_stage("toy_fail", compute=_fail, replace=True)
     yield
     unregister_stage("toy_add")
     unregister_stage("toy_fail")
@@ -148,6 +147,23 @@ def test_dependency_key_change_invalidates_dependent(tmp_path):
     assert keys1["b"] != keys2["b"]
 
 
+def test_register_stage_accepts_the_retired_version_slot():
+    # The perf benchmark's layer trace re-registers stages in the old
+    # ``(name, version, compute, encode, decode)`` shape.
+    stage = register_stage("toy_slot", compute=_add, encode=float,
+                           decode=float)
+    try:
+        assert stage.version is None
+        again = register_stage(stage.name, stage.version, stage.compute,
+                               stage.encode, stage.decode, replace=True)
+        assert again == stage
+        with pytest.raises(ReproError, match="positional"):
+            register_stage("toy_slot", _add, float, float, float,
+                           replace=True)
+    finally:
+        unregister_stage("toy_slot")
+
+
 def test_parallel_run_matches_serial(tmp_path):
     tasks = [Task(id=f"t{i}", stage="toy_add", payload={"value": i})
              for i in range(6)]
@@ -204,12 +220,13 @@ def test_worker_count_resolution(monkeypatch):
 def test_default_engine_swap_and_reset():
     original = default_engine()
     replacement = Engine(backend="serial", use_disk=False)
-    previous = set_default_engine(replacement)
+    previous = reset_default_engine(replacement)
     try:
+        assert previous is original
         assert default_engine() is replacement
     finally:
-        set_default_engine(previous)
+        reset_default_engine(previous)
     assert default_engine() is original
-    reset_default_engine()
+    assert reset_default_engine() is original
     assert default_engine() is not original
-    set_default_engine(original)
+    reset_default_engine(original)

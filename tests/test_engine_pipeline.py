@@ -6,8 +6,16 @@ content-addressed on the full process record, so two different
 processes can never share curves or models.
 """
 
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cells.netlist_builder import Parasitics
 from repro.cells.variants import DeviceVariant, ModelSet
 from repro.engine import default_engine
@@ -128,6 +136,50 @@ def test_full_grid_task_count():
     # 5 devices (4 n-type + shared trad p) x 2 (targets+extract)
     # + 4 model sets + 8 ppa points
     assert len(merged) == 5 * 2 + 4 + 8
+
+
+# ----------------------------------------------------------------------
+# keys cover the code: a source edit retires every artefact
+# ----------------------------------------------------------------------
+#: Prints the INV1X1 / 2D chain's six task keys as JSON; runs no task.
+KEYS_SCRIPT = """
+import json
+from repro.cells.variants import DeviceVariant
+from repro.engine import Engine
+from repro.engine.pipeline import cell_ppa_tasks
+_, tasks = cell_ppa_tasks("INV1X1", DeviceVariant.TWO_D)
+print(json.dumps(Engine(backend="serial", use_disk=False).task_keys(tasks)))
+"""
+
+
+def _chain_keys(src: Path):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(src)
+    out = subprocess.run([sys.executable, "-B", "-c", KEYS_SCRIPT],
+                         env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    return json.loads(out.stdout)
+
+
+def test_source_edit_changes_every_task_key(tmp_path):
+    package = Path(repro.__file__).parent
+    trees = {}
+    for name in ("same", "edited"):
+        trees[name] = tmp_path / name
+        shutil.copytree(package, trees[name] / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    device = trees["edited"] / "repro" / "tcad" / "device.py"
+    source = device.read_text()
+    assert "\nSD_SHEET_RESISTANCE = 500.0\n" in source
+    device.write_text(source.replace("\nSD_SHEET_RESISTANCE = 500.0\n",
+                                     "\nSD_SHEET_RESISTANCE = 510.0\n"))
+
+    keys = _chain_keys(package.parent)
+    assert len(keys) == 6
+    assert _chain_keys(trees["same"]) == keys   # the path is not keyed
+    edited = _chain_keys(trees["edited"])
+    assert edited.keys() == keys.keys()
+    assert all(edited[task] != keys[task] for task in keys)
 
 
 # ----------------------------------------------------------------------

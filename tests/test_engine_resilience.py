@@ -34,10 +34,10 @@ def _stages(monkeypatch):
     monkeypatch.delenv("REPRO_TASK_RETRIES", raising=False)
     monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
     clear_faults()
-    register_stage("toy_add", version=1, compute=_add,
+    register_stage("toy_add", compute=_add,
                    encode=lambda a: a, decode=lambda d: d, replace=True)
-    register_stage("toy_fail", version=1, compute=_fail, replace=True)
-    register_stage("toy_nap", version=1, compute=_nap, replace=True)
+    register_stage("toy_fail", compute=_fail, replace=True)
+    register_stage("toy_nap", compute=_nap, replace=True)
     yield
     clear_faults()
     unregister_stage("toy_add")

@@ -169,8 +169,8 @@ def test_engine_records_codes_on_task_failures():
     def _timeout(payload, deps):
         raise errors.TaskTimeoutError("too slow")
 
-    register_stage("taxonomy_fail", version=1, compute=_boom, replace=True)
-    register_stage("taxonomy_slow", version=1, compute=_timeout,
+    register_stage("taxonomy_fail", compute=_boom, replace=True)
+    register_stage("taxonomy_slow", compute=_timeout,
                    replace=True)
     try:
         run = Engine().run(

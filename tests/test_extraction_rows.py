@@ -128,14 +128,18 @@ def test_row_residuals_match_per_curve_oracle(request, stage_name,
     # UA = 0 drops UA's high-drain tether: the tether block narrows
     template = _template(targets, **({"UA": 0.0} if untethered_ua else {}))
     residual = stage.residual_fn(template, targets)
-    rows = _rows(stage.parameter_names, seed=len(stage_name))
+    names = stage.parameter_names
+    rows = _rows(names, seed=len(stage_name))
 
-    batch = residual.rows(rows)
+    batch = residual.rows(names, np.array([[row[name] for name in names]
+                                           for row in rows]))
     assert batch.shape[0] == len(rows)
     for r, values in enumerate(rows):
         want = oracle(template, targets, values)
         assert _same_bits(batch[r], want), (stage_name, r, values)
-        assert _same_bits(residual(values), want)
+        single = residual.rows(names, np.array([[values[name]
+                                                 for name in names]]))
+        assert _same_bits(single[0], want)
 
 
 def test_rows_cover_the_scalar_exponent_cases():

@@ -112,6 +112,17 @@ def test_comparison_render():
     assert "avg vs 2D" in text
 
 
+def test_comparison_render_partial():
+    # A 2D + 2-ch comparison renders the columns it holds.
+    rows = [CellPPA("C", v, 1e-11, 1e-6, 1e-14, 2e-14)
+            for v in (DeviceVariant.TWO_D, DeviceVariant.MIV_2CH)]
+    comp = PpaComparison.from_results(rows)
+    assert comp.miv_variants == [DeviceVariant.MIV_2CH]
+    lines = comp.render_metric("delay", scale=1e12, unit="ps").splitlines()
+    assert lines == ["Cell\t2D\t2-ch\t(ps)", "C\t10\t10",
+                     "avg vs 2D\t-\t+0.0%"]
+
+
 def test_comparison_summary_keys_and_signs():
     # Two cells, 2-D and 2-ch: the 2-ch rows are faster, smaller and
     # burn more power, by the same share in both cells.

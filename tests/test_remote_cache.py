@@ -26,10 +26,10 @@ from repro.resilience.breaker import CircuitBreaker
 DEAD_URL = "http://127.0.0.1:9"
 
 
-def _stage(version=1):
+def _stage():
     codec = dict(encode=lambda art: {"value": art["value"]},
                  decode=lambda data: {"value": data["value"]})
-    return StageDef(name="toy", version=version,
+    return StageDef(name="toy",
                     compute=lambda payload, deps: None, **codec)
 
 
@@ -75,18 +75,9 @@ class TestTierComposition:
         assert hit == {"value": 2.0}
         assert layer == "disk"
 
-    def test_version_mismatch_is_a_miss(self, server, tmp_path):
-        ArtifactCache(cache_dir=tmp_path / "w",
-                      remote=_client(server.url)).put(
-            "k1", _stage(version=1), {"value": 1.0})
-        hit, layer = ArtifactCache(cache_dir=tmp_path / "r",
-                                   remote=_client(server.url)).get(
-            "k1", _stage(version=2))
-        assert hit is None and layer is None
-
     def test_memory_only_stage_never_touches_remote(self, server,
                                                     tmp_path):
-        stage = StageDef(name="toy", version=1,
+        stage = StageDef(name="toy",
                          compute=lambda payload, deps: None)  # no codec
         cache = ArtifactCache(cache_dir=tmp_path,
                               remote=_client(server.url))
@@ -217,8 +208,8 @@ class TestIntegrity:
     def test_envelope_must_name_stage_and_key(self, server):
         # A well-digested body under the WRONG key must not verify —
         # digest integrity alone cannot catch a misfiled entry.
-        body = json.dumps({"format": 1, "stage": "toy", "version": 1,
-                           "key": "other", "artifact": {"value": 1}},
+        body = json.dumps({"format": 1, "stage": "toy", "key": "other",
+                           "artifact": {"value": 1}},
                           ).encode()
         server.store.put("toy", "k1", body, body_digest(body))
         remote = _client(server.url)

@@ -26,7 +26,7 @@ from repro.resilience.netchaos import FAULT_KINDS, ChaosProxy, NetFaultPlan
 def _stage():
     codec = dict(encode=lambda art: {"value": art["value"]},
                  decode=lambda data: {"value": data["value"]})
-    return StageDef(name="toy", version=1,
+    return StageDef(name="toy",
                     compute=lambda payload, deps: None, **codec)
 
 

@@ -11,6 +11,7 @@ bit-identical to a serial baseline.  Marked ``serve``, ``chaos`` and
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import socket
@@ -18,12 +19,16 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.error
+import urllib.request
+from typing import Dict, List, Optional
 
 import pytest
 
 from repro.engine.durability import load_run
 from repro.resilience import chaos
 from repro.serve.handlers import parse_characterize
+from tests.conftest import wait_for_journal
 
 pytestmark = [pytest.mark.serve, pytest.mark.chaos, pytest.mark.slow]
 
@@ -32,6 +37,66 @@ MINIMAL_TASKS = 6
 
 MINIMAL_BODY = {"cells": ["INV1X1"], "variants": ["2D"],
                 "extraction_variants": ["TRADITIONAL"]}
+
+
+def serve_argv(port: int,
+               queue: Optional[int] = None,
+               workers: Optional[int] = None,
+               tenant_rps: Optional[float] = None,
+               tenant_burst: Optional[float] = None,
+               grace: Optional[float] = None) -> List[str]:
+    """``python -m repro.serve ...`` argv for a chaos server."""
+    argv = [sys.executable, "-m", "repro.serve", "--port", str(port)]
+    for flag, value in (("--queue", queue), ("--workers", workers),
+                        ("--tenant-rps", tenant_rps),
+                        ("--tenant-burst", tenant_burst),
+                        ("--grace", grace)):
+        if value is not None:
+            argv += [flag, str(value)]
+    return argv
+
+
+def http_request(method: str, url: str,
+                 body: Optional[dict] = None,
+                 headers: Optional[Dict[str, str]] = None,
+                 timeout: float = chaos.DEFAULT_TIMEOUT_S):
+    """One JSON request -> ``(status, payload, headers)``.
+
+    Error statuses (4xx/5xx) are returned, not raised -- the tests
+    assert on them.  Connection-level failures raise ``OSError``.
+    """
+    data = None if body is None else json.dumps(body).encode("utf-8")
+    request = urllib.request.Request(url, data=data, method=method,
+                                     headers=dict(headers or {}))
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return resp.status, json.load(resp), dict(resp.headers)
+    except urllib.error.HTTPError as exc:
+        with exc:
+            try:
+                payload = json.load(exc)
+            except ValueError:
+                payload = {}
+        return exc.code, payload, dict(exc.headers or {})
+
+
+def wait_for_server(port: int, proc: Optional[subprocess.Popen] = None,
+                    timeout: float = 30.0) -> bool:
+    """Poll ``/healthz`` until the server answers (False on timeout
+    or when ``proc`` exits first)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if proc is not None and proc.poll() is not None:
+            return False
+        try:
+            status, _, _ = http_request(
+                "GET", f"http://127.0.0.1:{port}/healthz", timeout=1.0)
+            if status == 200:
+                return True
+        except OSError:
+            pass
+        time.sleep(0.05)
+    return False
 
 
 def free_port() -> int:
@@ -51,7 +116,7 @@ def journal_keys(cache_dir, run_id: str) -> set:
 
 
 def post(port: int, body: dict, headers: dict = None, timeout=120.0):
-    return chaos.http_request(
+    return http_request(
         "POST", f"http://127.0.0.1:{port}/characterize", body=body,
         headers=headers, timeout=timeout)
 
@@ -74,13 +139,13 @@ def test_sigkill_mid_request_retry_is_bit_identical(tmp_path):
     run_id = parse_characterize(MINIMAL_BODY).run_id
     port = free_port()
 
-    proc = chaos.spawn_server(chaos.serve_argv(port, workers=1), env)
+    proc = chaos.spawn_flow(serve_argv(port, workers=1), env)
     try:
-        assert chaos.wait_for_server(port, proc=proc), "server not up"
+        assert wait_for_server(port, proc=proc), "server not up"
         # Fire the request from a thread (it will die with the server).
         threading.Thread(target=lambda: _swallow(post, port),
                          daemon=True).start()
-        assert chaos.wait_for_journal(
+        assert wait_for_journal(
             tenant_cache(server_cache), run_id, min_tasks=2, proc=proc)
         os.killpg(proc.pid, signal.SIGKILL)
         assert chaos.finish(proc).killed
@@ -92,9 +157,9 @@ def test_sigkill_mid_request_retry_is_bit_identical(tmp_path):
     assert progressed <= MINIMAL_TASKS
 
     # Restart and retry the identical request: server-side resume.
-    proc = chaos.spawn_server(chaos.serve_argv(port, workers=1), env)
+    proc = chaos.spawn_flow(serve_argv(port, workers=1), env)
     try:
-        assert chaos.wait_for_server(port, proc=proc)
+        assert wait_for_server(port, proc=proc)
         status, payload, _ = post(port, MINIMAL_BODY)
         assert status == 200, payload
         assert payload["run_id"] == run_id
@@ -127,11 +192,11 @@ def test_overload_flood_sheds_while_healthz_answers(tmp_path):
     the taxonomy code, /healthz stays responsive, nothing is dropped."""
     env = chaos.repro_env(tmp_path)
     port = free_port()
-    proc = chaos.spawn_server(
-        chaos.serve_argv(port, queue=1, workers=1, tenant_rps=1000,
-                         tenant_burst=1000), env)
+    proc = chaos.spawn_flow(
+        serve_argv(port, queue=1, workers=1, tenant_rps=1000,
+                   tenant_burst=1000), env)
     try:
-        assert chaos.wait_for_server(port, proc=proc)
+        assert wait_for_server(port, proc=proc)
         # Distinct bodies so the flood cannot coalesce.
         floods = [dict(MINIMAL_BODY, cells=[cell]) for cell in
                   ("INV1X1", "AND2X1", "NOR2X1", "XOR2X1")]
@@ -148,7 +213,7 @@ def test_overload_flood_sheds_while_healthz_answers(tmp_path):
 
         # While the flood is in flight, liveness answers fast.
         t0 = time.monotonic()
-        status, body, _ = chaos.http_request(
+        status, body, _ = http_request(
             "GET", f"http://127.0.0.1:{port}/healthz", timeout=5.0)
         assert status == 200 and time.monotonic() - t0 < 2.0
 
@@ -189,12 +254,12 @@ def test_coalescing_across_two_client_processes(tmp_path):
         "print(json.dumps(json.load(resp)))\n")
     url = f"http://127.0.0.1:{port}/characterize"
 
-    proc = chaos.spawn_server(chaos.serve_argv(port, workers=2), env)
+    proc = chaos.spawn_flow(serve_argv(port, workers=2), env)
     try:
-        assert chaos.wait_for_server(port, proc=proc)
+        assert wait_for_server(port, proc=proc)
         first = subprocess.Popen([sys.executable, "-c", client_src, url],
                                  stdout=subprocess.PIPE, text=True)
-        assert chaos.wait_for_journal(
+        assert wait_for_journal(
             tenant_cache(tmp_path), run_id, min_tasks=1, proc=proc)
         second = subprocess.Popen([sys.executable, "-c", client_src, url],
                                   stdout=subprocess.PIPE, text=True)
@@ -208,7 +273,7 @@ def test_coalescing_across_two_client_processes(tmp_path):
         assert all(b["status"] == "completed" for b in bodies)
         assert any(b.get("coalesced") for b in bodies)
 
-        status, metrics, _ = chaos.http_request(
+        status, metrics, _ = http_request(
             "GET", f"http://127.0.0.1:{port}/metrics", timeout=10.0)
         assert metrics["metrics"]["serve.coalesced_total"]["value"] == 1
 
@@ -233,10 +298,10 @@ def test_sigterm_mid_request_drains_within_grace(tmp_path):
     env = chaos.repro_env(tmp_path)
     run_id = parse_characterize(MINIMAL_BODY).run_id
     port = free_port()
-    proc = chaos.spawn_server(
-        chaos.serve_argv(port, workers=1, grace=60), env)
+    proc = chaos.spawn_flow(
+        serve_argv(port, workers=1, grace=60), env)
     try:
-        assert chaos.wait_for_server(port, proc=proc)
+        assert wait_for_server(port, proc=proc)
         result = {}
 
         def fire():
@@ -244,7 +309,7 @@ def test_sigterm_mid_request_drains_within_grace(tmp_path):
 
         thread = threading.Thread(target=fire)
         thread.start()
-        assert chaos.wait_for_journal(
+        assert wait_for_journal(
             tenant_cache(tmp_path), run_id, min_tasks=1, proc=proc)
         proc.send_signal(signal.SIGTERM)
         thread.join(timeout=120.0)

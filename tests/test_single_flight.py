@@ -24,6 +24,7 @@ from repro.engine.manifest import RunManifest, STATUS_COMPLETED
 from repro.engine.stages import get_stage
 from repro.flows.durable import MANIFEST_FILENAME
 from repro.resilience import chaos
+from tests.conftest import wait_for_journal
 
 pytestmark = pytest.mark.engine
 
@@ -39,9 +40,9 @@ def _nap(payload, deps):
 
 @pytest.fixture(autouse=True)
 def _stages():
-    register_stage("sf_add", version=1, compute=_add,
+    register_stage("sf_add", compute=_add,
                    encode=lambda a: a, decode=lambda d: d, replace=True)
-    register_stage("sf_nap", version=1, compute=_nap,
+    register_stage("sf_nap", compute=_nap,
                    encode=lambda a: a, decode=lambda d: d, replace=True)
     yield
     unregister_stage("sf_add")
@@ -160,8 +161,8 @@ def test_sigkill_peer_flight_takeover_completes_graph(tmp_path):
     env = chaos.repro_env(tmp_path)
     victim = chaos.spawn_flow(
         chaos.flow_argv(run_id="sf-victim", workers=1), env)
-    assert chaos.wait_for_journal(tmp_path, "sf-victim", min_tasks=2,
-                                  proc=victim), "victim never reached task 2"
+    assert wait_for_journal(tmp_path, "sf-victim", min_tasks=2,
+                            proc=victim), "victim never reached task 2"
     os.kill(victim.pid, 9)
     outcome = chaos.finish(victim)
     assert outcome.killed
