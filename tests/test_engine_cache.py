@@ -5,12 +5,15 @@ import json
 
 import pytest
 
+from repro.cells.variants import DeviceVariant
+from repro.engine import Engine, executor
 from repro.engine.cache import (
     CACHE_DIR_ENV,
     STORE_FORMAT,
     ArtifactCache,
     resolve_cache_dir,
 )
+from repro.engine.pipeline import cell_ppa_tasks
 from repro.engine.stages import StageDef
 
 
@@ -42,6 +45,29 @@ def test_disk_layer_roundtrips_across_instances(tmp_path):
     again, layer2 = fresh.get("k1", stage)
     assert layer2 == "memory"
     assert again is hit
+
+
+def _key_under_code(monkeypatch, digest):
+    """The INV1X1 / 2D PPA task's key, as code hashing to ``digest``
+    would compute it."""
+    monkeypatch.setattr(executor, "code_digest", lambda: digest)
+    _, tasks = cell_ppa_tasks("INV1X1", DeviceVariant.TWO_D)
+    return Engine(backend="serial", use_disk=False).task_keys(tasks)[
+        tasks[-1].id]
+
+
+def test_stage_version_bump_invalidates_disk_artifacts(tmp_path,
+                                                       monkeypatch):
+    # the code digest is the version: an artefact on disk from other code
+    # sits under another key, so the current code misses it
+    old = _key_under_code(monkeypatch, "0" * 64)
+    new = _key_under_code(monkeypatch, "1" * 64)
+    assert old != new
+    ArtifactCache(cache_dir=tmp_path).put(old, _stage(), {"value": 1.0})
+    hit, layer = ArtifactCache(cache_dir=tmp_path).get(new, _stage())
+    assert hit is None and layer is None
+    hit, layer = ArtifactCache(cache_dir=tmp_path).get(old, _stage())
+    assert hit == {"value": 1.0} and layer == "disk"
 
 
 def test_corrupt_disk_entry_is_a_miss_not_an_error(tmp_path):

@@ -12,7 +12,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from repro.cachesrv import CacheServer, body_digest
+from repro.cells.variants import DeviceVariant
+from repro.engine import Engine, executor
 from repro.engine.cache import ArtifactCache
+from repro.engine.pipeline import cell_ppa_tasks
 from repro.engine.remote import (
     REMOTE_CACHE_ENV,
     RemoteCache,
@@ -74,6 +77,29 @@ class TestTierComposition:
         hit, layer = ArtifactCache(cache_dir=reader_dir).get("k1", stage)
         assert hit == {"value": 2.0}
         assert layer == "disk"
+
+    def test_version_mismatch_is_a_miss(self, server, tmp_path,
+                                        monkeypatch):
+        # a record written by other code lives under another key
+        keys = {}
+        for digest in ("0" * 64, "1" * 64):
+            monkeypatch.setattr(executor, "code_digest", lambda: digest)
+            _, tasks = cell_ppa_tasks("INV1X1", DeviceVariant.TWO_D)
+            keys[digest] = Engine(backend="serial", use_disk=False) \
+                .task_keys(tasks)[tasks[-1].id]
+        old, new = keys.values()
+        assert old != new
+        ArtifactCache(cache_dir=tmp_path / "w",
+                      remote=_client(server.url)).put(
+            old, _stage(), {"value": 1.0})
+        hit, layer = ArtifactCache(cache_dir=tmp_path / "r",
+                                   remote=_client(server.url)).get(
+            new, _stage())
+        assert hit is None and layer is None
+        hit, layer = ArtifactCache(cache_dir=tmp_path / "r",
+                                   remote=_client(server.url)).get(
+            old, _stage())
+        assert hit == {"value": 1.0} and layer == "remote"
 
     def test_memory_only_stage_never_touches_remote(self, server,
                                                     tmp_path):
