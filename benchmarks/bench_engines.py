@@ -76,7 +76,7 @@ def test_engine_flow_wall_times(tmp_path):
         process start-up (the number the ROADMAP efficiency target
         tracks);
     ``shared-cache-2proc``
-        two real ``python -m repro.flows run --workers 1`` invocations
+        two real ``python -m repro.flows run --backend serial`` invocations
         started together on one cache, splitting the graph through
         the scheduler's single-flight claims;
     ``warm-cache``
@@ -139,7 +139,7 @@ def test_engine_flow_wall_times(tmp_path):
                                                 "4-ch"),
                          extraction_variants=("TRADITIONAL", "ONE",
                                               "TWO", "FOUR"),
-                         run_id=f"bench-shared-{i}", workers=1)
+                         run_id=f"bench-shared-{i}", backend="serial")
          for i in (1, 2)], env)
     shared_s = time.perf_counter() - start
     assert all(o.returncode == 0 for o in outcomes), \

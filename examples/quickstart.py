@@ -15,7 +15,7 @@ Run:  python examples/quickstart.py        (about one minute)
 import tempfile
 from pathlib import Path
 
-from repro import DeviceVariant, quick_ppa
+from repro import DeviceVariant, Engine, default_engine, quick_ppa
 from repro.reporting.figures import fig5_series, render_csv
 
 
@@ -42,7 +42,8 @@ def main() -> None:
     # -- observability demo: re-run traced (warm cache, so it's fast) --
     out_dir = Path(tempfile.mkdtemp(prefix="repro_trace_"))
     print(f"\nRe-running with tracing on (exports under {out_dir}) ...")
-    quick_ppa(cells=cells, observe=out_dir)
+    quick_ppa(cells=cells, engine=Engine(observe=out_dir,
+                                         cache=default_engine().cache))
     print(f"  Chrome trace: {out_dir / 'trace.json'} "
           "(load in chrome://tracing or ui.perfetto.dev)")
     print(f"  Event log:    {out_dir / 'events.jsonl'}")

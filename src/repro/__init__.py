@@ -28,11 +28,12 @@ Every public entry point — :func:`quick_ppa`,
 :func:`repro.flows.run_full_flow`, :func:`repro.flows.run_extractions`
 and :class:`repro.ppa.runner.PpaRunner` — shares one keyword-only
 signature family ``(*, cells=None, variants=None, parasitics=None,
-dt=DEFAULT_DT, engine=None, observe=None)`` and accepts ``observe=`` to
-scope tracing to the call (``True``, a path, or a
-:class:`repro.observe.Tracer`)::
+dt=DEFAULT_DT, engine=None)``.  The engine carries the run settings:
+its width (``backend=``) and its tracer (``observe=``: ``True``, a
+path, or a :class:`repro.observe.Tracer`)::
 
-    comparison = quick_ppa(cells=["INV1X1"], observe="trace_out/")
+    comparison = quick_ppa(cells=["INV1X1"],
+                           engine=Engine(observe="trace_out/"))
     # trace_out/trace.json loads in chrome://tracing / Perfetto
 """
 
@@ -65,7 +66,7 @@ from repro.ppa.runner import DEFAULT_DT, PpaRunner
 from repro.resilience import FaultInjector, RetryPolicy
 from repro.tcad.device import Polarity, design_for_variant
 
-__version__ = "1.22.0"
+__version__ = "1.23.0"
 
 __all__ = [
     "ChannelCount",
@@ -104,17 +105,15 @@ __all__ = [
 
 
 def quick_ppa(*, cells=None, variants=None, parasitics=None,
-              dt=DEFAULT_DT, engine=None, observe=None) -> PpaComparison:
+              dt=DEFAULT_DT, engine=None) -> PpaComparison:
     """Run the full pipeline on a set of cells and return the comparison.
 
     Convenience wrapper over :class:`repro.ppa.runner.PpaRunner` — the
     first call characterises and extracts all device variants (about half
-    a minute), later calls reuse the caches.  ``observe`` scopes a tracer
-    to the call (see :mod:`repro.observe`).
+    a minute), later calls reuse the caches.
     """
     runner = PpaRunner(parasitics=parasitics, dt=dt,
                        engine=engine if engine is not None
-                       else default_engine(),
-                       observe=observe)
+                       else default_engine())
     return PpaComparison.from_results(
         runner.sweep(cells=cells, variants=variants))

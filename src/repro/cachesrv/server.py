@@ -29,7 +29,6 @@ cannot take a fleet down with it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -39,8 +38,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional, Tuple
 
-#: Header carrying an entry body's SHA-256 hex digest.
-DIGEST_HEADER = "X-Repro-Sha256"
+# The client's digest and header, so both ends always agree.
+from repro.engine.remote import DIGEST_HEADER, body_digest
 
 #: Path prefix of the entry routes.
 ARTIFACTS_PREFIX = "/artifacts/"
@@ -52,11 +51,6 @@ QUARANTINE_DIRNAME = ".quarantine"
 #: be a dot: that bans ``.``/``..`` traversal out of the store root
 #: and collisions with internal dot-directories (``.quarantine``).
 _SEGMENT_RE = re.compile(r"^[A-Za-z0-9_-][A-Za-z0-9_.-]{0,199}$")
-
-
-def body_digest(body: bytes) -> str:
-    """SHA-256 hex digest of an entry body."""
-    return hashlib.sha256(body).hexdigest()
 
 
 class CacheStore:

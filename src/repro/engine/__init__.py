@@ -41,7 +41,6 @@ from repro.engine.backends import (
     ExecutionBackend,
     PoolBackend,
     SerialBackend,
-    backend_for_workers,
     parse_backend_spec,
     resolve_backend,
 )
@@ -122,7 +121,6 @@ __all__ = [
     "Task",
     "TaskFailure",
     "TaskRecord",
-    "backend_for_workers",
     "canonicalize",
     "default_engine",
     "fingerprint",

@@ -1,6 +1,6 @@
 """Pluggable execution backends for the task-graph scheduler.
 
-Selection (first match wins):
+Selection (first match wins, in :func:`resolve_backend`):
 
 1. an explicit :class:`ExecutionBackend` instance or spec string passed
    to ``Engine(backend=...)`` / ``--backend``;
@@ -8,7 +8,9 @@ Selection (first match wins):
 3. a :class:`~repro.engine.backends.pool.PoolBackend` as wide as the
    CPUs the process may run on (serial when that is one core).
 
-Spec grammar: ``"serial"`` | ``"pool"`` | ``"pool:N"``.
+Spec grammar: ``"serial"`` | ``"pool"`` | ``"pool:N"``.  It is the one
+way to give an engine's width; a bad spec is a
+:class:`~repro.errors.ConfigError`.
 
 Several invocations sharing one cache directory need no special
 backend: the scheduler claims each key's single-flight lock when it
@@ -32,7 +34,7 @@ from repro.engine.backends.base import (
 )
 from repro.engine.backends.pool import PoolBackend
 from repro.engine.backends.serial import SerialBackend
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 
 #: Environment variable selecting the execution backend.
 BACKEND_ENV = "REPRO_BACKEND"
@@ -52,46 +54,36 @@ def parse_backend_spec(spec: str) -> ExecutionBackend:
         try:
             workers = int(text[len("pool:"):])
         except ValueError:
-            raise ReproError(
+            raise ConfigError(
                 f"bad backend spec {spec!r}: expected 'pool:N' with "
                 f"integer N") from None
         return PoolBackend(workers)
-    raise ReproError(
+    raise ConfigError(
         f"unknown backend spec {spec!r} "
         f"(expected one of {', '.join(BACKEND_SPECS)})")
 
 
-def backend_for_workers(workers: Optional[int] = None
-                        ) -> ExecutionBackend:
-    """Map a worker-count width onto a backend.
-
-    Width 1 is the serial backend, anything wider a warm pool; ``None``
-    is the CPU-affinity width (see
-    :func:`~repro.engine.executor.resolve_worker_count`).  The
-    ``--workers`` CLI flags think in widths.
-    """
-    from repro.engine.executor import resolve_worker_count
-    count = resolve_worker_count(workers)
-    if count == 1:
-        return SerialBackend()
-    return PoolBackend(count)
-
-
 def resolve_backend(backend: Optional[Union[str, ExecutionBackend]] = None
-                    ) -> Optional[ExecutionBackend]:
-    """Resolve explicit arg > ``REPRO_BACKEND``; None when neither set."""
-    if backend is not None:
-        if isinstance(backend, ExecutionBackend):
-            return backend
-        if isinstance(backend, str):
-            return parse_backend_spec(backend)
-        raise ReproError(
-            f"backend must be a spec string or ExecutionBackend, "
-            f"got {type(backend).__name__}")
-    env = os.environ.get(BACKEND_ENV)
-    if env:
-        return parse_backend_spec(env)
-    return None
+                    ) -> ExecutionBackend:
+    """Resolve explicit arg > ``REPRO_BACKEND`` > the CPU-affinity default.
+
+    The default is a pool as wide as the CPUs this process may run on
+    (see :func:`~repro.engine.executor.resolve_worker_count`), or the
+    serial backend when that is one core.
+    """
+    if backend is None:
+        backend = os.environ.get(BACKEND_ENV) or None
+    if backend is None:
+        from repro.engine.executor import resolve_worker_count
+        workers = resolve_worker_count()
+        return SerialBackend() if workers == 1 else PoolBackend(workers)
+    if isinstance(backend, ExecutionBackend):
+        return backend
+    if isinstance(backend, str):
+        return parse_backend_spec(backend)
+    raise ReproError(
+        f"backend must be a spec string or ExecutionBackend, "
+        f"got {type(backend).__name__}")
 
 
 __all__ = [
@@ -105,7 +97,6 @@ __all__ = [
     "SerialBackend",
     "TaskExecution",
     "TaskResult",
-    "backend_for_workers",
     "parse_backend_spec",
     "resolve_backend",
     "run_stage_inline",

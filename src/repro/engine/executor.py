@@ -55,7 +55,6 @@ from repro.config import require_int
 from repro.engine.backends import (
     ExecutionBackend,
     SerialBackend,
-    backend_for_workers,
     resolve_backend,
 )
 from repro.engine.cache import ArtifactCache
@@ -220,7 +219,7 @@ class Engine:
         #: True when this engine constructed the backend itself (and
         #: therefore owns its lifetime); False for shared instances.
         self.owns_backend = not isinstance(backend, ExecutionBackend)
-        self.backend = resolve_backend(backend) or backend_for_workers()
+        self.backend = resolve_backend(backend)
         self.cache = cache or ArtifactCache(cache_dir=cache_dir,
                                             use_disk=use_disk,
                                             remote=remote)

@@ -78,7 +78,7 @@ DEFAULT_BREAKER_THRESHOLD = 5
 REMOTE_BREAKER_RESET_ENV = "REPRO_REMOTE_BREAKER_RESET"
 DEFAULT_BREAKER_RESET = 10.0
 
-#: Header carrying an entry body's SHA-256 (must match cachesrv).
+#: Header carrying an entry body's SHA-256 (cachesrv imports it).
 DIGEST_HEADER = "X-Repro-Sha256"
 
 #: Backoff shape of remote retries.  Deliberately short: the remote

@@ -87,15 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--cache-dir", default=None,
                        help="cache directory (default REPRO_CACHE_DIR)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="engine width: 1 = serial, N > 1 = pool:N "
-                            "(default REPRO_BACKEND, else one worker "
-                            "per CPU)")
         p.add_argument("--backend", default=None,
                        help="execution backend: serial, pool or pool:N "
-                            "(default REPRO_BACKEND); several "
-                            "invocations sharing one cache split the "
-                            "same run's work on any backend")
+                            "(default REPRO_BACKEND, else one worker "
+                            "per CPU); several invocations sharing one "
+                            "cache split the same run's work on any "
+                            "backend")
         p.add_argument("--grace", type=float, default=None,
                        help="shutdown drain window in seconds "
                             "(default REPRO_SHUTDOWN_GRACE)")
@@ -197,18 +194,11 @@ def _cmd_list(args) -> int:
 
 
 def _engine_for(args) -> Optional[Engine]:
-    remote = getattr(args, "remote_cache", None)
-    if (args.cache_dir is None and args.workers is None
-            and args.backend is None and remote is None):
+    if (args.cache_dir is None and args.backend is None
+            and args.remote_cache is None):
         return None
-    backend = args.backend
-    if backend is None and args.workers is not None:
-        backend = ("serial" if args.workers == 1
-                   else f"pool:{args.workers}")
-    elif backend == "pool" and args.workers is not None:
-        backend = f"pool:{args.workers}"
-    return Engine(backend=backend, cache_dir=args.cache_dir,
-                  remote=remote)
+    return Engine(backend=args.backend, cache_dir=args.cache_dir,
+                  remote=args.remote_cache)
 
 
 def _rewrite_resume_alias(argv: List[str]) -> List[str]:

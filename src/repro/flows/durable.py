@@ -15,6 +15,12 @@ the durability machinery of :mod:`repro.engine.durability`:
   the validating disk cache, so a ``kill -9`` at any point loses at
   most the in-flight tasks.
 
+Both entry points run on ``engine=`` (default
+:func:`~repro.engine.default_engine`), which must have a disk cache:
+the journal and the resumable artefacts live in its cache directory.
+Width and tracing are the engine's own settings
+(``Engine(backend=..., observe=...)``).
+
 ``python -m repro.flows`` (see :mod:`repro.flows.cli`) drives both
 entry points from the command line.
 """
@@ -28,7 +34,7 @@ from typing import Any, Dict, List, Optional
 from repro.cells.library import CELL_NAMES
 from repro.cells.netlist_builder import Parasitics
 from repro.cells.variants import DeviceVariant
-from repro.engine import Engine, backend_for_workers, default_engine
+from repro.engine import Engine, default_engine
 from repro.engine.durability import (
     CancellationToken,
     GracefulShutdown,
@@ -46,7 +52,6 @@ from repro.flows.full_flow import (
 )
 from repro.geometry.process import ProcessParameters
 from repro.geometry.transistor_layout import ChannelCount
-from repro.observe import maybe_activate
 from repro.ppa.runner import DEFAULT_DT
 
 #: Manifest filename written into the run directory.
@@ -120,22 +125,13 @@ def derive_run_id(flow: Dict[str, Any], prefix: str = "req") -> str:
     return f"{prefix}-{fingerprint(flow)[:16]}"
 
 
-def _resolve_durable_engine(engine: Optional[Engine],
-                            cache_dir,
-                            max_workers: Optional[int],
-                            backend=None) -> Engine:
-    if engine is None:
-        if (cache_dir is not None or max_workers is not None
-                or backend is not None):
-            if backend is None and max_workers is not None:
-                backend = backend_for_workers(max_workers)
-            engine = Engine(backend=backend, cache_dir=cache_dir)
-        else:
-            engine = default_engine()
+def _resolve_durable_engine(engine: Optional[Engine]) -> Engine:
+    engine = engine if engine is not None else default_engine()
     if engine.cache.cache_dir is None:
         raise ReproError(
             "durable runs need a disk cache: set REPRO_CACHE_DIR or pass "
-            "cache_dir= (the journal and resumable artefacts live there)")
+            "an engine with a cache_dir (the journal and resumable "
+            "artefacts live there)")
     return engine
 
 
@@ -148,14 +144,10 @@ def run_durable_flow(*,
                      parasitics: Optional[Parasitics] = None,
                      dt: float = DEFAULT_DT,
                      engine: Optional[Engine] = None,
-                     cache_dir=None,
-                     max_workers: Optional[int] = None,
-                     backend=None,
                      run_id: Optional[str] = None,
                      grace: Optional[float] = None,
                      cancellation: Optional[CancellationToken] = None,
-                     deadline: Optional[float] = None,
-                     observe=None) -> DurableFlowRun:
+                     deadline: Optional[float] = None) -> DurableFlowRun:
     """Run the full pipeline durably; resume it by reusing ``run_id``.
 
     A fresh ``run_id`` (default) starts a new journal; an existing one
@@ -175,8 +167,7 @@ def run_durable_flow(*,
     at the next task boundary and raises
     :class:`~repro.errors.RunInterrupted` with the resumable run id.
     """
-    engine = _resolve_durable_engine(engine, cache_dir, max_workers,
-                                     backend)
+    engine = _resolve_durable_engine(engine)
     cache_root = engine.cache.cache_dir
     run_id = run_id or new_run_id()
     directory = run_dir(cache_root, run_id)
@@ -209,16 +200,13 @@ def run_durable_flow(*,
         if cancellation is not None:
             # The caller owns interruption (per-request deadline/abort
             # tokens of the service) — don't touch signal handlers.
-            with maybe_activate(observe):
-                run = engine.run(graph, journal=journal,
-                                 cancellation=cancellation,
-                                 deadline=deadline)
+            run = engine.run(graph, journal=journal,
+                             cancellation=cancellation, deadline=deadline)
         else:
             with GracefulShutdown(grace) as shutdown:
-                with maybe_activate(observe):
-                    run = engine.run(graph, journal=journal,
-                                     cancellation=shutdown.token,
-                                     deadline=deadline)
+                run = engine.run(graph, journal=journal,
+                                 cancellation=shutdown.token,
+                                 deadline=deadline)
     except RunInterrupted as exc:
         exc.run_id = run_id
         if exc.manifest is not None:
@@ -244,13 +232,9 @@ def run_durable_flow(*,
 
 def resume_run(run_id: str, *,
                engine: Optional[Engine] = None,
-               cache_dir=None,
-               max_workers: Optional[int] = None,
-               backend=None,
                grace: Optional[float] = None,
                cancellation: Optional[CancellationToken] = None,
-               deadline: Optional[float] = None,
-               observe=None) -> DurableFlowRun:
+               deadline: Optional[float] = None) -> DurableFlowRun:
     """Continue an interrupted durable run from its journal.
 
     Replays ``<cache_dir>/runs/<run_id>/journal.jsonl``, rebuilds the
@@ -259,8 +243,7 @@ def resume_run(run_id: str, *,
     missing entries are simply recomputed); at most the killed
     invocation's in-flight tasks are repeated.
     """
-    engine = _resolve_durable_engine(engine, cache_dir, max_workers,
-                                     backend)
+    engine = _resolve_durable_engine(engine)
     state = load_run(engine.cache.cache_dir, run_id)
     if state.flow is None:
         raise ReproError(
@@ -278,5 +261,4 @@ def resume_run(run_id: str, *,
         run_id=run_id,
         grace=grace,
         cancellation=cancellation,
-        deadline=deadline,
-        observe=observe)
+        deadline=deadline)

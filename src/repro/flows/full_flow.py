@@ -30,7 +30,6 @@ from repro.extraction.results import ExtractionReport
 from repro.geometry.process import ProcessParameters
 from repro.geometry.transistor_layout import ChannelCount
 from repro.layout.report import AreaReport, build_area_report
-from repro.observe import maybe_activate
 from repro.ppa.comparison import PpaComparison
 from repro.ppa.runner import DEFAULT_DT
 from repro.tcad.device import Polarity
@@ -76,21 +75,18 @@ class FullFlowResult:
 
 def run_extractions(*, variants: Optional[List[ChannelCount]] = None,
                     process: Optional[ProcessParameters] = None,
-                    engine: Optional[Engine] = None,
-                    observe=None) -> ExtractionReport:
+                    engine: Optional[Engine] = None) -> ExtractionReport:
     """Extract compact models for every (variant, polarity) pair.
 
     All (variant, polarity) extractions are independent, so a parallel
-    engine characterises and fits them concurrently.  ``observe``
-    scopes a tracer to this call (see :mod:`repro.observe`).
+    engine characterises and fits them concurrently.
     """
     variants = variants or list(ChannelCount)
     engine = engine if engine is not None else default_engine()
     pairs = [extraction_tasks(variant, polarity, process)
              for variant in variants
              for polarity in (Polarity.NMOS, Polarity.PMOS)]
-    with maybe_activate(observe):
-        run = engine.run(merge_tasks(*[support for _, support in pairs]))
+    run = engine.run(merge_tasks(*[support for _, support in pairs]))
     return ExtractionReport([run[task.id] for task, _ in pairs])
 
 
@@ -138,22 +134,14 @@ def run_full_flow(*, cells: Optional[List[str]] = None,
                   process: Optional[ProcessParameters] = None,
                   parasitics: Optional[Parasitics] = None,
                   dt: float = DEFAULT_DT,
-                  engine: Optional[Engine] = None,
-                  observe=None,
-                  journal=None,
-                  cancellation=None) -> FullFlowResult:
+                  engine: Optional[Engine] = None) -> FullFlowResult:
     """Run the whole pipeline as one engine task graph.
 
     ``cells`` defaults to all 14 cells (several minutes of cold serial
     simulation); pass a subset for a faster run.  Results are
     bit-identical across engine backends, only the wall time and the
-    manifest's worker ids differ.  ``observe`` scopes a tracer to this
-    call (see :mod:`repro.observe`).
-
-    ``journal`` / ``cancellation`` make the run durable and gracefully
-    interruptible (see :mod:`repro.engine.durability`); most callers
-    should use :func:`repro.flows.run_durable_flow`, which manages
-    both plus the run directory.
+    manifest's worker ids differ.  For a journalled, resumable run use
+    :func:`repro.flows.run_durable_flow`.
     """
     cells = cells or list(CELL_NAMES)
     channel_variants = extraction_variants or list(ChannelCount)
@@ -163,14 +151,5 @@ def run_full_flow(*, cells: Optional[List[str]] = None,
 
     graph, extraction_pairs, ppa_pairs = build_flow_graph(
         cells, cell_variants, channel_variants, process, parasitics, dt)
-
-    # durability keywords are only forwarded when set, so plain calls
-    # keep the plain Engine.run(tasks) contract
-    run_kwargs = {}
-    if journal is not None:
-        run_kwargs["journal"] = journal
-    if cancellation is not None:
-        run_kwargs["cancellation"] = cancellation
-    with maybe_activate(observe):
-        run = engine.run(graph, **run_kwargs)
+    run = engine.run(graph)
     return assemble_flow_result(run, extraction_pairs, ppa_pairs)

@@ -19,11 +19,13 @@ Control surface:
   value is the export directory engine runs write trace files into;
 * ``REPRO_LOG_LEVEL`` env var — level of the ``repro`` logger (JSON-line
   records on stderr);
-* ``observe=`` — accepted by :class:`repro.engine.Engine` and every
-  public entry point (``quick_ppa``, ``run_full_flow``, ...): ``None``
-  inherits the env-controlled default, ``True``/``False`` force tracing
-  on/off, a path traces *and* exports there, a :class:`Tracer` instance
-  is used as-is.
+* ``Engine(observe=...)`` — the tracer of that engine's runs, and so
+  of every entry point (``quick_ppa``, ``run_full_flow``, ...) given
+  the engine: ``None`` inherits the active tracer, ``True``/``False``
+  force tracing on/off, a path traces *and* exports there, a
+  :class:`Tracer` instance is used as-is;
+* :func:`activate` — makes a tracer the active one for a block of
+  code, e.g. ``python -m repro.verify --trace`` around its suite.
 
 With tracing off (the default), every instrumentation site reduces to a
 ContextVar read on the :data:`NULL_TRACER` singleton — no allocation,
@@ -57,7 +59,6 @@ from repro.observe.tracer import (
     configure,
     configure_logging,
     get_tracer,
-    maybe_activate,
     reset,
     resolve_tracer,
 )
@@ -82,7 +83,6 @@ __all__ = [
     "configure",
     "configure_logging",
     "get_tracer",
-    "maybe_activate",
     "reset",
     "resolve_tracer",
     "summary_table",

@@ -393,30 +393,6 @@ class activate:
         _ACTIVE_TRACER.reset(self._token)
 
 
-class maybe_activate:
-    """Activate ``resolve_tracer(observe)`` unless ``observe`` is None.
-
-    The context manager the public entry points wrap their work in: an
-    explicit ``observe=`` argument scopes a tracer to that call, while
-    ``observe=None`` leaves whatever tracer is already active (the
-    env-controlled default) untouched.
-    """
-
-    def __init__(self, observe: Any):
-        self.observe = observe
-        self._inner: Optional[activate] = None
-
-    def __enter__(self) -> Union[Tracer, NullTracer]:
-        if self.observe is None:
-            return get_tracer()
-        self._inner = activate(resolve_tracer(self.observe))
-        return self._inner.__enter__()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._inner is not None:
-            self._inner.__exit__(exc_type, exc, tb)
-
-
 def resolve_tracer(observe: Any) -> Union[Tracer, NullTracer]:
     """Normalise an ``observe=`` argument to a tracer.
 

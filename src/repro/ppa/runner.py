@@ -14,7 +14,7 @@ from repro.cells.netlist_builder import (
 from repro.cells.spec import CellSpec
 from repro.cells.variants import DeviceVariant, ModelSet, extracted_model_set
 from repro.cells.vectors import StimulusRun, stimulus_plan_for
-from repro.observe import get_tracer, maybe_activate
+from repro.observe import get_tracer
 from repro.spice.elements.vsource import PulseSpec
 from repro.spice.transient import TransientResult, transient
 
@@ -125,27 +125,23 @@ class PpaRunner:
     parasitics, dt, process) — so one runner instance can be reused
     across parasitic or timestep sweeps without ever returning numbers
     computed under different conditions, and two runners with equal
-    settings share artefacts through the engine cache.
-
-    ``observe`` scopes a tracer to this runner's work (see
-    :mod:`repro.observe`); ``None`` inherits the ambient/env default.
+    settings share artefacts through the engine cache.  Its work is
+    traced by the engine's tracer (``Engine(observe=...)``).
     """
 
     def __init__(self, *, engine, parasitics: Optional[Parasitics] = None,
-                 dt: float = DEFAULT_DT, process=None, observe=None):
+                 dt: float = DEFAULT_DT, process=None):
         self.parasitics = (parasitics if parasitics is not None
                            else Parasitics())
         self.dt = dt if dt is not None else DEFAULT_DT
         self.process = process
         self.engine = engine
-        self.observe = observe
 
     def evaluate(self, cell_name: str, variant: DeviceVariant) -> CellPPA:
         """PPA of one (cell, variant) pair (cached in the engine)."""
         from repro.engine.pipeline import cell_ppa
-        with maybe_activate(self.observe):
-            return cell_ppa(cell_name, variant, self.parasitics, self.dt,
-                            self.process, engine=self.engine)
+        return cell_ppa(cell_name, variant, self.parasitics, self.dt,
+                        self.process, engine=self.engine)
 
     def sweep(self, *, cells: Optional[List[str]] = None,
               variants: Optional[List[DeviceVariant]] = None
@@ -162,7 +158,5 @@ class PpaRunner:
         grid = [cell_ppa_tasks(name, variant, self.parasitics, self.dt,
                                self.process)
                 for name in names for variant in variants]
-        with maybe_activate(self.observe):
-            run = self.engine.run(
-                merge_tasks(*[tasks for _, tasks in grid]))
+        run = self.engine.run(merge_tasks(*[tasks for _, tasks in grid]))
         return [run[task.id] for task, _ in grid]

@@ -131,7 +131,12 @@ class ServeApp:
     async def handle_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
         try:
-            parsed = await self._read_request(reader)
+            try:
+                parsed = await self._read_request(reader)
+            except InvalidRequest as exc:
+                await self._write_response(writer,
+                                           *self._error_response(exc))
+                return
             if parsed is None:
                 return
             method, path, headers, body = parsed
@@ -172,7 +177,12 @@ class ServeApp:
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         body = b""
-        length = int(headers.get("content-length") or 0)
+        try:
+            length = int(headers.get("content-length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise InvalidRequest("bad Content-Length header")
         if length:
             body = await reader.readexactly(length)
         path = target.split("?", 1)[0]

@@ -53,8 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="drain window after SIGTERM "
                              "(default REPRO_SHUTDOWN_GRACE)")
     parser.add_argument("--backend", default=None,
-                        help="engine backend per request "
-                             "(default serial)")
+                        help="engine backend per request: serial, "
+                             "pool or pool:N (default REPRO_BACKEND, "
+                             "else serial)")
     return parser
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.config import resolve_float, resolve_int
+from repro.engine.backends import BACKEND_ENV, parse_backend_spec
 from repro.engine.cache import resolve_cache_dir
 from repro.engine.durability import resolve_shutdown_grace
 from repro.errors import ConfigError
@@ -41,6 +42,10 @@ DEFAULT_DEADLINE = 0.0
 MAX_DEADLINE_ENV = "REPRO_SERVE_MAX_DEADLINE"
 DEFAULT_MAX_DEADLINE = 3600.0
 
+#: Engine backend of each request's run.  Serial by default:
+#: concurrency comes from the worker threads, not from nested pools.
+DEFAULT_BACKEND = "serial"
+
 #: Consecutive shed decisions that tip the health ladder to degraded.
 SHED_DEGRADE_THRESHOLD = 8
 
@@ -59,7 +64,7 @@ class ServeConfig:
     default_deadline: float = DEFAULT_DEADLINE
     max_deadline: float = DEFAULT_MAX_DEADLINE
     grace: float = field(default_factory=resolve_shutdown_grace)
-    backend: Optional[str] = None
+    backend: str = DEFAULT_BACKEND
 
     @classmethod
     def from_env(cls,
@@ -75,6 +80,8 @@ class ServeConfig:
                  grace: Optional[float] = None,
                  backend: Optional[str] = None) -> "ServeConfig":
         """Resolve explicit > environment > default for every knob."""
+        backend = backend or os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
+        parse_backend_spec(backend)  # a bad spec fails here, not per request
         resolved_cache = resolve_cache_dir(cache_dir)
         if resolved_cache is None:
             raise ConfigError(
@@ -99,7 +106,7 @@ class ServeConfig:
                                        DEFAULT_MAX_DEADLINE,
                                        max_deadline, positive=True),
             grace=resolve_shutdown_grace(grace),
-            backend=backend or os.environ.get("REPRO_BACKEND") or "serial",
+            backend=backend,
         )
         return config
 

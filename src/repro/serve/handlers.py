@@ -157,17 +157,15 @@ def _headline_or_none(result) -> Optional[Dict[str, float]]:
 class FlowRunner:
     """Executes admitted requests as durable runs (one per call).
 
-    ``backend`` is the engine backend name for per-request engines
-    (``serial`` by default — concurrency comes from the service's
-    worker threads, not from nested pools).
+    ``backend`` is the backend spec of the per-request engines, as
+    :class:`~repro.serve.config.ServeConfig` resolved and checked it.
     """
 
-    def __init__(self, backend: Optional[str] = None):
-        self.backend = backend or "serial"
+    def __init__(self, backend: str):
+        self.backend = backend
 
     def __call__(self, request: CharacterizeRequest, tenant: Tenant,
-                 cancellation: CancellationToken,
-                 observe=None) -> Dict[str, Any]:
+                 cancellation: CancellationToken) -> Dict[str, Any]:
         engine = Engine(backend=self.backend,
                         cache_dir=tenant.cache_dir)
         try:
@@ -178,8 +176,7 @@ class FlowRunner:
                 dt=request.dt,
                 engine=engine,
                 run_id=request.run_id,
-                cancellation=cancellation,
-                observe=observe)
+                cancellation=cancellation)
         except RunInterrupted as exc:
             raise self._interruption_error(exc, request, cancellation) \
                 from exc

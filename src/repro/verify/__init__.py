@@ -29,8 +29,9 @@ Two front ends share the same checks:
   ``--update-goldens`` / ``--allow-widen`` options installed by the
   :mod:`repro.verify.plugin` plugin.
 
-Verification runs accept ``observe=`` like every other entry point, so
-they emit the same trace/metric artifacts as production runs.
+Verification runs record into the active tracer (``--trace DIR`` on
+the CLI, :func:`repro.observe.activate` in Python), so they emit the
+same trace/metric artifacts as production runs.
 """
 
 from repro.verify.goldens import GoldenDiff, GoldenStore, QuantityDiff, \

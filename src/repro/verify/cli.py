@@ -19,7 +19,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.engine import Engine, backend_for_workers
+from repro.engine import Engine
+from repro.observe import Tracer, activate, get_tracer
 from repro.verify.goldens import GoldenStore
 from repro.verify.suites import SUITES, run_suite
 
@@ -48,12 +49,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--allow-widen", action="store_true",
         help="permit --update-goldens to widen a tolerance class")
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="engine width for pipeline measurements (default: auto)")
-    parser.add_argument(
         "--backend", default=None,
         help="execution backend for pipeline measurements: serial, "
-             "pool or pool:N (default REPRO_BACKEND)")
+             "pool or pool:N (default REPRO_BACKEND, else one worker "
+             "per CPU)")
     parser.add_argument(
         "--parity-modes", metavar="MODES", default=None,
         help="comma-separated parity matrix modes to run (only "
@@ -79,22 +78,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     store = GoldenStore(root=options.goldens,
                         update=options.update_goldens,
                         allow_widen=options.allow_widen)
-    backend = options.backend
-    if backend is None and options.workers is not None:
-        backend = backend_for_workers(options.workers)
-    elif backend == "pool" and options.workers is not None:
-        backend = f"pool:{options.workers}"
-    engine = Engine(backend=backend) if backend is not None else None
-    observe = None
-    if options.trace:
-        from repro.observe import Tracer
-        observe = Tracer(out_dir=options.trace)
+    engine = (Engine(backend=options.backend)
+              if options.backend is not None else None)
     parity_modes = None
     if options.parity_modes:
         parity_modes = [m.strip() for m in options.parity_modes.split(",")
                         if m.strip()]
-    report = run_suite(options.suite, store=store, engine=engine,
-                       observe=observe, parity_modes=parity_modes)
+    tracer = (Tracer(out_dir=options.trace) if options.trace
+              else get_tracer())
+    with activate(tracer):
+        report = run_suite(options.suite, store=store, engine=engine,
+                           parity_modes=parity_modes)
+    if options.trace:
+        report.metrics = tracer.metrics.snapshot()
+        tracer.export_all()
     if options.report:
         report.write(options.report)
     if options.quiet:

@@ -236,7 +236,7 @@ def _run_chaos_mode(cell: ParityCell, cache_dir: Path,
         run_id = f"parity-{cell.name}"
         env = chaos.repro_env(cache_dir, faults=cell.faults or "")
         outcome = chaos.run_flow(
-            chaos.flow_argv(run_id=run_id, workers=1, **argv_kwargs), env)
+            chaos.flow_argv(run_id=run_id, backend="serial", **argv_kwargs), env)
         if not outcome.killed:
             raise ReproError(
                 f"chaos run was not killed (exit {outcome.returncode}): "
@@ -247,8 +247,9 @@ def _run_chaos_mode(cell: ParityCell, cache_dir: Path,
             engine=Engine(backend="serial", cache_dir=cache_dir)).result
     if cell.chaos == "concurrent":
         env = chaos.repro_env(cache_dir)
-        argvs = [chaos.flow_argv(run_id=f"parity-conc-{i}", workers=1,
-                                 **argv_kwargs) for i in (1, 2)]
+        argvs = [chaos.flow_argv(run_id=f"parity-conc-{i}",
+                                 backend="serial", **argv_kwargs)
+                 for i in (1, 2)]
         outcomes = chaos.run_concurrent_flows(argvs, env)
         bad = [o for o in outcomes if o.returncode != 0]
         if bad:
@@ -362,7 +363,6 @@ def _run_mode(cell: ParityCell, cache_dir: Path,
         return _run_remote_mode(cell, cache_dir, flow_kwargs)
     injector = (FaultInjector.parse(cell.faults)
                 if cell.faults else None)
-    observe = Tracer() if cell.traced else None
     install(injector) if injector else clear_faults()
     overrides = {
         # Local-only modes must stay local even when the session
@@ -374,9 +374,9 @@ def _run_mode(cell: ParityCell, cache_dir: Path,
     try:
         engine = Engine(
             backend=cell.backend, cache_dir=cache_dir,
-            retry_policy=RetryPolicy(retries=cell.retries, backoff=0.0))
-        return run_full_flow(engine=engine, observe=observe,
-                             **flow_kwargs)
+            retry_policy=RetryPolicy(retries=cell.retries, backoff=0.0),
+            observe=Tracer() if cell.traced else None)
+        return run_full_flow(engine=engine, **flow_kwargs)
     finally:
         clear_faults()
         for key, value in saved.items():

@@ -27,7 +27,6 @@ import time
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.engine import Engine, default_engine
-from repro.observe import maybe_activate
 from repro.verify.goldens import GoldenStore
 from repro.verify.invariants import all_invariant_checks
 from repro.verify.mms import ConvergenceResult, all_mms_checks
@@ -155,28 +154,29 @@ def parity_checks(fast: bool = False,
 
 def run_suite(suite: str, store: Optional[GoldenStore] = None,
               engine: Optional[Engine] = None,
-              observe=None,
               parity_modes: Optional[List[str]] = None) -> VerifyReport:
-    """Run one named suite into a :class:`VerifyReport`."""
+    """Run one named suite into a :class:`VerifyReport`.
+
+    Spans and metrics go to the active tracer (see
+    :func:`repro.observe.activate`); ``python -m repro.verify --trace``
+    scopes one to the suite.
+    """
     if suite not in SUITES:
         from repro.errors import ReproError
         raise ReproError(
             f"unknown suite {suite!r}; expected one of "
             f"{', '.join(SUITES)}")
     report = VerifyReport(suite=suite)
-    with maybe_activate(observe):
-        if suite in ("goldens", "fast", "all"):
-            report.extend(golden_checks(store=store, engine=engine))
-        if suite in ("mms", "fast", "all"):
-            report.extend(mms_checks(fast=(suite == "fast")))
-        if suite in ("invariants", "fast", "all"):
-            report.extend(invariant_checks())
-        if suite in ("gates", "fast", "all"):
-            report.extend(gate_checks(engine=engine,
-                                      full=(suite == "all")))
-        if suite in ("parity", "fast", "all"):
-            report.extend(parity_checks(fast=(suite == "fast"),
-                                        modes=parity_modes))
-    if observe is not None and getattr(observe, "metrics", None):
-        report.metrics = observe.metrics.snapshot()
+    if suite in ("goldens", "fast", "all"):
+        report.extend(golden_checks(store=store, engine=engine))
+    if suite in ("mms", "fast", "all"):
+        report.extend(mms_checks(fast=(suite == "fast")))
+    if suite in ("invariants", "fast", "all"):
+        report.extend(invariant_checks())
+    if suite in ("gates", "fast", "all"):
+        report.extend(gate_checks(engine=engine,
+                                  full=(suite == "all")))
+    if suite in ("parity", "fast", "all"):
+        report.extend(parity_checks(fast=(suite == "fast"),
+                                    modes=parity_modes))
     return report

@@ -2,15 +2,20 @@
 
 Positional arguments, ``cell_names=`` and ``max_workers=`` were
 deprecated in 1.2 and are now plain ``TypeError`` s from the keyword-only
-signatures.  The suite-wide ``filterwarnings = error::DeprecationWarning``
-turns any DeprecationWarning into a failure.  Cheap argument-plumbing
-paths only: nothing here runs a simulation.
+signatures.  Since 1.23 the engine is the one place for run settings,
+so ``observe=`` on the entry points and ``cache_dir=`` /
+``max_workers=`` / ``backend=`` / ``observe=`` on the durable runs are
+``TypeError`` s as well.  The suite-wide ``filterwarnings =
+error::DeprecationWarning`` turns any DeprecationWarning into a
+failure.  Cheap argument-plumbing paths only: nothing here runs a
+simulation.
 """
 
 import pytest
 
 import repro
 from repro.engine import default_engine
+from repro.flows import resume_run, run_durable_flow
 from repro.ppa.runner import PpaRunner
 
 
@@ -51,6 +56,33 @@ def test_legacy_call_shapes_raise_type_error(entry, shape, monkeypatch):
         ENTRY_POINTS[entry](*args, **kwargs)
 
 
+#: Run settings that belong to the engine (``Engine(backend=, cache_dir=,
+#: observe=)``), spelled on an entry point.
+DURABLE_ENTRY_POINTS = {
+    "run_durable_flow": run_durable_flow,
+    "resume_run": lambda **kwargs: resume_run("r", **kwargs),
+}
+REMOVED_RUN_SETTINGS = [
+    pytest.param(ENTRY_POINTS[name], {"observe": True},
+                 id=f"{name}-observe")
+    for name in ("quick_ppa", "run_full_flow", "run_extractions",
+                 "PpaRunner")
+] + [
+    pytest.param(DURABLE_ENTRY_POINTS[name], {setting: value},
+                 id=f"{name}-{setting}")
+    for name in sorted(DURABLE_ENTRY_POINTS)
+    for setting, value in (("cache_dir", "cache"), ("max_workers", 1),
+                           ("backend", "serial"), ("observe", True))
+]
+
+
+@pytest.mark.parametrize("entry,kwargs", REMOVED_RUN_SETTINGS)
+def test_removed_run_settings_raise_type_error(entry, kwargs, monkeypatch):
+    _stop_engine_runs(monkeypatch)
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        entry(**kwargs)
+
+
 def test_ppa_runner_requires_an_engine():
     with pytest.raises(TypeError, match="engine"):
         PpaRunner()
@@ -81,4 +113,4 @@ def test_backend_env_selects_backend(monkeypatch, recwarn):
 
 
 def test_version_bumped():
-    assert repro.__version__ == "1.22.0"
+    assert repro.__version__ == "1.23.0"

@@ -99,7 +99,14 @@ def test_resolve_backend_passthrough_and_env(monkeypatch):
     monkeypatch.setenv("REPRO_BACKEND", "serial")
     assert isinstance(resolve_backend(None), SerialBackend)
     monkeypatch.delenv("REPRO_BACKEND")
-    assert resolve_backend(None) is None
+    # unset: the CPU-affinity default, serial on one core
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert isinstance(resolve_backend(None), SerialBackend)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    default = resolve_backend(None)
+    assert isinstance(default, PoolBackend) and default.workers == 3
     with pytest.raises(ReproError, match="backend"):
         resolve_backend(42)
 

@@ -40,10 +40,10 @@ def test_kill_resume_cycle_completes(tmp_path):
 
     def make_argv(attempt, previous):
         if attempt == 0:
-            return chaos.flow_argv(run_id=run_id, workers=1)
+            return chaos.flow_argv(run_id=run_id, backend="serial")
         # later attempts resume, without fault injection
         env.pop("REPRO_FAULTS", None)
-        return chaos.flow_argv(resume=run_id, workers=1)
+        return chaos.flow_argv(resume=run_id, backend="serial")
 
     report = chaos.run_until_complete(make_argv, env, max_invocations=4)
     assert report.kills >= 1, report.outcomes[-1].stderr
@@ -68,7 +68,7 @@ def test_kill_mid_write_leaves_no_torn_entries(tmp_path):
     run_id = "chaos-torn"
     env = chaos.repro_env(tmp_path, faults="write_kill:*:after=2")
     outcome = chaos.run_flow(
-        chaos.flow_argv(run_id=run_id, workers=1), env)
+        chaos.flow_argv(run_id=run_id, backend="serial"), env)
     assert outcome.killed, (outcome.returncode, outcome.stderr)
 
     cache = ArtifactCache(cache_dir=tmp_path)
@@ -78,7 +78,7 @@ def test_kill_mid_write_leaves_no_torn_entries(tmp_path):
     assert cache.quarantined() == []
 
     env.pop("REPRO_FAULTS", None)
-    resumed = chaos.run_flow(chaos.flow_argv(resume=run_id, workers=1),
+    resumed = chaos.run_flow(chaos.flow_argv(resume=run_id, backend="serial"),
                              env)
     assert resumed.returncode == 0, resumed.stderr
     assert _journal_state(tmp_path, run_id).status == "completed"
@@ -90,7 +90,7 @@ def test_sigterm_drains_and_exits_75(tmp_path):
     run_id = "chaos-term"
     env = chaos.repro_env(tmp_path,
                           extra={"REPRO_SHUTDOWN_GRACE": "5.0"})
-    proc = chaos.spawn_flow(chaos.flow_argv(run_id=run_id, workers=1),
+    proc = chaos.spawn_flow(chaos.flow_argv(run_id=run_id, backend="serial"),
                             env)
     assert wait_for_journal(tmp_path, run_id, min_tasks=2,
                             proc=proc), "flow never reached task 2"
@@ -107,7 +107,7 @@ def test_sigterm_drains_and_exits_75(tmp_path):
     assert manifest.status == STATUS_INTERRUPTED
     assert manifest.interrupted
 
-    resumed = chaos.run_flow(chaos.flow_argv(resume=run_id, workers=1),
+    resumed = chaos.run_flow(chaos.flow_argv(resume=run_id, backend="serial"),
                              env)
     assert resumed.returncode == 0, resumed.stderr
     final = _journal_state(tmp_path, run_id)
@@ -119,7 +119,7 @@ def test_concurrent_flows_share_cache_without_corruption(tmp_path):
     """Two simultaneous invocations over one store: both exit 0, the
     quarantine stays empty, and both journals complete."""
     env = chaos.repro_env(tmp_path)
-    argvs = [chaos.flow_argv(run_id=f"chaos-conc-{i}", workers=1)
+    argvs = [chaos.flow_argv(run_id=f"chaos-conc-{i}", backend="serial")
              for i in (1, 2)]
     outcomes = chaos.run_concurrent_flows(argvs, env, stagger_s=0.2)
     for outcome in outcomes:

@@ -175,9 +175,10 @@ class TestEngineKnobs:
 class TestServeConfig:
     def test_defaults(self, tmp_path, monkeypatch):
         for env in (QUEUE_ENV, WORKERS_ENV, TENANT_RPS_ENV,
-                    DEADLINE_ENV):
+                    DEADLINE_ENV, "REPRO_BACKEND"):
             monkeypatch.delenv(env, raising=False)
         config = ServeConfig.from_env(cache_dir=tmp_path)
+        assert config.backend == "serial"
         assert config.queue_limit == 16
         assert config.workers == 2
         assert config.tenant_rps == 5.0
@@ -187,7 +188,9 @@ class TestServeConfig:
     def test_env_overrides(self, tmp_path, monkeypatch):
         monkeypatch.setenv(QUEUE_ENV, "4")
         monkeypatch.setenv(TENANT_RPS_ENV, "0.5")
+        monkeypatch.setenv("REPRO_BACKEND", "pool:2")
         config = ServeConfig.from_env(cache_dir=tmp_path)
+        assert config.backend == "pool:2"
         assert config.queue_limit == 4
         assert config.tenant_rps == 0.5
 
@@ -200,6 +203,23 @@ class TestServeConfig:
         monkeypatch.setenv(env, bad)
         with pytest.raises(ConfigError, match=env):
             ServeConfig.from_env(cache_dir=tmp_path)
+
+    @pytest.mark.parametrize("explicit,env", [
+        ("pool:x", None), (None, "quantum"), ("pool:0", None)])
+    def test_bad_backend_fails_at_startup(self, tmp_path, monkeypatch,
+                                          explicit, env):
+        monkeypatch.setenv("REPRO_BACKEND", env or "")
+        with pytest.raises(ConfigError, match="backend|max_workers"):
+            ServeConfig.from_env(cache_dir=tmp_path, backend=explicit)
+
+    def test_serve_cli_exits_2_on_bad_backend(self, tmp_path, monkeypatch,
+                                              capsys):
+        from repro.serve import cli
+        # a config that got past startup would serve; stub that out
+        monkeypatch.setattr(cli, "run_app", lambda config: 0)
+        assert cli.main(["--cache-dir", str(tmp_path),
+                         "--backend", "pool:x"]) == 2
+        assert "pool:x" in capsys.readouterr().err
 
     def test_requires_a_cache_dir(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", "")

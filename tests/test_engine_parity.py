@@ -25,10 +25,9 @@ VARIANTS = [DeviceVariant.TWO_D, DeviceVariant.MIV_1CH,
 DEVICES = [ChannelCount.TRADITIONAL, ChannelCount.ONE, ChannelCount.TWO]
 
 
-def _flow(engine, observe=None):
+def _flow(engine):
     return run_full_flow(cells=CELLS, variants=VARIANTS,
-                         extraction_variants=DEVICES, engine=engine,
-                         observe=observe)
+                         extraction_variants=DEVICES, engine=engine)
 
 
 @pytest.fixture(scope="module")
@@ -85,8 +84,8 @@ def test_explicit_engine_width_shares_cache(serial_cold):
 def traced_serial(tmp_path_factory):
     tracer = Tracer()
     result = _flow(Engine(backend="serial",
-                          cache_dir=tmp_path_factory.mktemp("traced_s")),
-                   observe=tracer)
+                          cache_dir=tmp_path_factory.mktemp("traced_s"),
+                          observe=tracer))
     return result, tracer
 
 
@@ -94,8 +93,8 @@ def traced_serial(tmp_path_factory):
 def traced_parallel(tmp_path_factory):
     tracer = Tracer()
     result = _flow(Engine(backend="pool:4",
-                          cache_dir=tmp_path_factory.mktemp("traced_p")),
-                   observe=tracer)
+                          cache_dir=tmp_path_factory.mktemp("traced_p"),
+                          observe=tracer))
     return result, tracer
 
 

@@ -53,6 +53,14 @@ def test_bad_cell_is_a_usage_error(capsys):
     assert excinfo.value.code == 2
 
 
+def test_workers_flag_is_a_usage_error(capsys):
+    # the width is spelled --backend serial | pool | pool:N
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--workers", "1"])
+    assert excinfo.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_no_command_prints_help(capsys):
     assert main([]) == EXIT_USAGE
     assert "usage" in capsys.readouterr().err.lower()
@@ -85,14 +93,14 @@ def test_resume_unknown_run_fails(tmp_path, capsys):
 def test_run_resume_alias_and_list_roundtrip(tmp_path, capsys):
     cache = str(tmp_path)
     code = main(["run", *MINIMAL, "--run-id", "cli-test",
-                 "--cache-dir", cache, "--workers", "1", "--quiet"])
+                 "--cache-dir", cache, "--backend", "serial", "--quiet"])
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "run cli-test: completed" in out
 
     # everything is already cached, so the resume is fast and exits 0
     code = main(["resume", "cli-test", "--cache-dir", cache,
-                 "--workers", "1", "--json"])
+                 "--backend", "serial", "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == EXIT_OK
     assert payload["run_id"] == "cli-test"

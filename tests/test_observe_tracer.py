@@ -13,7 +13,6 @@ from repro.observe import (
     chrome_trace,
     configure,
     get_tracer,
-    maybe_activate,
     reset,
     resolve_tracer,
     summary_table,
@@ -128,18 +127,6 @@ def test_activate_scopes_to_context():
             assert get_tracer() is inner
         assert get_tracer() is tracer
     assert get_tracer() is NULL_TRACER
-
-
-def test_maybe_activate_none_inherits():
-    ambient = Tracer()
-    with activate(ambient):
-        with maybe_activate(None) as tracer:
-            assert tracer is ambient
-        with maybe_activate(True) as tracer:
-            assert isinstance(tracer, Tracer) and tracer is not ambient
-        with maybe_activate(False) as tracer:
-            assert tracer is NULL_TRACER
-        assert get_tracer() is ambient
 
 
 def test_resolve_tracer_accepts_all_spellings(tmp_path):

@@ -143,11 +143,13 @@ def test_characterize_happy_path(tmp_path):
 
 def test_invalid_bodies_get_400_with_error_code(tmp_path):
     async def scenario(app, port):
-        for body in (b"not json", b'["list"]'):
+        # a bad Content-Length is answered too, never dropped
+        for body, length in ((b"not json", 8), (b'["list"]', 8),
+                             (b"{}", "abc"), (b"{}", -5)):
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", port)
             writer.write(b"POST /characterize HTTP/1.1\r\nHost: t\r\n"
-                         + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                         + f"Content-Length: {length}\r\n\r\n".encode()
                          + body)
             await writer.drain()
             raw = await reader.read()

@@ -5,7 +5,7 @@ In-process checks drive ``Engine.run`` against a second
 :class:`ArtifactCache` holding the flight (the peer publishes, releases
 without publishing, or wedges past the lock timeout) and run two
 engines over one store at once.  The ``chaos``-marked tests run real
-``python -m repro.flows --workers 1`` subprocesses: two invocations
+``python -m repro.flows --backend serial`` subprocesses: two invocations
 split one graph, and a SIGKILLed invocation's flights die with it so a
 fresh one completes the graph.
 """
@@ -133,10 +133,10 @@ def test_two_engines_drain_one_graph_in_process(tmp_path):
 @pytest.mark.chaos
 @pytest.mark.slow
 def test_concurrent_cli_invocations_split_the_graph(tmp_path):
-    """Two simultaneous --workers 1 invocations over one cache: both
+    """Two simultaneous --backend serial invocations over one cache: both
     exit 0, each computes part of the graph, no key twice."""
     env = chaos.repro_env(tmp_path)
-    argvs = [chaos.flow_argv(run_id=f"sf-conc-{i}", workers=1)
+    argvs = [chaos.flow_argv(run_id=f"sf-conc-{i}", backend="serial")
              for i in (1, 2)]
     outcomes = chaos.run_concurrent_flows(argvs, env, stagger_s=0.1)
     for outcome in outcomes:
@@ -160,7 +160,7 @@ def test_sigkill_peer_flight_takeover_completes_graph(tmp_path):
     the serial baseline's exact fingerprints."""
     env = chaos.repro_env(tmp_path)
     victim = chaos.spawn_flow(
-        chaos.flow_argv(run_id="sf-victim", workers=1), env)
+        chaos.flow_argv(run_id="sf-victim", backend="serial"), env)
     assert wait_for_journal(tmp_path, "sf-victim", min_tasks=2,
                             proc=victim), "victim never reached task 2"
     os.kill(victim.pid, 9)
@@ -170,7 +170,7 @@ def test_sigkill_peer_flight_takeover_completes_graph(tmp_path):
     assert any(rec.get("cache") == "miss" for rec in victim_done.values())
 
     survivor = chaos.run_flow(
-        chaos.flow_argv(run_id="sf-survivor", workers=1), env)
+        chaos.flow_argv(run_id="sf-survivor", backend="serial"), env)
     assert survivor.returncode == 0, survivor.stderr
     state = load_run(tmp_path, "sf-survivor")
     assert state.status == "completed"
@@ -179,7 +179,7 @@ def test_sigkill_peer_flight_takeover_completes_graph(tmp_path):
     # Serial baseline in a fresh cache: identical task fingerprints.
     serial_env = chaos.repro_env(tmp_path / "serial-cache")
     baseline = chaos.run_flow(
-        chaos.flow_argv(run_id="sf-serial", workers=1), serial_env)
+        chaos.flow_argv(run_id="sf-serial", backend="serial"), serial_env)
     assert baseline.returncode == 0, baseline.stderr
     base_state = load_run(tmp_path / "serial-cache", "sf-serial")
     assert {(tid, rec["key"]) for tid, rec in state.done().items()} == \

@@ -44,6 +44,19 @@ def test_invariants_suite_end_to_end(tmp_path, capsys):
     assert "invariant.compact.charge_conservation" in names
 
 
+def test_trace_dir_gets_files_without_engine_runs(tmp_path, capsys):
+    """``--trace`` exports once after the suite, so a suite that makes
+    no engine run (invariants) still writes its trace files."""
+    trace_dir = tmp_path / "trace"
+    report_path = tmp_path / "verify_report.json"
+    code = main(["--suite", "invariants", "--trace", str(trace_dir),
+                 "--report", str(report_path), "--quiet"])
+    assert code == 0
+    assert {p.name for p in trace_dir.iterdir()} >= {
+        "trace.json", "summary.txt"}
+    assert json.loads(report_path.read_text())["metrics"]
+
+
 def test_quiet_mode_prints_one_line(capsys):
     code = main(["--suite", "invariants", "--quiet"])
     out = capsys.readouterr().out.strip().splitlines()
