@@ -1,44 +1,27 @@
-"""Design-space exploration: corners, ring oscillators and placement.
+"""Design-space exploration: ring oscillators and placement.
 
-Three extension studies on top of the paper's nominal evaluation:
+Two extension studies on top of the paper's nominal evaluation:
 
-1. Does the MIV-transistor drive advantage survive process corners?
-2. Ring-oscillator frequencies per implementation (an independent check
+1. Ring-oscillator frequencies per implementation (an independent check
    of the Figure 5(a) delay ordering, with self-generated slews).
-3. How much substrate does *separate per-layer placement* (the paper's
+2. How much substrate does *separate per-layer placement* (the paper's
    future work) recover for each variant?
+
+Process corners are not run here: each corner is a full 14-cell flow,
+and the paper gates' margins at every corner are the generated table of
+EXPERIMENTS.md ("Paper gates across process corners",
+``python -m repro.reporting.experiments``).
 
 Run:  python examples/design_space_exploration.py   (about one minute)
 """
 
 from repro.analysis.ring_oscillator import measure_ring_frequency
-from repro.analysis.variation import (
-    advantage_yield,
-    corner_drive_study,
-    monte_carlo_drive,
-)
 from repro.cells.variants import DeviceVariant
-from repro.geometry.transistor_layout import ChannelCount
 from repro.layout.placement import Placer, demo_netlist
 
 
-def corners() -> None:
-    print("=== 1. process corners: NMOS drive ratio vs traditional ===")
-    results = corner_drive_study()
-    print(f"{'corner':<12} {'1-ch':>7} {'2-ch':>7} {'4-ch':>7}  holds?")
-    for result in results:
-        print(f"{result.label:<12} "
-              f"{result.ratios[ChannelCount.ONE]:>7.3f} "
-              f"{result.ratios[ChannelCount.TWO]:>7.3f} "
-              f"{result.ratios[ChannelCount.FOUR]:>7.3f}  "
-              f"{'yes' if result.miv_advantage_holds else 'NO'}")
-    mc = monte_carlo_drive(n_samples=10, sigma=0.02)
-    print(f"Monte-Carlo (10 samples, 2% sigma): qualitative finding "
-          f"holds in {100 * advantage_yield(mc):.0f}% of samples\n")
-
-
 def rings() -> None:
-    print("=== 2. five-stage ring oscillators ===")
+    print("=== 1. five-stage ring oscillators ===")
     base = None
     for variant in DeviceVariant:
         ring = measure_ring_frequency(variant)
@@ -54,7 +37,7 @@ def rings() -> None:
 
 
 def placement() -> None:
-    print("=== 3. joint vs per-layer placement (future work) ===")
+    print("=== 2. joint vs per-layer placement (future work) ===")
     placer = Placer(demo_netlist(scale=4), row_width=3e-6)
     print(f"{'variant':<7} {'joint':>8} {'separate':>10}")
     for variant in (DeviceVariant.MIV_1CH, DeviceVariant.MIV_2CH,
@@ -67,7 +50,6 @@ def placement() -> None:
 
 
 def main() -> None:
-    corners()
     rings()
     placement()
 

@@ -1,19 +1,13 @@
 """Extension studies beyond the paper's headline evaluation.
 
-* :mod:`repro.analysis.variation` — process-corner and Monte-Carlo
-  robustness of the MIV-transistor advantage (the paper evaluates the
-  nominal process only);
 * :mod:`repro.analysis.ring_oscillator` — ring-oscillator frequency per
   implementation, an independent check on the Figure 5(a) delay trend.
+
+Process corners run through the real flow and paper gates instead:
+:data:`repro.geometry.process.STANDARD_CORNERS` and the corner table of
+EXPERIMENTS.md (:mod:`repro.reporting.experiments`).
 """
 
-from repro.analysis.variation import (
-    CornerResult,
-    ProcessCorner,
-    STANDARD_CORNERS,
-    corner_drive_study,
-    monte_carlo_drive,
-)
 from repro.analysis.ring_oscillator import (
     RingOscillatorResult,
     build_ring_oscillator,
@@ -21,11 +15,6 @@ from repro.analysis.ring_oscillator import (
 )
 
 __all__ = [
-    "ProcessCorner",
-    "CornerResult",
-    "STANDARD_CORNERS",
-    "corner_drive_study",
-    "monte_carlo_drive",
     "build_ring_oscillator",
     "measure_ring_frequency",
     "RingOscillatorResult",

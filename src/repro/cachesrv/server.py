@@ -214,6 +214,8 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
+            length = -1
+        if length < 0:
             self._respond_json(400, {"error": "bad Content-Length"})
             return
         body = self.rfile.read(length) if length else b""

@@ -30,7 +30,7 @@ from repro.engine.backends.base import (
     RESULT_ERROR,
     TaskExecution,
     TaskResult,
-    run_stage_inline,
+    run_stage,
 )
 from repro.engine.backends.pool import PoolBackend
 from repro.engine.backends.serial import SerialBackend
@@ -99,5 +99,5 @@ __all__ = [
     "TaskResult",
     "parse_backend_spec",
     "resolve_backend",
-    "run_stage_inline",
+    "run_stage",
 ]

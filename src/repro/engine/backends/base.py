@@ -27,8 +27,8 @@ physically possible on a backend:
 
 from __future__ import annotations
 
-import os
 import time
+import traceback as traceback_module
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -82,21 +82,38 @@ class TaskResult:
     observed: Optional[Dict[str, Any]] = None
 
 
-def run_stage_inline(execution: TaskExecution) -> TaskResult:
-    """Execute one task in the calling process (the serial backend).
+#: Characters of formatted traceback kept in a failed task's result.
+TRACEBACK_TAIL = 1500
 
-    Uses the ambient tracer (spans nest under the engine's run span);
-    honours an ``"exc:"`` fault directive.  Exceptions are captured
-    into the result, never raised — the scheduler owns retry policy.
+
+def _traceback_tail(exc: BaseException) -> str:
+    """Last ``TRACEBACK_TAIL`` characters of the formatted traceback."""
+    try:
+        text = "".join(traceback_module.format_exception(
+            type(exc), exc, exc.__traceback__))
+    except Exception:  # pragma: no cover - formatting never critical
+        text = repr(exc)
+    return text[-TRACEBACK_TAIL:]
+
+
+def run_stage(execution: TaskExecution) -> TaskResult:
+    """Execute one task in the calling process.
+
+    The one stage runner of every backend: the serial backend calls it
+    in the scheduler's process, a pool worker in its own.  Uses the
+    ambient tracer (spans nest under whatever is active); honours an
+    ``"exc:"`` fault directive.  Exceptions are captured into the
+    result with their traceback tail, never raised — the scheduler owns
+    retry policy.
     """
     from repro.engine.stages import get_stage
     from repro.observe import get_tracer
 
     tracer = get_tracer()
-    stage = get_stage(execution.stage)
     started = time.perf_counter()
     cpu0 = time.process_time()
     try:
+        stage = get_stage(execution.stage)
         with tracer.span("engine.compute", task=execution.task_id,
                          stage=execution.stage):
             fault = execution.fault
@@ -106,13 +123,12 @@ def run_stage_inline(execution: TaskExecution) -> TaskResult:
     except Exception as exc:
         return TaskResult(
             task_id=execution.task_id, status=RESULT_ERROR,
-            worker=str(os.getpid()),
             wall_time=time.perf_counter() - started,
             cpu_time=time.process_time() - cpu0,
-            started_at=started, error=exc)
+            started_at=started, error=exc,
+            error_traceback=_traceback_tail(exc))
     return TaskResult(
         task_id=execution.task_id, status=RESULT_DONE, artifact=artifact,
-        worker=str(os.getpid()),
         wall_time=time.perf_counter() - started,
         cpu_time=time.process_time() - cpu0,
         started_at=started)

@@ -28,22 +28,21 @@ Design points the scheduler's failure domain relies on:
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
-import time
-import traceback as traceback_module
 import weakref
 from multiprocessing import connection as mp_connection
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from repro.engine.backends.base import (
     ExecutionBackend,
     RESULT_CRASHED,
-    RESULT_DONE,
     RESULT_ERROR,
     TaskExecution,
     TaskResult,
+    run_stage,
 )
-from repro.errors import InjectedFault, ReproError
+from repro.errors import ReproError
 
 #: Seconds a worker gets to exit after the stop sentinel.
 STOP_GRACE_S = 0.5
@@ -51,45 +50,6 @@ STOP_GRACE_S = 0.5
 
 def _dumps(message: Any) -> bytes:
     return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _compute_reply(task_id: str, stage_name: str, payload: Any,
-                   deps: Any, observe: bool,
-                   fault: Optional[str]) -> Tuple:
-    """Worker-side stage execution -> a picklable reply tuple."""
-    from repro.engine.stages import get_stage
-
-    started = time.perf_counter()
-    cpu0 = time.process_time()
-    observed = None
-    try:
-        stage = get_stage(stage_name)
-        if observe:
-            from repro.observe import Tracer, activate
-            tracer = Tracer()
-            with activate(tracer):
-                with tracer.span("engine.compute", task=task_id,
-                                 stage=stage_name):
-                    if fault is not None and fault.startswith("exc:"):
-                        raise InjectedFault(fault[4:])
-                    artifact = stage.compute(payload, deps)
-            observed = tracer.export_records()
-        else:
-            if fault is not None and fault.startswith("exc:"):
-                raise InjectedFault(fault[4:])
-            artifact = stage.compute(payload, deps)
-    except Exception as exc:
-        try:
-            tb = "".join(traceback_module.format_exception(
-                type(exc), exc, exc.__traceback__))[-1500:]
-        except Exception:  # pragma: no cover - formatting never critical
-            tb = repr(exc)
-        return ("error", task_id, exc, tb,
-                time.perf_counter() - started,
-                time.process_time() - cpu0, started)
-    return ("done", task_id, artifact,
-            time.perf_counter() - started,
-            time.process_time() - cpu0, started, observed)
 
 
 def _pool_worker_main(conn, parent_conn) -> None:  # pragma: no cover
@@ -108,6 +68,7 @@ def _pool_worker_main(conn, parent_conn) -> None:  # pragma: no cover
         import repro.engine.pipeline  # noqa: F401  (registers stages)
     except ImportError:
         pass
+    from repro.observe import Tracer, activate
     from repro.resilience.faults import kill_current_process
     while True:
         try:
@@ -118,19 +79,26 @@ def _pool_worker_main(conn, parent_conn) -> None:  # pragma: no cover
             message = pickle.loads(payload)
         except Exception:
             break
-        if message[0] == "stop":
+        if not isinstance(message, TaskExecution):  # the stop sentinel
             break
-        _, task_id, stage_name, task_payload, deps, observe, fault = message
-        if fault == "kill":
+        if message.fault == "kill":
             kill_current_process()
-        reply = _compute_reply(task_id, stage_name, task_payload, deps,
-                               observe, fault)
+        if message.observe:
+            tracer = Tracer()
+            with activate(tracer):
+                result = run_stage(message)
+            result.observed = tracer.export_records()
+        else:
+            result = run_stage(message)
+        result.worker = str(os.getpid())
         try:
-            out = _dumps(reply)
+            out = _dumps(result)
         except Exception as exc:
-            out = _dumps(("error", task_id, None,
-                          f"result serialisation failed: {exc!r}",
-                          0.0, 0.0, -1.0))
+            text = f"result serialisation failed: {exc!r}"
+            out = _dumps(TaskResult(
+                task_id=message.task_id, status=RESULT_ERROR,
+                worker=result.worker, error=ReproError(text),
+                error_traceback=text))
         try:
             conn.send_bytes(out)
         except (BrokenPipeError, OSError):
@@ -246,9 +214,7 @@ class PoolBackend(ExecutionBackend):
             raise ReproError(
                 f"pool of {self.workers} worker(s) is at capacity; the "
                 f"scheduler admits at most that many tasks")
-        payload = _dumps(("task", execution.task_id, execution.stage,
-                          execution.payload, execution.deps,
-                          execution.observe, execution.fault))
+        payload = _dumps(execution)
         try:
             worker.conn.send_bytes(payload)
         except (BrokenPipeError, OSError):
@@ -287,20 +253,7 @@ class PoolBackend(ExecutionBackend):
                 continue
             self.transfer_bytes += len(payload)
             worker.busy = None
-            if message[0] == "done":
-                _, task_id, artifact, wall, cpu, started, observed = message
-                results.append(TaskResult(
-                    task_id=task_id, status=RESULT_DONE, artifact=artifact,
-                    worker=str(worker.pid), wall_time=wall, cpu_time=cpu,
-                    started_at=started, observed=observed))
-            else:
-                _, task_id, exc, tb, wall, cpu, started = message
-                if exc is None:
-                    exc = ReproError(tb)
-                results.append(TaskResult(
-                    task_id=task_id, status=RESULT_ERROR, error=exc,
-                    error_traceback=tb, worker=str(worker.pid),
-                    wall_time=wall, cpu_time=cpu, started_at=started))
+            results.append(message)
         return results
 
     # ------------------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.engine.backends.base import (
     ExecutionBackend,
     TaskExecution,
     TaskResult,
-    run_stage_inline,
+    run_stage,
 )
 
 
@@ -32,7 +32,7 @@ class SerialBackend(ExecutionBackend):
         self._done: List[TaskResult] = []
 
     def submit(self, execution: TaskExecution) -> None:
-        result = run_stage_inline(execution)
+        result = run_stage(execution)
         # the pre-1.5 serial path labelled in-process computes "main"
         result.worker = "main"
         self._done.append(result)

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import os
 import time
-import traceback as traceback_module
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -70,9 +69,6 @@ from repro.engine.stages import get_stage
 from repro.errors import EngineRunError, ReproError
 from repro.observe import activate, resolve_tracer
 from repro.resilience.retry import RetryPolicy, resolve_retry_policy
-
-#: Characters of formatted traceback kept in a TaskFailure record.
-TRACEBACK_TAIL = 1500
 
 #: Valid ``on_error`` modes.
 ON_ERROR_MODES = ("raise", "continue")
@@ -156,16 +152,6 @@ def resolve_worker_count(max_workers: Optional[int] = None) -> int:
         else:
             max_workers = os.cpu_count() or 1
     return require_int("max_workers", max_workers, minimum=1)
-
-
-def _traceback_tail(exc: BaseException) -> str:
-    """Last ``TRACEBACK_TAIL`` characters of the formatted traceback."""
-    try:
-        text = "".join(traceback_module.format_exception(
-            type(exc), exc, exc.__traceback__))
-    except Exception:  # pragma: no cover - formatting never critical
-        text = repr(exc)
-    return text[-TRACEBACK_TAIL:]
 
 
 class Engine:
@@ -295,8 +281,7 @@ class Engine:
     def run(self, tasks: Sequence[Task],
             on_error: Optional[str] = None, *,
             journal: Optional[RunJournal] = None,
-            cancellation: Optional[CancellationToken] = None,
-            deadline: Optional[float] = None) -> EngineRun:
+            cancellation: Optional[CancellationToken] = None) -> EngineRun:
         """Materialise every task's artefact, cheapest way available.
 
         ``on_error`` overrides the engine default for this run (see the
@@ -311,18 +296,10 @@ class Engine:
         engine stops scheduling, drains in-flight tasks within the
         token's grace window and raises
         :class:`~repro.errors.RunInterrupted` carrying the partial
-        manifest (``status == "interrupted"``).
-
-        ``deadline`` bounds the run's wall time in seconds: it arms
-        (or tightens) the cancellation token's deadline, so an
-        overrunning run stops at the next task boundary instead of
-        holding a worker forever.  Artefacts finished before expiry
-        stay journalled and cached — a retry resumes, not restarts.
+        manifest (``status == "interrupted"``).  A token armed with
+        :meth:`~repro.engine.durability.CancellationToken.set_deadline`
+        bounds the run's wall time the same way.
         """
-        if deadline is not None:
-            if cancellation is None:
-                cancellation = CancellationToken()
-            cancellation.set_deadline(deadline)
         if on_error is None:
             on_error = self.on_error
         if on_error not in ON_ERROR_MODES:

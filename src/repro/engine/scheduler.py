@@ -42,6 +42,7 @@ from repro.engine.backends.base import (
     RESULT_DONE,
     TaskExecution,
     TaskResult,
+    _traceback_tail,
 )
 from repro.engine.manifest import STATUS_INTERRUPTED, TaskFailure, TaskRecord
 from repro.engine.stages import get_stage
@@ -148,7 +149,6 @@ class Scheduler:
     def record_failure(self, task, key: str, exc: BaseException,
                        attempts: int, result,
                        traceback_text: str = "") -> TaskFailure:
-        from repro.engine.executor import _traceback_tail
         failure = TaskFailure(
             task_id=task.id, stage=task.stage, key=key, status="failed",
             error_type=type(exc).__name__, message=str(exc),

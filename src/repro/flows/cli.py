@@ -39,7 +39,7 @@ from repro.engine.durability import (
     list_runs,
 )
 from repro.engine.cache import resolve_cache_dir
-from repro.errors import ReproError, RunInterrupted
+from repro.errors import ConfigError, ReproError, RunInterrupted
 from repro.flows.durable import DurableFlowRun, resume_run, run_durable_flow
 from repro.geometry.transistor_layout import ChannelCount
 from repro.ppa.runner import DEFAULT_DT
@@ -230,7 +230,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "list":
         return _cmd_list(args)
 
-    engine = _engine_for(args)
+    try:
+        engine = _engine_for(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.command == "run":
             run = run_durable_flow(

@@ -147,7 +147,7 @@ def run_durable_flow(*,
                      run_id: Optional[str] = None,
                      grace: Optional[float] = None,
                      cancellation: Optional[CancellationToken] = None,
-                     deadline: Optional[float] = None) -> DurableFlowRun:
+                     ) -> DurableFlowRun:
     """Run the full pipeline durably; resume it by reusing ``run_id``.
 
     A fresh ``run_id`` (default) starts a new journal; an existing one
@@ -162,9 +162,9 @@ def run_durable_flow(*,
     ``cancellation`` hands control of interruption to the caller (the
     characterisation service cancels per-request tokens instead of
     installing signal handlers, which only work on the main thread);
-    when provided, no signal handlers are installed here.  ``deadline``
-    bounds the run's wall time in seconds — past it the run winds down
-    at the next task boundary and raises
+    when provided, no signal handlers are installed here.  A token
+    armed with a deadline bounds the run's wall time: past it the run
+    winds down at the next task boundary and raises
     :class:`~repro.errors.RunInterrupted` with the resumable run id.
     """
     engine = _resolve_durable_engine(engine)
@@ -201,12 +201,11 @@ def run_durable_flow(*,
             # The caller owns interruption (per-request deadline/abort
             # tokens of the service) — don't touch signal handlers.
             run = engine.run(graph, journal=journal,
-                             cancellation=cancellation, deadline=deadline)
+                             cancellation=cancellation)
         else:
             with GracefulShutdown(grace) as shutdown:
                 run = engine.run(graph, journal=journal,
-                                 cancellation=shutdown.token,
-                                 deadline=deadline)
+                                 cancellation=shutdown.token)
     except RunInterrupted as exc:
         exc.run_id = run_id
         if exc.manifest is not None:
@@ -234,7 +233,7 @@ def resume_run(run_id: str, *,
                engine: Optional[Engine] = None,
                grace: Optional[float] = None,
                cancellation: Optional[CancellationToken] = None,
-               deadline: Optional[float] = None) -> DurableFlowRun:
+               ) -> DurableFlowRun:
     """Continue an interrupted durable run from its journal.
 
     Replays ``<cache_dir>/runs/<run_id>/journal.jsonl``, rebuilds the
@@ -260,5 +259,4 @@ def resume_run(run_id: str, *,
         engine=engine,
         run_id=run_id,
         grace=grace,
-        cancellation=cancellation,
-        deadline=deadline)
+        cancellation=cancellation)

@@ -2,13 +2,15 @@
 
 :class:`ProcessParameters` is the single source of truth consumed by the
 TCAD device builder, the compact-model defaults (Table II shares TSI / TOX /
-TBOX / L / W with Table I) and the layout rules.
+TBOX / L / W with Table I) and the layout rules.  :class:`ProcessCorner`
+scales its film, oxide and gate-length values; ``STANDARD_CORNERS`` are
+the corners EXPERIMENTS.md runs the full flow and paper gates on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Dict
+from typing import Dict, Sequence
 
 from repro.errors import ReproError
 from repro.units import nm, per_cm3
@@ -82,3 +84,34 @@ class ProcessParameters:
 
 #: The paper's nominal process (Table I).
 DEFAULT_PROCESS = ProcessParameters()
+
+
+@dataclass(frozen=True)
+class ProcessCorner:
+    """A named process corner: multiplicative deltas on Table-I values."""
+
+    name: str
+    t_si_scale: float = 1.0
+    t_ox_scale: float = 1.0
+    l_gate_scale: float = 1.0
+
+    def apply(self, process: ProcessParameters) -> ProcessParameters:
+        """The corner's process."""
+        return process.with_updates(
+            t_si=process.t_si * self.t_si_scale,
+            t_ox=process.t_ox * self.t_ox_scale,
+            l_gate=process.l_gate * self.l_gate_scale,
+        )
+
+
+#: +-5% film / oxide / gate-length corners plus the nominal point.
+STANDARD_CORNERS: Sequence[ProcessCorner] = (
+    ProcessCorner("nominal"),
+    ProcessCorner("fast", t_si_scale=0.95, t_ox_scale=0.95,
+                  l_gate_scale=0.95),
+    ProcessCorner("slow", t_si_scale=1.05, t_ox_scale=1.05,
+                  l_gate_scale=1.05),
+    ProcessCorner("thin_film", t_si_scale=0.9),
+    ProcessCorner("thick_ox", t_ox_scale=1.1),
+    ProcessCorner("short_gate", l_gate_scale=0.92),
+)

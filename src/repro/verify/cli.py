@@ -20,6 +20,7 @@ import sys
 from typing import List, Optional
 
 from repro.engine import Engine
+from repro.errors import ConfigError
 from repro.observe import Tracer, activate, get_tracer
 from repro.verify.goldens import GoldenStore
 from repro.verify.suites import SUITES, run_suite
@@ -78,8 +79,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     store = GoldenStore(root=options.goldens,
                         update=options.update_goldens,
                         allow_widen=options.allow_widen)
-    engine = (Engine(backend=options.backend)
-              if options.backend is not None else None)
+    try:
+        engine = (Engine(backend=options.backend)
+                  if options.backend is not None else None)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     parity_modes = None
     if options.parity_modes:
         parity_modes = [m.strip() for m in options.parity_modes.split(",")

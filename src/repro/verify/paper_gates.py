@@ -3,7 +3,9 @@
 Each :class:`PaperGate` binds one quantitative claim of the SOCC 2023
 paper — a Table III error ceiling, a Figure 5 PPA-delta window, the
 Section IV-3 substrate-area bound — to an extractor over real
-``run_full_flow`` artifacts and an acceptance window.
+``run_full_flow`` artifacts and an acceptance window.  Every judged
+gate reports its *margin*: the distance to the nearer window edge,
+negative once it is outside.
 
 The windows are *reproduction* windows: centred on the paper's number,
 widened by the documented deviation of our from-scratch substrate (see
@@ -94,6 +96,7 @@ class PaperGate:
             status=STATUS_PASS if ok else STATUS_FAIL,
             measured=measured, expected=self._window_text(),
             tolerance=f"window [{lo:g}, {hi:g}]",
+            margin=min(measured - lo, hi - measured),
             detail=f"paper: {self.paper_value:g}{self.unit}, "
                    f"measured: {measured:.2f}{self.unit}")
 

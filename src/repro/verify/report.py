@@ -39,6 +39,10 @@ class CheckResult:
         The tolerance class or window the check was judged against.
     detail:
         Free-text diagnostics (diff rendering, skip reason).
+    margin:
+        Distance to the nearer window edge, in the measured unit, for
+        checks judged against a window (paper gates): positive inside,
+        negative outside, ``None`` on a skip or for other checks.
     wall_time_s:
         Time spent producing the measurement.
     """
@@ -49,6 +53,7 @@ class CheckResult:
     expected: Any = None
     tolerance: str = ""
     detail: str = ""
+    margin: Optional[float] = None
     wall_time_s: float = 0.0
 
     @property
@@ -65,6 +70,7 @@ class CheckResult:
             "expected": self.expected,
             "tolerance": self.tolerance,
             "detail": self.detail,
+            "margin": self.margin,
             "wall_time_s": self.wall_time_s,
         }
 
@@ -136,6 +142,8 @@ class VerifyReport:
             line = f"  [{marker}] {check.name}"
             if check.tolerance:
                 line += f" ({check.tolerance})"
+            if check.margin is not None:
+                line += f" margin {check.margin:+.2f}"
             if check.wall_time_s >= 0.05:
                 line += f" [{check.wall_time_s:.1f}s]"
             lines.append(line)

@@ -5,7 +5,9 @@ deprecated in 1.2 and are now plain ``TypeError`` s from the keyword-only
 signatures.  Since 1.23 the engine is the one place for run settings,
 so ``observe=`` on the entry points and ``cache_dir=`` /
 ``max_workers=`` / ``backend=`` / ``observe=`` on the durable runs are
-``TypeError`` s as well.  The suite-wide ``filterwarnings =
+``TypeError`` s as well; so is ``deadline=`` on ``Engine.run`` and the
+durable runs (arm the cancellation token's deadline instead).  The
+suite-wide ``filterwarnings =
 error::DeprecationWarning`` turns any DeprecationWarning into a
 failure.  Cheap argument-plumbing paths only: nothing here runs a
 simulation.
@@ -22,7 +24,9 @@ from repro.ppa.runner import PpaRunner
 def _stop_engine_runs(monkeypatch):
     """Abort any engine run before simulation work starts."""
 
-    def fake_run(self, tasks):
+    # Takes any keyword, so a setting that an entry point still accepts
+    # and forwards to ``Engine.run`` is not mistaken for a removed one.
+    def fake_run(self, tasks, **kwargs):
         raise RuntimeError("stop before simulating")
 
     monkeypatch.setattr(repro.Engine, "run", fake_run)
@@ -38,6 +42,9 @@ ENTRY_POINTS = {
         engine=default_engine()).sweep(*args, **kwargs),
     "Engine": repro.Engine,
 }
+
+#: ``Engine.run`` itself, before a test stubs it out.
+ENGINE_RUN = repro.Engine.run
 
 LEGACY_SHAPES = {
     "positional": ((["INV1X1"],), {}),
@@ -72,7 +79,12 @@ REMOVED_RUN_SETTINGS = [
                  id=f"{name}-{setting}")
     for name in sorted(DURABLE_ENTRY_POINTS)
     for setting, value in (("cache_dir", "cache"), ("max_workers", 1),
-                           ("backend", "serial"), ("observe", True))
+                           ("backend", "serial"), ("observe", True),
+                           ("deadline", 1.0))
+] + [
+    pytest.param(lambda **kwargs: ENGINE_RUN(default_engine(), [],
+                                             **kwargs),
+                 {"deadline": 1.0}, id="Engine.run-deadline"),
 ]
 
 
@@ -113,4 +125,4 @@ def test_backend_env_selects_backend(monkeypatch, recwarn):
 
 
 def test_version_bumped():
-    assert repro.__version__ == "1.23.0"
+    assert repro.__version__ == "1.24.0"

@@ -8,6 +8,7 @@ All retry/breaker/verification *policy* lives in the client
 contract the client's fault model is built on.
 """
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -97,6 +98,22 @@ class TestHTTP:
         status, _, _ = _request(f"{server.url}/artifacts/s/k", "PUT",
                                 body=b"data")
         assert status == 400
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_put_with_bad_content_length_is_400(self, server, length):
+        host, port = server.url.split("//", 1)[1].rsplit(":", 1)
+        conn = http.client.HTTPConnection(host, int(port), timeout=5.0)
+        try:
+            conn.putrequest("PUT", "/artifacts/s/k")
+            conn.putheader("Content-Length", length)
+            conn.putheader(DIGEST_HEADER, body_digest(b""))
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == 400
+            assert json.loads(response.read()) == {
+                "error": "bad Content-Length"}
+        finally:
+            conn.close()
 
     def test_put_with_wrong_digest_is_422(self, server):
         status, _, _ = _request(

@@ -61,6 +61,13 @@ def test_workers_flag_is_a_usage_error(capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+def test_bad_backend_is_a_usage_error(capsys):
+    assert main(["run", "--backend", "pool:x"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "pool:x" in err
+    assert "Traceback" not in err
+
+
 def test_no_command_prints_help(capsys):
     assert main([]) == EXIT_USAGE
     assert "usage" in capsys.readouterr().err.lower()

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.geometry.process import DEFAULT_PROCESS, ProcessParameters
+from repro.geometry.process import (
+    DEFAULT_PROCESS,
+    STANDARD_CORNERS,
+    ProcessCorner,
+    ProcessParameters,
+)
 
 
 def test_table1_nominal_values():
@@ -47,3 +52,16 @@ def test_supply_and_temperature_defaults():
 def test_frozen():
     with pytest.raises(AttributeError):
         DEFAULT_PROCESS.t_si = 1e-9  # type: ignore[misc]
+
+
+def test_corner_apply():
+    corner = ProcessCorner("x", t_si_scale=0.9, l_gate_scale=1.1)
+    process = corner.apply(DEFAULT_PROCESS)
+    assert process.t_si == pytest.approx(0.9 * DEFAULT_PROCESS.t_si)
+    assert process.l_gate == pytest.approx(1.1 * DEFAULT_PROCESS.l_gate)
+    assert process.t_ox == DEFAULT_PROCESS.t_ox
+
+
+def test_standard_corners_include_nominal():
+    assert STANDARD_CORNERS[0].name == "nominal"
+    assert STANDARD_CORNERS[0].apply(DEFAULT_PROCESS) == DEFAULT_PROCESS

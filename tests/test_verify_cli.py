@@ -29,6 +29,13 @@ def test_allow_widen_requires_update_goldens(capsys):
     assert "--update-goldens" in capsys.readouterr().err
 
 
+def test_bad_backend_is_a_usage_error(capsys):
+    assert main(["--suite", "invariants", "--backend", "pool:x"]) == 2
+    err = capsys.readouterr().err
+    assert "pool:x" in err
+    assert "Traceback" not in err
+
+
 def test_invariants_suite_end_to_end(tmp_path, capsys):
     report_path = tmp_path / "verify_report.json"
     code = main(["--suite", "invariants",

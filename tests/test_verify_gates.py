@@ -96,6 +96,25 @@ def test_extraction_error_above_ceiling_fails():
     assert results["gate.table3.cv"].status == STATUS_FAIL
 
 
+@pytest.mark.parametrize("worst,margin", [(9.0, 1.0), (11.0, -1.0)])
+def test_gate_margin_is_distance_to_nearer_window_edge(worst, margin):
+    results = {r.name: r
+               for r in evaluate_gates(_flow(worst_error=worst))}
+    for name in ("gate.table3.max_error", "gate.table3.cv"):
+        assert results[name].margin == pytest.approx(margin)
+        assert results[name].to_dict()["margin"] == \
+            pytest.approx(margin)
+
+
+def test_skipped_gate_has_no_margin():
+    reduced = _flow(ppa=_paper_centred_ppa(cells=("INV1X1",)))
+    results = {r.name: r for r in evaluate_gates(reduced)}
+    skipped = results["gate.fig5.delay.2-ch"]
+    assert skipped.status == STATUS_SKIP
+    assert skipped.margin is None
+    assert skipped.to_dict()["margin"] is None
+
+
 def test_ppa_drift_outside_window_fails():
     # Tripling every paper delta pushes the area numbers (and most
     # others) far outside their reproduction windows.
@@ -148,3 +167,30 @@ def test_gates_over_reduced_real_flow():
     statuses = {r.name: r.status for r in results}
     assert statuses["gate.table3.max_error"] == STATUS_PASS
     assert statuses["gate.summary.substrate_area_bound"] == STATUS_PASS
+
+
+@pytest.mark.slow
+@pytest.mark.engine
+def test_corner_table_over_reduced_real_flows():
+    """The EXPERIMENTS corner table on INV1X1: Table III's CV ceiling
+    holds at nominal and fails at 10% thicker oxide."""
+    from repro.flows.full_flow import run_full_flow
+    from repro.geometry.process import DEFAULT_PROCESS, STANDARD_CORNERS
+    from repro.reporting.experiments import corner_gate_table
+
+    corners = {c.name: c for c in STANDARD_CORNERS}
+    flows = {name: run_full_flow(
+        cells=["INV1X1"], variants=list(DeviceVariant),
+        process=corners[name].apply(DEFAULT_PROCESS))
+        for name in ("nominal", "thick_ox")}
+    rows = {}
+    for line in corner_gate_table(flows)[2:]:
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        rows[cells[0].strip("`")] = cells[3:]  # measured, margins
+    assert len(rows) == len(paper_gates())
+    _, nominal, thick_ox = rows["gate.table3.cv"]
+    assert float(nominal) > 0
+    assert thick_ox.startswith("**-") and thick_ox.endswith("FAIL**")
+    for gate in paper_gates():
+        if gate.requires_full_library:
+            assert rows[gate.name] == ["skip", "skip", "skip"]
