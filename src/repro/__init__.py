@@ -66,7 +66,7 @@ from repro.ppa.runner import DEFAULT_DT, PpaRunner
 from repro.resilience import FaultInjector, RetryPolicy
 from repro.tcad.device import Polarity, design_for_variant
 
-__version__ = "1.24.0"
+__version__ = "1.25.0"
 
 __all__ = [
     "ChannelCount",

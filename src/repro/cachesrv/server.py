@@ -32,13 +32,13 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional, Tuple
 
 # The client's digest and header, so both ends always agree.
+from repro.engine.locks import publish_atomically
 from repro.engine.remote import DIGEST_HEADER, body_digest
 
 #: Path prefix of the entry routes.
@@ -90,18 +90,7 @@ class CacheStore:
         with self._lock:
             for path, data in ((sidecar, digest.encode("ascii")),
                                (entry, body)):
-                fd, tmp = tempfile.mkstemp(dir=str(path.parent),
-                                           suffix=".tmp")
-                try:
-                    with os.fdopen(fd, "wb") as handle:
-                        handle.write(data)
-                    os.replace(tmp, path)
-                except OSError:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
+                publish_atomically(path, data)
 
     def quarantine(self, stage: str, key: str) -> bool:
         """Move a client-reported-corrupt entry aside; False = absent."""

@@ -31,12 +31,15 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.engine.locks import FileLock, resolve_lock_timeout
+from repro.engine.locks import (
+    FileLock,
+    publish_atomically,
+    resolve_lock_timeout,
+)
 from repro.engine.remote import resolve_remote_cache
 from repro.engine.stages import StageDef
 from repro.errors import CacheLockTimeout
@@ -238,28 +241,20 @@ class ArtifactCache:
     def _write_entry(self, record: Dict, stage: StageDef, key: str) -> None:
         """One atomic entry publish (failure disables disk writes)."""
         path = self._path(stage.name, key)
-        tmp_name = None
+        # Canonical form (sorted keys) — the same bytes the remote tier
+        # stores, so an entry replicated from the remote store is
+        # byte-identical to a local publish of the same artifact.
+        data = json.dumps(record, separators=(",", ":"),
+                          sort_keys=True).encode("utf-8")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            # Atomic publish: concurrent workers may race on the same
-            # key; both write identical content, the rename keeps
-            # readers safe.
-            fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                # Canonical form (sorted keys) — the same bytes the
-                # remote tier stores, so an entry replicated from the
-                # remote store is byte-identical to a local publish of
-                # the same artifact.
-                json.dump(record, handle, separators=(",", ":"),
-                          sort_keys=True)
-            self._maybe_kill_mid_write(stage.name)
-            os.replace(tmp_name, path)
+            # Concurrent workers may race on the same key; both write
+            # identical content, the atomic rename keeps readers safe.
+            publish_atomically(
+                path, data,
+                before_rename=lambda: self._maybe_kill_mid_write(
+                    stage.name))
         except OSError as exc:
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
             self.write_errors += 1
             self._disk_writes_disabled = True
             tracer = get_tracer()

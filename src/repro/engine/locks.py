@@ -8,6 +8,11 @@ Windows uses ``msvcrt.locking``; platforms with neither degrade to
 no-op locks — single-process behaviour is unchanged, only the
 cross-process guarantees are lost.
 
+Every file a reader may open while it is written (cache entries, the
+remote store's entries and sidecars, run manifests) is published with
+:func:`publish_atomically`: a reader sees the old complete file or the
+new one, never a torn write.
+
 Acquisition is bounded: a lock held past the timeout raises
 :class:`~repro.errors.CacheLockTimeout` so one wedged process cannot
 stall the fleet.  Contended waits are visible through the
@@ -18,9 +23,10 @@ stall the fleet.  Contended waits are visible through the
 from __future__ import annotations
 
 import os
+import tempfile
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.config import resolve_float
 from repro.errors import CacheLockTimeout
@@ -75,6 +81,31 @@ except ImportError:  # pragma: no cover - Windows
             pass
 
         HAVE_LOCKS = False
+
+
+def publish_atomically(path: Path, data: bytes,
+                       before_rename: Optional[Callable[[], None]] = None,
+                       ) -> None:
+    """Write ``data`` to ``path`` through a temp file and ``os.replace``.
+
+    The temp file lives in ``path``'s directory (which must exist), so
+    the rename is atomic.  ``before_rename`` runs between the write and
+    the rename (the cache's crash-window chaos point).  On an
+    ``OSError`` the temp file is removed and the error re-raised.
+    """
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        if before_rename is not None:
+            before_rename()
+        os.replace(tmp_name, path)
+    except OSError:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 def resolve_lock_timeout(timeout: Optional[float] = None) -> float:

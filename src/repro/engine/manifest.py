@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
+
+from repro.engine.locks import publish_atomically
 
 #: Run statuses a manifest can carry.
 STATUS_COMPLETED = "completed"
@@ -261,17 +262,8 @@ class RunManifest:
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(self.to_dict(), handle, indent=2)
-            os.replace(tmp_name, path)
-        except OSError:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        publish_atomically(
+            path, json.dumps(self.to_dict(), indent=2).encode("utf-8"))
 
     def render(self) -> str:
         """Human-readable per-stage summary table."""

@@ -16,7 +16,9 @@ Exit codes
 ----------
 ``0``   run completed.
 ``1``   run failed (task errors, unusable journal...).
-``2``   usage error (bad arguments).
+``2``   usage error: a bad argument (an unknown cell, a ``--dt`` that
+        is not positive and finite...) or setting (``--backend``,
+        ``REPRO_TASK_RETRIES``...), before any task runs.
 ``75``  run interrupted by SIGINT/SIGTERM but resumable
         (``EX_TEMPFAIL`` — re-invoke with ``--resume <run_id>``).
 """
@@ -28,8 +30,6 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.cells.library import CELL_NAMES
-from repro.cells.variants import DeviceVariant
 from repro.engine import Engine
 from repro.engine.durability import (
     EXIT_FAILURE,
@@ -41,39 +41,35 @@ from repro.engine.durability import (
 from repro.engine.cache import resolve_cache_dir
 from repro.errors import ConfigError, ReproError, RunInterrupted
 from repro.flows.durable import DurableFlowRun, resume_run, run_durable_flow
-from repro.geometry.transistor_layout import ChannelCount
-from repro.ppa.runner import DEFAULT_DT
+from repro.flows.full_flow import FlowSpec
 
 
-def _parse_cells(text: str) -> List[str]:
-    cells = [c.strip() for c in text.split(",") if c.strip()]
-    unknown = [c for c in cells if c not in CELL_NAMES]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown cell(s) {', '.join(unknown)} "
-            f"(choose from {', '.join(CELL_NAMES)})")
-    return cells
-
-
-def _parse_variants(text: str) -> List[DeviceVariant]:
+def _names(field: str, text: str) -> list:
+    names = [name.strip() for name in text.split(",") if name.strip()]
     try:
-        return [DeviceVariant(v.strip())
-                for v in text.split(",") if v.strip()]
-    except ValueError:
-        choices = ", ".join(v.value for v in DeviceVariant)
-        raise argparse.ArgumentTypeError(
-            f"bad variant list {text!r} (choose from {choices})") from None
+        return list(FlowSpec.resolve_names(field, names))
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_channels(text: str) -> List[ChannelCount]:
+def _parse_cells(text: str) -> list:
+    return _names("cells", text)
+
+
+def _parse_variants(text: str) -> list:
+    return _names("variants", text)
+
+
+def _parse_channels(text: str) -> list:
+    # Channel counts are spelled by name; the CLI takes any case.
+    return _names("extraction_variants", text.upper())
+
+
+def _parse_dt(text: str) -> float:
     try:
-        return [ChannelCount[v.strip().upper()]
-                for v in text.split(",") if v.strip()]
-    except KeyError:
-        choices = ", ".join(v.name for v in ChannelCount)
-        raise argparse.ArgumentTypeError(
-            f"bad extraction variant list {text!r} "
-            f"(choose from {choices})") from None
+        return FlowSpec.resolve_dt(text)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,8 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="comma-separated channel counts "
                             "(TRADITIONAL,ONE,TWO,FOUR; default: all)")
-    run_p.add_argument("--dt", type=float, default=DEFAULT_DT,
-                       help="transient timestep [s]")
+    run_p.add_argument("--dt", type=_parse_dt, default=None,
+                       help="transient timestep [s] (default "
+                            "repro.DEFAULT_DT)")
     run_p.add_argument("--run-id", default=None,
                        help="explicit run id (also how a run resumes "
                             "itself)")
@@ -232,10 +229,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         engine = _engine_for(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         if args.command == "run":
             run = run_durable_flow(
                 cells=args.cells, variants=args.variants,
@@ -250,6 +243,11 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"  python -m repro.flows --resume {exc.run_id}",
               file=sys.stderr)
         return EXIT_INTERRUPTED
+    except ConfigError as exc:
+        # A bad setting (width spec, retry or timing variable) is a
+        # usage error wherever the engine or the run resolves it.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

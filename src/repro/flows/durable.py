@@ -3,19 +3,21 @@
 :func:`run_durable_flow` wraps :func:`repro.flows.run_full_flow` with
 the durability machinery of :mod:`repro.engine.durability`:
 
-* the flow parameters and every task outcome are appended (fsync'd) to
+* the request's :class:`~repro.flows.full_flow.FlowSpec` record and
+  every task outcome are appended (fsync'd) to
   ``<cache_dir>/runs/<run_id>/journal.jsonl`` as they happen;
 * SIGINT/SIGTERM drain gracefully within ``REPRO_SHUTDOWN_GRACE``
   seconds, then raise :class:`~repro.errors.RunInterrupted` — the
   journal and a partial ``manifest.json`` (status ``interrupted``) are
   flushed first, so the run is resumable;
 * :func:`resume_run` replays the journal, rebuilds the *same* graph
-  from the journalled parameters (same content-addressed fingerprints)
-  and re-executes it — completed artefacts are trusted only through
+  from the journalled spec (same content-addressed fingerprints) and
+  re-executes it — completed artefacts are trusted only through
   the validating disk cache, so a ``kill -9`` at any point loses at
   most the in-flight tasks.
 
-Both entry points run on ``engine=`` (default
+Both entry points (and :func:`run_durable_spec`, which the service
+calls with the spec it parsed) run on ``engine=`` (default
 :func:`~repro.engine.default_engine`), which must have a disk cache:
 the journal and the resumable artefacts live in its cache directory.
 Width and tracing are the engine's own settings
@@ -27,11 +29,10 @@ entry points from the command line.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
-from repro.cells.library import CELL_NAMES
 from repro.cells.netlist_builder import Parasitics
 from repro.cells.variants import DeviceVariant
 from repro.engine import Engine, default_engine
@@ -43,12 +44,11 @@ from repro.engine.durability import (
     new_run_id,
     run_dir,
 )
-from repro.engine.fingerprint import fingerprint
 from repro.errors import ReproError, RunInterrupted
 from repro.flows.full_flow import (
+    FlowSpec,
     FullFlowResult,
     assemble_flow_result,
-    build_flow_graph,
 )
 from repro.geometry.process import ProcessParameters
 from repro.geometry.transistor_layout import ChannelCount
@@ -71,58 +71,6 @@ class DurableFlowRun:
     result: FullFlowResult
     run_dir: Path
     resumed: int = 0
-
-
-def flow_record(cells: List[str],
-                cell_variants: List[DeviceVariant],
-                channel_variants: List[ChannelCount],
-                process: Optional[ProcessParameters],
-                parasitics: Optional[Parasitics],
-                dt: float) -> Dict[str, Any]:
-    """JSON-serialisable flow parameters for the journal's begin record.
-
-    Everything that shapes the task graph goes in, so a resume rebuilds
-    an identical graph (identical fingerprints) from the journal alone.
-    """
-    return {
-        "cells": list(cells),
-        "variants": [v.value for v in cell_variants],
-        "extraction_variants": [v.name for v in channel_variants],
-        "process": asdict(process) if process is not None else None,
-        "parasitics": asdict(parasitics) if parasitics is not None else None,
-        "dt": dt,
-    }
-
-
-def _flow_kwargs_from(record: Dict[str, Any]) -> Dict[str, Any]:
-    """Inverse of :func:`flow_record` (journal -> graph-builder args)."""
-    try:
-        return {
-            "cells": [str(c) for c in record["cells"]],
-            "cell_variants": [DeviceVariant(v) for v in record["variants"]],
-            "channel_variants": [ChannelCount[v]
-                                 for v in record["extraction_variants"]],
-            "process": (ProcessParameters(**record["process"])
-                        if record.get("process") else None),
-            "parasitics": (Parasitics(**record["parasitics"])
-                           if record.get("parasitics") else None),
-            "dt": float(record.get("dt") or DEFAULT_DT),
-        }
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ReproError(
-            f"journalled flow record is unusable: {exc}") from exc
-
-
-def derive_run_id(flow: Dict[str, Any], prefix: str = "req") -> str:
-    """A deterministic run id for one flow description.
-
-    Identical requests map to the identical run id, which is what
-    makes server-side resume work with zero client bookkeeping: a
-    client that retries a timed-out or interrupted request lands on
-    the *same* journal, and the engine recomputes only what the
-    journal and the content-addressed cache did not preserve.
-    """
-    return f"{prefix}-{fingerprint(flow)[:16]}"
 
 
 def _resolve_durable_engine(engine: Optional[Engine]) -> Engine:
@@ -167,23 +115,35 @@ def run_durable_flow(*,
     winds down at the next task boundary and raises
     :class:`~repro.errors.RunInterrupted` with the resumable run id.
     """
+    spec = FlowSpec(cells=cells, variants=variants,
+                    extraction_variants=extraction_variants,
+                    process=process, parasitics=parasitics, dt=dt)
+    return run_durable_spec(spec, engine=engine, run_id=run_id,
+                            grace=grace, cancellation=cancellation)
+
+
+def run_durable_spec(spec: FlowSpec, *,
+                     engine: Optional[Engine] = None,
+                     run_id: Optional[str] = None,
+                     grace: Optional[float] = None,
+                     cancellation: Optional[CancellationToken] = None,
+                     ) -> DurableFlowRun:
+    """:func:`run_durable_flow` of a request already built as a spec.
+
+    An existing journal under ``run_id`` resumes only when its
+    journalled spec equals ``spec``.
+    """
     engine = _resolve_durable_engine(engine)
     cache_root = engine.cache.cache_dir
     run_id = run_id or new_run_id()
     directory = run_dir(cache_root, run_id)
     journal = RunJournal.for_run(cache_root, run_id)
 
-    cells = list(cells) if cells else list(CELL_NAMES)
-    cell_variants = list(variants) if variants else list(DeviceVariant)
-    channel_variants = (list(extraction_variants) if extraction_variants
-                        else list(ChannelCount))
-    flow = flow_record(cells, cell_variants, channel_variants,
-                        process, parasitics, dt)
-
     resumed = 0
     if journal.exists:
         state = load_run(cache_root, run_id)
-        if state.flow is not None and state.flow != flow:
+        if (state.flow is not None
+                and FlowSpec.from_record(state.flow) != spec):
             raise ReproError(
                 f"run {run_id!r} was journalled with different flow "
                 f"parameters; resume it without overrides "
@@ -191,10 +151,10 @@ def run_durable_flow(*,
         resumed = state.resumes + 1
         journal.append({"type": "resume", "run_id": run_id})
     else:
-        journal.append({"type": "begin", "run_id": run_id, "flow": flow})
+        journal.append({"type": "begin", "run_id": run_id,
+                        "flow": spec.record()})
 
-    graph, extraction_pairs, ppa_pairs = build_flow_graph(
-        cells, cell_variants, channel_variants, process, parasitics, dt)
+    graph, extraction_pairs, ppa_pairs = spec.graph()
 
     try:
         if cancellation is not None:
@@ -248,15 +208,6 @@ def resume_run(run_id: str, *,
         raise ReproError(
             f"journal of run {run_id!r} carries no flow parameters; "
             f"cannot rebuild its task graph")
-    kwargs = _flow_kwargs_from(state.flow)
-    return run_durable_flow(
-        cells=kwargs["cells"],
-        variants=kwargs["cell_variants"],
-        extraction_variants=kwargs["channel_variants"],
-        process=kwargs["process"],
-        parasitics=kwargs["parasitics"],
-        dt=kwargs["dt"],
-        engine=engine,
-        run_id=run_id,
-        grace=grace,
-        cancellation=cancellation)
+    return run_durable_spec(FlowSpec.from_record(state.flow),
+                            engine=engine, run_id=run_id, grace=grace,
+                            cancellation=cancellation)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.cells.library import all_cells
 from repro.cells.netlist_builder import (
     CellNetlist,
     Parasitics,
@@ -152,11 +151,10 @@ class PpaRunner:
         parallel engine the independent (cell, variant) transients fan
         out across workers as their shared model sets complete.
         """
-        from repro.engine.pipeline import cell_ppa_tasks, merge_tasks
-        variants = variants or list(DeviceVariant)
-        names = cells or [c.name for c in all_cells()]
-        grid = [cell_ppa_tasks(name, variant, self.parasitics, self.dt,
-                               self.process)
-                for name in names for variant in variants]
+        from repro.engine.pipeline import merge_tasks
+        from repro.flows.full_flow import FlowSpec
+        grid = FlowSpec(cells=cells, variants=variants,
+                        process=self.process, parasitics=self.parasitics,
+                        dt=self.dt).ppa_pairs()
         run = self.engine.run(merge_tasks(*[tasks for _, tasks in grid]))
         return [run[task.id] for task, _ in grid]

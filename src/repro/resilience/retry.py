@@ -18,11 +18,16 @@ earlier than the base delay or later than the cap.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.config import (
+    require_finite_float,
+    require_int,
+    resolve_float,
+    resolve_int,
+)
 from repro.errors import ReproError
 
 #: Extra attempts a failed task gets (default 0 — fail on first error).
@@ -63,12 +68,13 @@ class RetryPolicy:
     jitter: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ReproError(f"retries must be >= 0, got {self.retries}")
+        require_int("retries", self.retries, minimum=0)
         if self.backoff < 0 or self.backoff_cap < 0:
             raise ReproError("backoff delays must be >= 0")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ReproError(f"timeout must be positive, got {self.timeout}")
+        if self.timeout is not None:
+            # A NaN budget never expires and an infinite one overflows
+            # the pool's wait; both are ConfigErrors like any setting.
+            require_finite_float("timeout", self.timeout, positive=True)
         if not 0.0 <= self.jitter <= 1.0:
             raise ReproError(f"jitter must be within [0, 1], "
                              f"got {self.jitter}")
@@ -101,23 +107,9 @@ class RetryPolicy:
     @classmethod
     def from_env(cls) -> "RetryPolicy":
         """Policy resolved from ``REPRO_TASK_RETRIES`` / ``_TIMEOUT``."""
-        retries = 0
-        env = os.environ.get(TASK_RETRIES_ENV)
-        if env:
-            try:
-                retries = int(env)
-            except ValueError:
-                raise ReproError(f"{TASK_RETRIES_ENV} must be an integer, "
-                                 f"got {env!r}") from None
-        timeout: Optional[float] = None
-        env = os.environ.get(TASK_TIMEOUT_ENV)
-        if env:
-            try:
-                timeout = float(env)
-            except ValueError:
-                raise ReproError(f"{TASK_TIMEOUT_ENV} must be a number, "
-                                 f"got {env!r}") from None
-        return cls(retries=retries, timeout=timeout)
+        return cls(retries=resolve_int(TASK_RETRIES_ENV, 0, minimum=0),
+                   timeout=resolve_float(TASK_TIMEOUT_ENV, None,
+                                         positive=True))
 
 
 def resolve_retry_policy(policy: Optional[RetryPolicy]) -> RetryPolicy:

@@ -1,8 +1,9 @@
 """Request handling: JSON body -> durable flow run -> JSON response.
 
 :func:`parse_characterize` turns an HTTP body into a validated
-:class:`CharacterizeRequest` whose parameters are normalised exactly
-like :func:`repro.flows.run_durable_flow` normalises its own — so the
+:class:`CharacterizeRequest` carrying a
+:class:`~repro.flows.full_flow.FlowSpec` — the same request value
+:func:`repro.flows.run_durable_flow` builds from its keywords — so the
 derived run id (and hence the journal a retry resumes) depends only on
 the *meaning* of the request, not on which defaults the client spelled
 out.
@@ -19,12 +20,9 @@ response marked ``degraded: true``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
-from repro.cells.library import CELL_NAMES
-from repro.cells.variants import DeviceVariant
-from repro.config import require_finite_float
 from repro.engine import Engine
 from repro.engine.durability import CancellationToken
 from repro.errors import (
@@ -35,63 +33,32 @@ from repro.errors import (
     RunInterrupted,
     ServiceDraining,
 )
-from repro.flows.durable import (
-    DurableFlowRun,
-    derive_run_id,
-    flow_record,
-    run_durable_flow,
-)
-from repro.geometry.transistor_layout import ChannelCount
-from repro.ppa.runner import DEFAULT_DT
+from repro.flows.durable import DurableFlowRun, run_durable_spec
+from repro.flows.full_flow import FlowSpec
 from repro.serve.tenants import Tenant
 
 #: Request body keys :func:`parse_characterize` accepts.
 ALLOWED_KEYS = frozenset(
     {"cells", "variants", "extraction_variants", "dt"})
 
-_VARIANT_BY_VALUE = {v.value: v for v in DeviceVariant}
-_CHANNEL_BY_NAME = {c.name: c for c in ChannelCount}
 
-
-@dataclass
+@dataclass(frozen=True)
 class CharacterizeRequest:
     """One validated characterisation request.
 
-    ``flow`` is the journal-ready flow record and ``run_id`` its
-    deterministic fingerprint — two clients posting the same body get
-    the same run id, which is what lets the coalescing layer and the
-    cross-process single-flight collapse them onto one computation.
+    ``run_id`` is the deterministic fingerprint of ``spec``'s journal
+    record — two clients posting the same body get the same run id,
+    which is what lets the coalescing layer and the cross-process
+    single-flight collapse them onto one computation.
     """
 
-    cells: List[str]
-    variants: List[DeviceVariant]
-    channels: List[ChannelCount]
-    dt: float
-    flow: Dict[str, Any] = field(default_factory=dict)
-    run_id: str = ""
+    spec: FlowSpec
+    run_id: str
 
     @property
     def request_key(self) -> str:
         """Coalescing key (identical requests share one computation)."""
         return self.run_id
-
-
-def _parse_names(payload: Dict[str, Any], key: str,
-                 known: Dict[str, Any], what: str) -> Optional[list]:
-    raw = payload.get(key)
-    if raw is None:
-        return None
-    if not isinstance(raw, list) or not raw:
-        raise InvalidRequest(
-            f"{key!r} must be a non-empty JSON array of {what} names")
-    resolved = []
-    for item in raw:
-        if not isinstance(item, str) or item not in known:
-            raise InvalidRequest(
-                f"unknown {what} {item!r} in {key!r}; known: "
-                f"{', '.join(sorted(known))}")
-        resolved.append(known[item])
-    return resolved
 
 
 def parse_body(raw: bytes) -> Dict[str, Any]:
@@ -116,34 +83,16 @@ def parse_characterize(payload: Dict[str, Any]) -> CharacterizeRequest:
             f"unknown request fields: {', '.join(sorted(unknown))}; "
             f"allowed: {', '.join(sorted(ALLOWED_KEYS))}")
 
-    cells = _parse_names(payload, "cells",
-                         {name: name for name in CELL_NAMES}, "cell")
-    variants = _parse_names(payload, "variants", _VARIANT_BY_VALUE,
-                            "variant")
-    channels = _parse_names(payload, "extraction_variants",
-                            _CHANNEL_BY_NAME, "channel variant")
-
-    dt = payload.get("dt")
-    if dt is not None:
-        if isinstance(dt, bool) or not isinstance(dt, (int, float, str)):
-            raise InvalidRequest("'dt' must be a positive number")
-        try:
-            dt = require_finite_float("dt", dt, positive=True)
-        except ConfigError as exc:
-            raise InvalidRequest(str(exc)) from exc
-    else:
-        dt = DEFAULT_DT
-
-    # Normalise defaults exactly like run_durable_flow does, so the
-    # derived run id is invariant to spelling the defaults out.
-    cells = cells if cells else list(CELL_NAMES)
-    variants = variants if variants else list(DeviceVariant)
-    channels = channels if channels else list(ChannelCount)
-
-    flow = flow_record(cells, variants, channels, None, None, dt)
-    return CharacterizeRequest(
-        cells=cells, variants=variants, channels=channels, dt=dt,
-        flow=flow, run_id=derive_run_id(flow))
+    for key in ("cells", "variants", "extraction_variants"):
+        raw = payload.get(key)
+        if raw is not None and not (isinstance(raw, list) and raw):
+            raise InvalidRequest(
+                f"{key!r} must be a non-empty JSON array of names")
+    try:
+        spec = FlowSpec(**payload)   # the allowed keys are its fields
+    except ConfigError as exc:
+        raise InvalidRequest(str(exc)) from exc
+    return CharacterizeRequest(spec=spec, run_id=spec.run_id)
 
 
 def _headline_or_none(result) -> Optional[Dict[str, float]]:
@@ -169,14 +118,9 @@ class FlowRunner:
         engine = Engine(backend=self.backend,
                         cache_dir=tenant.cache_dir)
         try:
-            run = run_durable_flow(
-                cells=request.cells,
-                variants=request.variants,
-                extraction_variants=request.channels,
-                dt=request.dt,
-                engine=engine,
-                run_id=request.run_id,
-                cancellation=cancellation)
+            run = run_durable_spec(request.spec, engine=engine,
+                                   run_id=request.run_id,
+                                   cancellation=cancellation)
         except RunInterrupted as exc:
             raise self._interruption_error(exc, request, cancellation) \
                 from exc

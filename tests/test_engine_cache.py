@@ -158,7 +158,7 @@ def test_put_write_error_degrades_to_memory_only(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr("repro.engine.cache.tempfile.mkstemp", boom)
+    monkeypatch.setattr("repro.engine.locks.tempfile.mkstemp", boom)
     cache.put("k1", stage, {"value": 1.0})   # must not raise
     assert cache.write_errors == 1
     hit, layer = cache.get("k1", stage)

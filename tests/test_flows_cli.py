@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.engine import Engine, reset_default_engine
 from repro.engine.durability import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -66,6 +67,37 @@ def test_bad_backend_is_a_usage_error(capsys):
     err = capsys.readouterr().err
     assert "pool:x" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dt", ["0", "-1", "nan", "inf", "abc"])
+def test_bad_dt_is_a_usage_error_before_any_task(dt, capsys, monkeypatch):
+    monkeypatch.setattr(Engine, "run",
+                        lambda self, tasks, **_: pytest.fail("ran"))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", *MINIMAL, "--dt", dt, "--backend", "serial"])
+    assert excinfo.value.code == EXIT_USAGE
+    assert "dt must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend", [["--backend", "serial"], []],
+                         ids=["backend", "default-engine"])
+@pytest.mark.parametrize("name,value", [("REPRO_TASK_RETRIES", "abc"),
+                                        ("REPRO_TASK_TIMEOUT", "nan")])
+def test_bad_engine_setting_is_a_usage_error(name, value, backend,
+                                             tmp_path, monkeypatch,
+                                             capsys):
+    monkeypatch.setattr(Engine, "run",
+                        lambda self, tasks, **_: pytest.fail("ran"))
+    monkeypatch.setenv(name, value)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    reset_default_engine()
+    try:
+        assert main(["run", *MINIMAL, *backend]) == EXIT_USAGE
+    finally:
+        reset_default_engine()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert name in err
 
 
 def test_no_command_prints_help(capsys):

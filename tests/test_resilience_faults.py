@@ -1,9 +1,11 @@
 """The deterministic fault injector: spec grammar, rule semantics,
 process-wide installation and env-var resolution."""
 
+import math
+
 import pytest
 
-from repro.errors import InjectedFault, ReproError
+from repro.errors import ConfigError, InjectedFault, ReproError
 from repro.resilience import (
     FAULTS_ENV,
     ContinuationResult,
@@ -157,6 +159,22 @@ def test_retry_policy_env_resolution(monkeypatch):
     monkeypatch.setenv("REPRO_TASK_RETRIES", "many")
     with pytest.raises(ReproError, match="REPRO_TASK_RETRIES"):
         RetryPolicy.from_env()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
+@pytest.mark.parametrize("name", ["REPRO_TASK_RETRIES",
+                                  "REPRO_TASK_TIMEOUT"])
+def test_retry_policy_env_rejects_unusable_values(name, value,
+                                                  monkeypatch):
+    monkeypatch.setenv(name, value)
+    with pytest.raises(ConfigError, match=name):
+        RetryPolicy.from_env()
+
+
+@pytest.mark.parametrize("timeout", [math.nan, math.inf, -1.0, "abc"])
+def test_retry_policy_rejects_unusable_timeouts(timeout):
+    with pytest.raises(ConfigError, match="timeout"):
+        RetryPolicy(timeout=timeout)
 
 
 def test_retry_policy_validation():

@@ -12,7 +12,12 @@ import time
 import pytest
 
 from repro.engine.durability import CancellationToken
-from repro.errors import DeadlineExceeded, RunInterrupted, ServiceDraining
+from repro.errors import (
+    DeadlineExceeded,
+    InvalidRequest,
+    RunInterrupted,
+    ServiceDraining,
+)
 from repro.serve import ServeApp, ServeConfig
 from repro.serve.handlers import FlowRunner, parse_characterize
 
@@ -166,6 +171,26 @@ def test_invalid_bodies_get_400_with_error_code(tmp_path):
         assert status == 400
 
     with_app(make_config(tmp_path), StubRunner(), scenario)
+
+
+def test_run_ids_pin_the_documented_requests():
+    readme_body = {"cells": ["INV1X1"], "variants": ["2D"],
+                   "extraction_variants": ["TRADITIONAL"]}
+    assert parse_characterize(readme_body).run_id == "req-8f69f4df3f9032bd"
+    assert parse_characterize({}).run_id == "req-f44c669dab37285d"
+    # spelling a default out is the same request
+    spelled = {"variants": ["2D", "1-ch", "2-ch", "4-ch"], "dt": 2e-11}
+    assert parse_characterize(spelled).run_id == "req-f44c669dab37285d"
+
+
+@pytest.mark.parametrize("body", [
+    {"cells": []}, {"cells": "INV1X1"}, {"variants": ["3D"]},
+    {"extraction_variants": ["two"]}, {"dt": 0}, {"dt": "nan"},
+    {"dt": True}, {"dt": [1e-11]},
+])
+def test_invalid_requests_are_refused_when_parsed(body):
+    with pytest.raises(InvalidRequest):
+        parse_characterize(body)
 
 
 def test_tenant_header_validation_and_isolation(tmp_path):
